@@ -37,6 +37,13 @@ class LabeledGraph:
         self._by_label: dict[Word, list[int]] = {}
         for vid, lab in enumerate(self.labels):
             self._by_label.setdefault(lab, []).append(vid)
+        # Letter indexes, one entry per edge: the sources of a vertex's
+        # in-edges by sofic letter, the targets of its out-edges by first letter.
+        self.sources_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
+        self.targets_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
+        for src, dst, first, sofic in self.edges:
+            self.sources_by_sofic[dst].setdefault(sofic, []).append(src)
+            self.targets_by_first[src].setdefault(first, []).append(dst)
 
     def n_vertices(self) -> int:
         return len(self.labels)
@@ -218,10 +225,11 @@ def build_labeled_graph(space: ZipShiftSpace) -> LabeledGraph:
             break
         got = spelled_language(recoded, k)
         want = set(space.language(k))
-        assert got == want, (
-            f"vertex-like recode changed the language at length {k}: "
-            f"extra={sorted(got - want)[:3]} missing={sorted(want - got)[:3]}"
-        )
+        if got != want:
+            raise InvalidWord(
+                f"vertex-like recode changed the language at length {k}: "
+                f"extra={sorted(got - want)[:3]} missing={sorted(want - got)[:3]}"
+            )
     return recoded
 
 

@@ -8,11 +8,16 @@ backward graph with the left label's transient-then-cycle automaton) keeps
 the candidates that extend to genuine points.  A bounded-depth path search
 adds the delay / left-closing / distinguishable metadata on top; enumeration
 never depends on that search resolving.
+
+Each query trims the viability product once per side (backward for the left
+label, forward for the right tail) and reads it by phase: from any depth on,
+a label is a suffix of its transient or a rotation of its period, so every
+later viability question of the query, for any vertex at any depth, is a
+lookup.  Nothing is kept across queries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidWord, NotInSpace
 from .graph import LabeledGraph, build_labeled_graph
@@ -21,41 +26,88 @@ from .space import Lift, ZipShiftSpace
 from .symbols import Word
 
 
-@lru_cache(maxsize=None)
 def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
-    return build_labeled_graph(space)
+    """The space's labeled graph, built on first use and kept on the space."""
+    g = space._labeled_graph
+    if g is None:
+        g = space._labeled_graph = build_labeled_graph(space)
+    return g
 
 
-def _right_remainder(x: EpPoint, ell: int) -> tuple[Word, Word]:
-    """The right tail of x from index ell on, as (transient, period)."""
-    rt, rp = x.right_transient, x.right_period
-    if ell <= len(rt):
-        return rt[ell:], rp
-    k = (ell - len(rt)) % len(rp)
-    return (), rp[k:] + rp[:k]
+def _alive_cycle_nodes(step: list[dict], period: Word) -> bytearray:
+    """Nodes of the (vertex, phase) product from which infinite runs exist.
 
-
-def _left_label_outward(x: EpPoint, skip: int) -> tuple[Word, Word]:
-    """The A-label (x_{-1-skip}, x_{-2-skip}, ...) as (transient, period)."""
-    trans = tuple(reversed(x.left_transient))
-    per = tuple(reversed(x.left_period))
-    if skip <= len(trans):
-        return trans[skip:], per
-    k = (skip - len(trans)) % len(per)
-    return (), per[k:] + per[:k]
-
-
-def _alive_cycle_nodes(n_vertices: int, m: int, succ) -> set[tuple[int, int]]:
-    """Nodes of the (vertex, phase) product from which infinite runs exist."""
-    alive = {(v, ph) for v in range(n_vertices) for ph in range(m)}
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            if not (succ(node) & alive):
-                alive.discard(node)
-                changed = True
+    ``step[v][c]`` lists the vertices one step on from v reading c; node
+    (v, ph) reads ``period[ph]`` and moves to phase ph + 1 mod m.  Entry
+    ``ph * n + v`` of the result is 1 when node (v, ph) is alive.  One
+    worklist pass: a node dies when its last live successor dies, so each
+    product edge is visited at most twice.
+    """
+    n, m = len(step), len(period)
+    live = [0] * (n * m)
+    preds: list[list[int]] = [[] for _ in range(n * m)]
+    for ph, c in enumerate(period):
+        base, nxt = ph * n, (ph + 1) % m * n
+        for v in range(n):
+            targets = step[v].get(c, ())
+            live[base + v] = len(targets)
+            for w in targets:
+                preds[nxt + w].append(base + v)
+    alive = bytearray(b"\1") * (n * m)
+    dead = [node for node, k in enumerate(live) if not k]
+    for node in dead:
+        alive[node] = 0
+    while dead:
+        for p in preds[dead.pop()]:
+            if alive[p]:
+                live[p] -= 1
+                if not live[p]:
+                    alive[p] = 0
+                    dead.append(p)
     return alive
+
+
+class _Label:
+    """Where a one-sided label, transient then period forever, can be spelled.
+
+    ``step`` walks the graph one letter outward.  Layer d holds the vertices
+    that can spell the label from its d-th letter on: the period layers come
+    from one trim of the (vertex, phase) product, the transient layers from
+    one pass back over them.  Depths past the transient fold onto phase
+    (d - T) mod m, since from there on the label is a rotation of the period.
+    """
+
+    def __init__(self, step: list[dict], transient: Word, period: Word):
+        n, m = len(step), len(period)
+        cycle = _alive_cycle_nodes(step, period)
+        layers = [cycle[ph * n : (ph + 1) * n] for ph in range(m)]
+        ahead = layers[0]
+        for c in reversed(transient):
+            here = bytearray(n)
+            for v in range(n):
+                for w in step[v].get(c, ()):
+                    if ahead[w]:
+                        here[v] = 1
+                        break
+            layers.append(here)
+            ahead = here
+        self._layers = layers[m:][::-1] + layers[:m]
+        self._t = len(transient)
+        self._m = m
+
+    def viable(self, v: int, depth: int) -> bool:
+        if depth >= self._t:
+            depth = self._t + (depth - self._t) % self._m
+        return bool(self._layers[depth][v])
+
+
+def _left_label(g: LabeledGraph, x: EpPoint) -> _Label:
+    """x's A-label read outward on the backward graph: depth d starts at x_{-1-d}."""
+    return _Label(
+        g.sources_by_sofic,
+        tuple(reversed(x.left_transient)),
+        tuple(reversed(x.left_period)),
+    )
 
 
 def left_viability(
@@ -72,58 +124,45 @@ def left_viability(
     transient, period = left_label
     if not period:
         raise InvalidWord("left label needs a non-empty period")
-    g = labeled_graph_for(space)
-    states = set(start_vertices)
-    for a in transient:
-        states = {e[0] for v in states for e in g.in_edges(v) if e[3] == a}
-        if not states:
-            return False
-    m = len(period)
-
-    def succ(node: tuple[int, int]) -> set[tuple[int, int]]:
-        v, ph = node
-        return {(e[0], (ph + 1) % m) for e in g.in_edges(v) if e[3] == period[ph]}
-
-    alive = _alive_cycle_nodes(g.n_vertices(), m, succ)
-    return any((v, 0) in alive for v in states)
+    label = _Label(labeled_graph_for(space).sources_by_sofic, tuple(transient), tuple(period))
+    return any(label.viable(v, 0) for v in start_vertices)
 
 
-def _forward_spell_viable(
-    g: LabeledGraph, start_vertices: set[int], tail: tuple[Word, Word]
-) -> set[int]:
-    """Start vertices from which the first-labels can spell the tail forever."""
-    transient, period = tail
-    m = len(period)
-
-    def succ(node: tuple[int, int]) -> set[tuple[int, int]]:
-        v, ph = node
-        return {(e[1], (ph + 1) % m) for e in g.out_edges(v) if e[2] == period[ph]}
-
-    alive = _alive_cycle_nodes(g.n_vertices(), m, succ)
-    good = set()
-    for v0 in start_vertices:
-        states = {v0}
-        for c in transient:
-            states = {e[1] for v in states for e in g.out_edges(v) if e[2] == c}
-            if not states:
-                break
-        if states and any((v, 0) in alive for v in states):
-            good.add(v0)
-    return good
-
-
-def _position_zero_vertices(space: ZipShiftSpace, x: EpPoint) -> set[int]:
+def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
     """Graph vertices that can sit at index 0 of x's lift."""
-    g = labeled_graph_for(space)
     ell = len(g.labels[0])
-    ids = set(g.ids_with_label(x.window(0, ell)))
+    ids = g.ids_with_label(x.window(0, ell))
     if not ids:
         return set()
-    return _forward_spell_viable(g, ids, _right_remainder(x, ell))
+    right = _Label(g.targets_by_first, x.right_transient, x.right_period)
+    return {v for v in ids if right.viable(v, ell)}
 
 
 def point_admissibility(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
     """Window admissibility on the unrolled representation plus liftability."""
+    return _admissibility(space, x)[0]
+
+
+def _admissibility(
+    space: ZipShiftSpace, x: EpPoint
+) -> tuple[AdmissibilityReport, set[int], _Label | None]:
+    """The report, with the position-0 vertices and the left label that
+    liftability was decided on (empty and None where the check stopped first)."""
+    failure = _window_failure(space, x)
+    if failure is not None:
+        return failure, set(), None
+    g = labeled_graph_for(space)
+    starts = _position_zero_vertices(g, x)
+    if not starts:
+        return AdmissibilityReport(False, "right tail is not realizable by any walk"), starts, None
+    left = _left_label(g, x)
+    if not any(left.viable(v, 0) for v in starts):
+        return AdmissibilityReport(False, "left label is not liftable"), starts, left
+    return AdmissibilityReport(True, None), starts, left
+
+
+def _window_failure(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport | None:
+    """The first letter or window of x's unrolled representation that fails."""
     left_len = len(x.left_transient) + len(x.left_period)
     right_len = len(x.right_transient) + len(x.right_period)
     for j in range(1, left_len + 1):
@@ -150,12 +189,7 @@ def point_admissibility(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport
             return AdmissibilityReport(
                 False, f"window {' '.join(w)} at index {i} is not admissible"
             )
-    starts = _position_zero_vertices(space, x)
-    if not starts:
-        return AdmissibilityReport(False, "right tail is not realizable by any walk")
-    if not left_viability(space, starts, _left_label_outward(x, 0)):
-        return AdmissibilityReport(False, "left label is not liftable")
-    return AdmissibilityReport(True, None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -219,11 +253,9 @@ class _Chain:
             a = x.letter(-depth)
             new: dict[int, int] = {}
             for v, cnt in counts.items():
-                for e in g.in_edges(v):
-                    if e[3] == a:
-                        u = e[0]
-                        new[u] = min(2, new.get(u, 0) + cnt)
-                        self.parents.setdefault((depth, u), v)
+                for u in g.sources_by_sofic[v].get(a, ()):
+                    new[u] = min(2, new.get(u, 0) + cnt)
+                    self.parents.setdefault((depth, u), v)
             counts = new
             self.history.append(dict(counts))
             if not counts:
@@ -257,6 +289,7 @@ def _classify(
     space: ZipShiftSpace,
     g: LabeledGraph,
     x: EpPoint,
+    left: _Label,
     cands: dict[str, dict[int, int]],
     origin: dict[str, dict[int, int]],
     viable: list[str],
@@ -286,9 +319,8 @@ def _classify(
     if sofic and len(v0) >= 2:
         for v in sorted(v0):
             sv: dict[int, int] = {}
-            for e in g.in_edges(v):
-                if e[3] == x.letter(-1):
-                    sv[e[0]] = min(2, sv.get(e[0], 0) + 1)
+            for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
+                sv[u] = min(2, sv.get(u, 0) + 1)
             if sv:
                 start_chains[v] = _Chain(g, x, sv, dict.fromkeys(sv, v), d_max)
 
@@ -327,8 +359,7 @@ def _classify(
                 witness_paths=wits(d),
             )
     if sofic:
-        label0 = _left_label_outward(x, 0)
-        if sum(1 for v in v0 if left_viability(space, {v}, label0)) == 1:
+        if sum(1 for v in v0 if left.viable(v, 0)) == 1:
             return LabelClassification(
                 kind="distinguishable",
                 variant="L",
@@ -346,28 +377,25 @@ def _classify(
 
 def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResult:
     """All y with shift(y) = x, plus classification metadata."""
-    report = point_admissibility(space, x)
+    report, v0, left = _admissibility(space, x)
     if not report.ok:
         raise NotInSpace(report.reason)
     g = labeled_graph_for(space)
-    v0 = _position_zero_vertices(space, x)
     cands: dict[str, dict[int, int]] = {}
     origin: dict[str, dict[int, int]] = {}
     for v in sorted(v0):
-        for e in g.in_edges(v):
-            if e[3] == x.letter(-1):
-                t = g.labels[e[0]][0]
-                per_u = cands.setdefault(t, {})
-                per_u[e[0]] = min(2, per_u.get(e[0], 0) + 1)
-                origin.setdefault(t, {}).setdefault(e[0], v)
-    label1 = _left_label_outward(x, 1)
+        for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
+            t = g.labels[u][0]
+            per_u = cands.setdefault(t, {})
+            per_u[u] = min(2, per_u.get(u, 0) + 1)
+            origin.setdefault(t, {}).setdefault(u, v)
     viable: list[str] = []
     points: list[EpPoint] = []
     for t in sorted(cands, key=space.alphabet_aprime.index):
-        if left_viability(space, set(cands[t]), label1):
+        if any(left.viable(u, 1) for u in cands[t]):
             viable.append(t)
             points.append(_preimage_point(x, t))
-    classification = _classify(space, g, x, cands, origin, viable, v0, d_max)
+    classification = _classify(space, g, x, left, cands, origin, viable, v0, d_max)
     return PreimageResult(classification, tuple(points))
 
 
@@ -394,10 +422,9 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> Lift:
     """
     g = labeled_graph_for(space)
     key = space.alphabet_aprime.key
-    starts = _position_zero_vertices(space, x)
-    viable0 = [
-        v for v in starts if left_viability(space, {v}, _left_label_outward(x, 0))
-    ]
+    starts = _position_zero_vertices(g, x)
+    left = _left_label(g, x)
+    viable0 = [v for v in starts if left.viable(v, 0)]
     if not viable0:
         raise NotInSpace("point has no backward lift")
     v = min(viable0, key=lambda i: (key(g.labels[i]), i))
@@ -419,17 +446,9 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> Lift:
                 )
             seen[state] = depth
         depth += 1
-        a = x.letter(-depth)
-        options = sorted(
-            {e[0] for e in g.in_edges(v) if e[3] == a},
-            key=lambda i: (key(g.labels[i]), i),
-        )
-        chosen = None
-        for u in options:
-            if left_viability(space, {u}, _left_label_outward(x, depth)):
-                chosen = u
-                break
-        if chosen is None:
+        options = [u for u in g.sources_by_sofic[v].get(x.letter(-depth), ()) if left.viable(u, depth)]
+        if not options:
             raise NotInSpace("left label is not liftable")
+        chosen = min(options, key=lambda i: (key(g.labels[i]), i))
         letters.append(g.labels[chosen][0])
         v = chosen

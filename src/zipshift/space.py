@@ -153,8 +153,9 @@ class ZipShiftSpace:
         self.kind = kind
         self.n = tm.n
         self._lang_cache: dict[int, list[Word]] = {}
-        self._a_word_cache: dict[Word, bool] = {}
+        self._a_image_cache: dict[int, frozenset[Word]] = {}
         self._a_forb: frozenset[Word] | None = None
+        self._labeled_graph = None  # built by preimage.labeled_graph_for
 
         if kind == "sofic":
             if presentation is None:
@@ -288,8 +289,7 @@ class ZipShiftSpace:
         if side == "aprime":
             return list(self._language_aprime(k))
         if side == "a":
-            seen = {self.tm.phi_extend(u) for u in self._language_aprime(k + self.n - 1)}
-            return sorted(seen, key=self.alphabet_a.key)
+            return sorted(self._a_images(k), key=self.alphabet_a.key)
         if side == "mixed":
             pairs = set()
             for j in range(1, k):
@@ -356,20 +356,21 @@ class ZipShiftSpace:
 
     # -- derived A-side and mixed languages -------------------------------
 
+    def _a_images(self, k: int) -> frozenset[Word]:
+        """The phi-images of the admissible A'-words of length k + n - 1."""
+        if k not in self._a_image_cache:
+            self._a_image_cache[k] = frozenset(
+                self.tm.phi_extend(u) for u in self._language_aprime(k + self.n - 1)
+            )
+        return self._a_image_cache[k]
+
     def admissible_a_word(self, word: Word) -> bool:
         """Is ``word`` an admissible A-word (a phi-image of an A'-word)?"""
         word = tuple(word)
         for c in word:
             if c not in self.alphabet_a:
                 raise UnknownSymbol(f"{c!r} is not an A symbol")
-        if word in self._a_word_cache:
-            return self._a_word_cache[word]
-        ok = any(
-            self.tm.phi_extend(u) == word
-            for u in self._language_aprime(len(word) + self.n - 1)
-        )
-        self._a_word_cache[word] = ok
-        return ok
+        return word in self._a_images(len(word))
 
     def mixed_admissible(self, a_part: Word, aprime_part: Word) -> bool:
         """Does the straddling block (a_part ; aprime_part) occur in a point?"""
@@ -533,51 +534,6 @@ class ZipShiftSpace:
                         nxt[t] = w + (t[-1],)
             frontier = nxt
         return None
-
-    # -- viability of eventually periodic tails ----------------------------
-
-    def _walk_states(self):
-        if self.kind == "sofic":
-            return list(self._nfa_out)
-        return list(self._graph.vertices)
-
-    def _step_state(self, state, letter: str):
-        """Successor states of ``state`` when the next sequence letter is ``letter``."""
-        if self.kind == "sofic":
-            return [t for t, c in self._nfa_out[state] if c == letter]
-        nxt = state[1:] + (letter,)
-        return [nxt] if nxt in self._graph.vset and nxt in self._graph.out[state] else []
-
-    def forward_viability(self, transient: Word, period: Word) -> bool:
-        """Does some bi-infinite point carry transient + period^infinity at i >= 0?
-
-        Decided on the product of the language automaton with the
-        transient-then-cycle shape of the label.
-        """
-        period = tuple(period)
-        if not period:
-            raise InvalidWord("period must be non-empty")
-        states = set(self._walk_states())
-        for c in transient:
-            states = {t for s in states for t in self._step_state(s, c)}
-            if not states:
-                return False
-        m = len(period)
-        nodes = {(s, ph) for s in self._walk_states() for ph in range(m)}
-        succ = {
-            (s, ph): {(t, (ph + 1) % m) for t in self._step_state(s, period[ph])}
-            for (s, ph) in nodes
-        }
-        # Keep only nodes with infinite continuations.
-        alive = set(nodes)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(alive):
-                if not (succ[v] & alive):
-                    alive.discard(v)
-                    changed = True
-        return any((s, 0) in alive for s in states)
 
     # -- random sampling ----------------------------------------------------
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from zipshift import (
+    InvalidWord,
     NotFiniteType,
     backward,
     build_labeled_graph,
@@ -11,6 +12,7 @@ from zipshift import (
     spelled_language,
     vertex_like,
 )
+from zipshift import graph
 
 
 def test_build_ex21(ex21):
@@ -62,6 +64,12 @@ def test_vertex_like(even):
     assert sorted(v.labels) == [("0",), ("0",), ("1",)]
     for k in range(1, 9):
         assert spelled_language(v, k) == set(even.language(k))
+
+
+def test_recode_language_mismatch_raises(even, monkeypatch):
+    monkeypatch.setattr(graph, "spelled_language", lambda g, k: set())
+    with pytest.raises(InvalidWord, match="vertex-like recode changed the language"):
+        build_labeled_graph(even)
 
 
 def test_presentation_graph_needs_sofic(ex21):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from zipshift import (
+    Alphabet,
     InvalidWord,
+    TransitionMap,
     canonical_lift,
     format_point,
+    full_space,
     is_admissible,
     parse_point,
     preimages,
@@ -128,3 +133,16 @@ def test_canonical_lift(ex21, even):
             assert space.tm(lift.window(-j, n)) == x.letter(-j)
         for i in range(6):
             assert lift.letter(i) == x.letter(i)
+
+
+def test_graph_cache_does_not_keep_spaces():
+    space = full_space(
+        Alphabet(["a", "b"]),
+        Alphabet(["1", "2"]),
+        TransitionMap(1, {("1",): "a", ("2",): "b"}),
+    )
+    assert preimages(space, parse_point("(a)* ; (1)*")).points
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
