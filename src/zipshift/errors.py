@@ -39,7 +39,8 @@ class Unrealizable(ZipShiftError):
 
 
 class GeometryError(ZipShiftError):
-    """Horseshoe construction parameters produce overlapping branches."""
+    """Horseshoe construction parameters produce overlapping branches, or a
+    built model fails the Markov identities or the stable-string chain."""
 
 
 class EscapedSquare(ZipShiftError):

@@ -15,6 +15,37 @@ from .space import ZipShiftSpace
 from .symbols import Word
 
 
+class LetterSteps:
+    """One walking direction of a labeled graph, indexed by letter.
+
+    Built from ``step``, where ``step[v][c]`` lists the vertices one step on
+    from v reading c, one entry per edge.  ``back`` is its reverse:
+    ``back[w][c]`` lists the v with w in ``step[v][c]``, as often as it
+    occurs there.  ``letter(c)`` gives, for every vertex v, the out-degree
+    ``len(step[v][c])``, the same as a byte mask (1 where it is positive), and
+    the vertices where it is 0.
+    """
+
+    __slots__ = ("back", "_by_letter", "_unread")
+
+    def __init__(self, step: list[dict], back: list[dict]):
+        n = len(step)
+        self.back = back
+        degree: dict[str | None, list[int]] = {}
+        for v, by_letter in enumerate(step):
+            for c, targets in by_letter.items():
+                degree.setdefault(c, [0] * n)[v] = len(targets)
+        self._by_letter = {
+            c: (d, bytes(map(bool, d)), [v for v in range(n) if not d[v]])
+            for c, d in degree.items()
+        }
+        self._unread: tuple[list[int], bytes, list[int]] = ([0] * n, bytes(n), list(range(n)))
+
+    def letter(self, c: str | None) -> tuple[list[int], bytes, list[int]]:
+        """Out-degrees by vertex reading c, their byte mask, and the stuck vertices."""
+        return self._by_letter.get(c, self._unread)
+
+
 class LabeledGraph:
     """A directed multigraph with word-labeled vertices and pair-labeled edges."""
 
@@ -38,12 +69,21 @@ class LabeledGraph:
         for vid, lab in enumerate(self.labels):
             self._by_label.setdefault(lab, []).append(vid)
         # Letter indexes, one entry per edge: the sources of a vertex's
-        # in-edges by sofic letter, the targets of its out-edges by first letter.
+        # in-edges by sofic letter, the targets of its out-edges by first
+        # letter, and the reverse of each.
         self.sources_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
+        self.targets_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
         self.targets_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
+        self.sources_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
         for src, dst, first, sofic in self.edges:
             self.sources_by_sofic[dst].setdefault(sofic, []).append(src)
+            self.targets_by_sofic[src].setdefault(sofic, []).append(dst)
             self.targets_by_first[src].setdefault(first, []).append(dst)
+            self.sources_by_first[dst].setdefault(first, []).append(src)
+        # Walks toward minus infinity read sofic letters on reversed edges;
+        # walks toward plus infinity read first letters on the edges as given.
+        self.leftward = LetterSteps(self.sources_by_sofic, self.targets_by_sofic)
+        self.rightward = LetterSteps(self.targets_by_first, self.sources_by_first)
 
     def n_vertices(self) -> int:
         return len(self.labels)
@@ -113,24 +153,41 @@ def vertex_like(g: LabeledGraph) -> LabeledGraph:
 
 
 def _trim(g: LabeledGraph) -> LabeledGraph:
-    """Restrict to vertices with bi-infinite walks through them."""
-    alive = set(range(g.n_vertices()))
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            has_out = any(g.edges[i][1] in alive for i in g._out[v])
-            has_in = any(g.edges[i][0] in alive for i in g._in[v])
-            if not (has_out and has_in):
-                alive.discard(v)
-                changed = True
-    keep = sorted(alive)
+    """Restrict to vertices with bi-infinite walks through them.
+
+    One worklist pass: a vertex dies when its last live in-edge or its last
+    live out-edge goes, so each edge is visited at most twice.
+    """
+    n = g.n_vertices()
+    live_in = [len(ids) for ids in g._in]
+    live_out = [len(ids) for ids in g._out]
+    alive = bytearray(b"\1") * n
+    dead = [v for v in range(n) if not (live_in[v] and live_out[v])]
+    for v in dead:
+        alive[v] = 0
+    while dead:
+        v = dead.pop()
+        for i in g._out[v]:
+            w = g.edges[i][1]
+            if alive[w]:
+                live_in[w] -= 1
+                if not live_in[w]:
+                    alive[w] = 0
+                    dead.append(w)
+        for i in g._in[v]:
+            u = g.edges[i][0]
+            if alive[u]:
+                live_out[u] -= 1
+                if not live_out[u]:
+                    alive[u] = 0
+                    dead.append(u)
+    keep = [v for v in range(n) if alive[v]]
     remap = {old: new for new, old in enumerate(keep)}
     labels = [g.labels[v] for v in keep]
     edges = [
         (remap[s], remap[d], f, x)
         for (s, d, f, x) in g.edges
-        if s in alive and d in alive
+        if alive[s] and alive[d]
     ]
     return LabeledGraph(labels, edges)
 

@@ -163,10 +163,14 @@ class HorseshoeModel:
 def build_model(n_folds: int, epsilon=Fraction(1, 2)) -> HorseshoeModel:
     """Construct the N-fold horseshoe and check its Markov identities."""
     model = HorseshoeModel(n_folds, epsilon)
-    assert model.delta * model.delta_prime == n_folds
+    if model.delta * model.delta_prime != n_folds:
+        raise GeometryError(
+            f"expansion {model.delta} times contraction {model.delta_prime} is not {n_folds}"
+        )
     for c in model.letters:
         lo, hi = model.x_interval(c)
-        assert hi - lo == 1 / model.delta
+        if hi - lo != 1 / model.delta:
+            raise GeometryError(f"strip {c!r} has width {hi - lo}, not 1/{model.delta}")
         t = model.branch_type(c)
         corners = [(lo, Fraction(0)), (lo, Fraction(1)), (hi, Fraction(0)), (hi, Fraction(1))]
         ys = set()
@@ -176,7 +180,8 @@ def build_model(n_folds: int, epsilon=Fraction(1, 2)) -> HorseshoeModel:
             else:
                 ys.add(1 - model.delta_prime * y)
         want = model.h_interval("a" if t == 0 else "b")
-        assert {min(ys), max(ys)} == {want[0], want[1]}
+        if {min(ys), max(ys)} != {want[0], want[1]}:
+            raise GeometryError(f"the image of strip {c!r} does not span its horizontal strip")
     return model
 
 
@@ -373,7 +378,8 @@ def stable_string(model: HorseshoeModel, w) -> tuple[Word, ...]:
             primed = word[i - 1].endswith("'")
             entry.append(digit + "'" if primed else digit)
         out.append(tuple(entry))
-    assert out.count(word) == 1
+    if out.count(word) != 1:
+        raise GeometryError(f"the stable-string chain holds {' '.join(word)} {out.count(word)} times")
     return tuple(out)
 
 

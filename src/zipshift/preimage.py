@@ -13,14 +13,20 @@ Each query trims the viability product once per side (backward for the left
 label, forward for the right tail) and reads it by phase: from any depth on,
 a label is a suffix of its transient or a rotation of its period, so every
 later viability question of the query, for any vertex at any depth, is a
-lookup.  Nothing is kept across queries.
+lookup.  The trim builds no product graph: it reads the letter indexes the
+labeled graph keeps for each direction (out-degrees to seed the live
+counters, reverse lists to find the predecessors of a dying node), so past
+one copy of the degrees per phase its work is the in-edges of the nodes
+that die.  The path search behind the classification stops at its first
+repeated (label phase, path counts) state past the left transient and folds
+deeper depths into that cycle.  Nothing is kept across queries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
-from .graph import LabeledGraph, build_labeled_graph
+from .graph import LabeledGraph, LetterSteps, build_labeled_graph
 from .point import AdmissibilityReport, EpPoint
 from .space import Lift, ZipShiftSpace
 from .symbols import Word
@@ -34,63 +40,65 @@ def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
     return g
 
 
-def _alive_cycle_nodes(step: list[dict], period: Word) -> bytearray:
+def _alive_cycle_nodes(walk: LetterSteps, period: Word) -> list[bytearray]:
     """Nodes of the (vertex, phase) product from which infinite runs exist.
 
-    ``step[v][c]`` lists the vertices one step on from v reading c; node
-    (v, ph) reads ``period[ph]`` and moves to phase ph + 1 mod m.  Entry
-    ``ph * n + v`` of the result is 1 when node (v, ph) is alive.  One
-    worklist pass: a node dies when its last live successor dies, so each
-    product edge is visited at most twice.
+    Node (v, ph) reads ``period[ph]`` along ``walk`` and moves to phase
+    ph + 1 mod m.  Entry ph of the result marks with a 1 the vertices v whose
+    node (v, ph) is alive.  One worklist pass over the graph's prebuilt
+    indexes: the live successor counts start as copies of the letters' degree
+    arrays, the stuck vertices seed the worklist, and the predecessors of a
+    dying node (w, ph) are ``back[w][period[ph - 1]]`` at phase ph - 1.  Past
+    those m copies, work is proportional to the in-edges of the nodes that
+    die.
     """
-    n, m = len(step), len(period)
-    live = [0] * (n * m)
-    preds: list[list[int]] = [[] for _ in range(n * m)]
+    live: list[list[int]] = []
+    alive: list[bytearray] = []
+    dead: list[tuple[int, int]] = []
     for ph, c in enumerate(period):
-        base, nxt = ph * n, (ph + 1) % m * n
-        for v in range(n):
-            targets = step[v].get(c, ())
-            live[base + v] = len(targets)
-            for w in targets:
-                preds[nxt + w].append(base + v)
-    alive = bytearray(b"\1") * (n * m)
-    dead = [node for node, k in enumerate(live) if not k]
-    for node in dead:
-        alive[node] = 0
+        degree, moving, stuck = walk.letter(c)
+        live.append(degree[:])
+        alive.append(bytearray(moving))
+        dead += [(ph, v) for v in stuck]
+    m = len(period)
+    back = walk.back
     while dead:
-        for p in preds[dead.pop()]:
-            if alive[p]:
-                live[p] -= 1
-                if not live[p]:
-                    alive[p] = 0
-                    dead.append(p)
+        ph, w = dead.pop()
+        ph -= 1  # the predecessors' phase; -1 indexes the last one
+        counts, marks = live[ph], alive[ph]
+        for v in back[w].get(period[ph], ()):
+            if marks[v]:
+                counts[v] -= 1
+                if not counts[v]:
+                    marks[v] = 0
+                    dead.append((ph % m, v))
     return alive
 
 
 class _Label:
     """Where a one-sided label, transient then period forever, can be spelled.
 
-    ``step`` walks the graph one letter outward.  Layer d holds the vertices
-    that can spell the label from its d-th letter on: the period layers come
-    from one trim of the (vertex, phase) product, the transient layers from
-    one pass back over them.  Depths past the transient fold onto phase
-    (d - T) mod m, since from there on the label is a rotation of the period.
+    ``walk`` steps through the graph one letter outward.  Layer d holds the
+    vertices that can spell the label from its d-th letter on: the period
+    layers come from one trim of the (vertex, phase) product, the transient
+    layers from one pass back over them along the reverse index.  Depths past
+    the transient fold onto phase (d - T) mod m, since from there on the
+    label is a rotation of the period.
     """
 
-    def __init__(self, step: list[dict], transient: Word, period: Word):
-        n, m = len(step), len(period)
-        cycle = _alive_cycle_nodes(step, period)
-        layers = [cycle[ph * n : (ph + 1) * n] for ph in range(m)]
+    def __init__(self, walk: LetterSteps, transient: Word, period: Word):
+        n = len(walk.back)
+        layers = _alive_cycle_nodes(walk, period)
         ahead = layers[0]
         for c in reversed(transient):
             here = bytearray(n)
-            for v in range(n):
-                for w in step[v].get(c, ()):
-                    if ahead[w]:
+            for w in range(n):
+                if ahead[w]:
+                    for v in walk.back[w].get(c, ()):
                         here[v] = 1
-                        break
             layers.append(here)
             ahead = here
+        m = len(period)
         self._layers = layers[m:][::-1] + layers[:m]
         self._t = len(transient)
         self._m = m
@@ -104,7 +112,7 @@ class _Label:
 def _left_label(g: LabeledGraph, x: EpPoint) -> _Label:
     """x's A-label read outward on the backward graph: depth d starts at x_{-1-d}."""
     return _Label(
-        g.sources_by_sofic,
+        g.leftward,
         tuple(reversed(x.left_transient)),
         tuple(reversed(x.left_period)),
     )
@@ -124,7 +132,7 @@ def left_viability(
     transient, period = left_label
     if not period:
         raise InvalidWord("left label needs a non-empty period")
-    label = _Label(labeled_graph_for(space).sources_by_sofic, tuple(transient), tuple(period))
+    label = _Label(labeled_graph_for(space).leftward, tuple(transient), tuple(period))
     return any(label.viable(v, 0) for v in start_vertices)
 
 
@@ -134,7 +142,7 @@ def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
     ids = g.ids_with_label(x.window(0, ell))
     if not ids:
         return set()
-    right = _Label(g.targets_by_first, x.right_transient, x.right_period)
+    right = _Label(g.rightward, x.right_transient, x.right_period)
     return {v for v in ids if right.viable(v, ell)}
 
 
@@ -235,6 +243,14 @@ class _Chain:
     paths, which is all the classification needs.  ``origin`` remembers one
     position-0 vertex behind each depth-1 vertex so witnesses can be walked
     back to the start of the path.
+
+    Past the left transient the label is periodic, so the counts at a depth,
+    in their order, together with the label's phase there fix every deeper
+    state and every parent recorded below it.  The search therefore stops at
+    the first repeated (phase, counts) pair: first seen at depth d0 and again
+    at d0 + p, every depth past d0 + p folds into (d0, d0 + p].  The fold
+    lands there, not on [d0, d0 + p), because the parents at a depth come
+    from the state one level up, which must itself lie on the cycle.
     """
 
     def __init__(
@@ -248,8 +264,18 @@ class _Chain:
         counts = {u: min(2, c) for u, c in starts.items()}
         self.origin = origin
         self.parents: dict[tuple[int, int], int] = {}
-        self.history: list[dict[int, int]] = [dict(counts)]
+        self.history: list[dict[int, int]] = [counts]
+        self._cycle: tuple[int, int] | None = None
+        t, m = len(x.left_transient), len(x.left_period)
+        seen: dict[tuple, int] = {}
         for depth in range(2, d_max + 1):
+            here = depth - 1
+            if here >= t:
+                key = ((here - t) % m, tuple(counts.items()))
+                if key in seen:
+                    self._cycle = (seen[key], here - seen[key])
+                    break
+                seen[key] = here
             a = x.letter(-depth)
             new: dict[int, int] = {}
             for v, cnt in counts.items():
@@ -257,11 +283,19 @@ class _Chain:
                     new[u] = min(2, new.get(u, 0) + cnt)
                     self.parents.setdefault((depth, u), v)
             counts = new
-            self.history.append(dict(counts))
+            self.history.append(counts)
             if not counts:
                 break
 
+    def _fold(self, depth: int) -> int:
+        if self._cycle is not None:
+            d0, p = self._cycle
+            if depth > d0 + p:
+                return d0 + 1 + (depth - d0 - 1) % p
+        return depth
+
     def state_at(self, depth: int) -> dict[int, int]:
+        depth = self._fold(depth)
         if depth - 1 < len(self.history):
             return self.history[depth - 1]
         return {}
@@ -278,7 +312,7 @@ class _Chain:
         v = min(self.state_at(d))
         path = [v]
         for dd in range(d, 1, -1):
-            v = self.parents[(dd, v)]
+            v = self.parents[(self._fold(dd), v)]
             path.append(v)
         path.append(self.origin[v])
         path.reverse()

@@ -154,6 +154,7 @@ class ZipShiftSpace:
         self.n = tm.n
         self._lang_cache: dict[int, list[Word]] = {}
         self._a_image_cache: dict[int, frozenset[Word]] = {}
+        self._mixed_cache: dict[tuple[int, int], frozenset[tuple[Word, Word]]] = {}
         self._a_forb: frozenset[Word] | None = None
         self._labeled_graph = None  # built by preimage.labeled_graph_for
 
@@ -293,9 +294,7 @@ class ZipShiftSpace:
         if side == "mixed":
             pairs = set()
             for j in range(1, k):
-                length = j + max(k - j, self.n - 1)
-                for u in self._language_aprime(length):
-                    pairs.add((self.tm.phi_extend(u)[:j], u[j:k]))
+                pairs |= self._mixed_pairs(j, k - j)
             return sorted(
                 pairs,
                 key=lambda p: (len(p[0]), self.alphabet_a.key(p[0]), self.alphabet_aprime.key(p[1])),
@@ -372,17 +371,26 @@ class ZipShiftSpace:
                 raise UnknownSymbol(f"{c!r} is not an A symbol")
         return word in self._a_images(len(word))
 
+    def _mixed_pairs(self, j: int, k: int) -> frozenset[tuple[Word, Word]]:
+        """The straddling blocks with j A-letters and k A'-letters, as pairs.
+
+        Each is read off an admissible A'-word long enough for phi to reach
+        all j A-letters: its phi-image's first j letters, then its next k
+        letters.
+        """
+        if (j, k) not in self._mixed_cache:
+            self._mixed_cache[(j, k)] = frozenset(
+                (self.tm.phi_extend(u)[:j], u[j : j + k])
+                for u in self._language_aprime(j + max(k, self.n - 1))
+            )
+        return self._mixed_cache[(j, k)]
+
     def mixed_admissible(self, a_part: Word, aprime_part: Word) -> bool:
         """Does the straddling block (a_part ; aprime_part) occur in a point?"""
         a_part, aprime_part = tuple(a_part), tuple(aprime_part)
         if not a_part or not aprime_part:
             raise InvalidWord("mixed words need letters on both sides")
-        j = len(a_part)
-        length = j + max(len(aprime_part), self.n - 1)
-        for u in self._language_aprime(length):
-            if u[j : j + len(aprime_part)] == aprime_part and self.tm.phi_extend(u)[:j] == a_part:
-                return True
-        return False
+        return (a_part, aprime_part) in self._mixed_pairs(len(a_part), len(aprime_part))
 
     def derived_a_forbidden(self) -> frozenset[Word]:
         """Minimal inadmissible A-words up to the derivation cutoff.

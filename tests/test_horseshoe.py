@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -235,3 +238,60 @@ def test_stable_string_mirror_geometry(model2):
             assert ahi - alo == bhi - blo == model2.delta ** -k
             assert alo + bhi == 2 * axis
             assert ahi + blo == 2 * axis
+
+
+# Run under ``python -O``, which strips ``assert``: each corruption must
+# still raise the typed error.  The first three break one Markov identity
+# checked by build_model, the last the stable-string chain.
+_CORRUPTED = """
+import sys
+import zipshift.horseshoe as h
+
+print(sys.flags.optimize)
+init = h.HorseshoeModel.__init__
+model = h.build_model(2)
+
+
+def off_product(self, n, eps):
+    init(self, n, eps)
+    self.delta_prime += 1
+
+
+def wide_strip(self, n, eps):
+    init(self, n, eps)
+    lo, hi = self._x[self.letters[0]]
+    self._x[self.letters[0]] = (lo, 2 * hi)
+
+
+def report(call):
+    try:
+        call()
+    except Exception as e:
+        print(type(e).__name__)
+    else:
+        print("no error")
+
+
+for corrupt in (off_product, wide_strip):
+    h.HorseshoeModel.__init__ = corrupt
+    report(lambda: h.build_model(2))
+h.HorseshoeModel.__init__ = init
+h.HorseshoeModel.h_interval = lambda self, side: (0, 1)
+report(lambda: h.build_model(2))
+h._parse_strip_word = lambda model, w: ("2",)
+report(lambda: h.stable_string(model, "0"))
+"""
+
+
+def test_corrupted_model_raises_under_optimize():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    ).stdout.split()
+    assert out == ["1"] + [GeometryError.__name__] * 4
