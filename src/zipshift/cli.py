@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .codes import BlockCodeSpec, apply_code, check_commutation, invert_code
 from .errors import NotInSpace, ZipShiftError
-from .graph import backward, build_labeled_graph, export_dot
+from .graph import backward, export_dot
 from .horseshoe import build_model, coding_space, stable_string, verify_conjugacy
 from .orbits import (
     PeriodicPoint,
@@ -40,7 +40,7 @@ from .orbits import (
     pre_periodic_points,
 )
 from .point import EpPoint, format_point, is_admissible, metrics, parse_point, shift_k
-from .preimage import preimages, preimages_k
+from .preimage import labeled_graph_for, preimages, preimages_k
 from .space import ZipShiftSpace, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
 
@@ -268,7 +268,7 @@ def _cmd_space_irreducible(args: argparse.Namespace) -> int:
 
 def _cmd_graph_build(args: argparse.Namespace) -> int:
     space = space_from_dict(_load_json(args.spec))
-    g = build_labeled_graph(space)
+    g = labeled_graph_for(space)
     if args.backward:
         g = backward(g)
     dot = export_dot(g)

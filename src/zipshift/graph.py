@@ -253,18 +253,23 @@ def _block_recode(g: LabeledGraph, ell: int, space: ZipShiftSpace) -> LabeledGra
     return _trim(LabeledGraph(labels, edges))
 
 
-def build_labeled_graph(space: ZipShiftSpace) -> LabeledGraph:
+def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> LabeledGraph:
     """The labeled presentation used by the pre-image engine.
 
     Finite-type spaces get the sliding-window graph on admissible ell-words,
-    ell = max(n-1, memory, 1), with an edge for every admissible extension.
-    Sofic spaces go through the vertex-like construction, then a block
-    recode so every vertex label is long enough to evaluate the transition
-    map; the recode is cross-checked against the space's own language.
+    ell = max(n-1, memory, 1) unless given (at least max(n-1, step_k, 1)),
+    with an edge for every admissible extension.  Sofic spaces go through
+    the vertex-like construction, then a block recode so every vertex label
+    is long enough to evaluate the transition map; the recode is
+    cross-checked against the space's own language, and ``ell`` is ignored.
     """
     n = space.n
     if space.kind in ("full", "sft"):
-        ell = max(n - 1, space.memory(), 1)
+        least = max(n - 1, space.step_k, 1)
+        if ell is None:
+            ell = max(least, space.memory())
+        elif ell < least:
+            raise InvalidWord(f"window width {ell} is below max(n - 1, step, 1) = {least}")
         vertices = space.language(ell)
         index = {w: i for i, w in enumerate(vertices)}
         edges: list[tuple[int, int, str, str | None]] = []

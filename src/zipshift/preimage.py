@@ -19,10 +19,13 @@ counters, reverse lists to find the predecessors of a dying node), so past
 one copy of the degrees per phase its work is the in-edges of the nodes
 that die.  The path search behind the classification stops at its first
 repeated (label phase, path counts) state past the left transient and folds
-deeper depths into that cycle.  Nothing is kept across queries.
+deeper depths into that cycle; the classification stops checking depths
+once every search has ended or cycled and one common period of their
+states has been checked.  Nothing is kept across queries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
@@ -33,10 +36,18 @@ from .symbols import Word
 
 
 def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
-    """The space's labeled graph, built on first use and kept on the space."""
+    """The space's labeled graph, built on first use and kept on the space.
+
+    It is the graph the space reads its A-side on whenever the widths agree,
+    which they do unless the derived A-side has the longer memory.
+    """
     g = space._labeled_graph
     if g is None:
-        g = space._labeled_graph = build_labeled_graph(space)
+        space._a_walk()  # builds space._window_graph
+        g = space._window_graph
+        if space.kind != "sofic" and len(g.labels[0]) != max(space.n - 1, space.memory(), 1):
+            g = build_labeled_graph(space)
+        space._labeled_graph = g
     return g
 
 
@@ -287,6 +298,17 @@ class _Chain:
             if not counts:
                 break
 
+    def periodic_from(self) -> tuple[int, int] | None:
+        """(D, p) with state_at(d + p) == state_at(d) for every d >= D, or
+        None when the search reached d_max without repeating or ending.
+
+        States repeat from d0 on, one depth before the parents do."""
+        if self._cycle is not None:
+            return self._cycle
+        if not self.history[-1]:
+            return len(self.history), 1
+        return None
+
     def _fold(self, depth: int) -> int:
         if self._cycle is not None:
             d0, p = self._cycle
@@ -358,7 +380,15 @@ def _classify(
             if sv:
                 start_chains[v] = _Chain(g, x, sv, dict.fromkeys(sv, v), d_max)
 
-    for d in range(1, d_max + 1):
+    # The patterns at depth d read only the chains' states there.  Once every
+    # chain is periodic from depth D, the states repeat with the lcm of the
+    # periods, so a pattern that has not matched by then never will.
+    last = d_max
+    shapes = [ch.periodic_from() for ch in (*chains.values(), *start_chains.values())]
+    if shapes and None not in shapes:
+        start = max(d for d, _p in shapes)
+        last = min(d_max, start + math.lcm(*(p for _d, p in shapes)) - 1)
+    for d in range(1, last + 1):
         alive = [t for t in cands if chains[t].state_at(d)]
         if not alive:
             break

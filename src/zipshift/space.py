@@ -5,6 +5,16 @@ live at non-negative indices, their phi-images (letters of A) at negative
 indices.  The A'-side language is given either by a finite forbidden set
 (full = empty set) or by an edge-labeled presentation graph (sofic).  The
 A-side and mixed languages are derived, never user-supplied.
+
+Every A-word and every seam block is the image of some A'-word, so both are
+decided by reading them through the labeled window graph of width
+max(n - 1, step_k, 1) (sofic spaces: their recoded presentation) with the
+subset construction, never by listing A'-words.  An A-word is admissible
+when reading it along the edges' A-labels from all vertices leaves a
+non-empty vertex set; a seam block (a ; u) when some vertex of the set
+reached by a carries u's first letters and can read the rest of u along
+the edges' A'-labels.  The same walk lists the A-side and mixed languages
+in alphabet order and derives the minimal forbidden A-words.
 """
 from __future__ import annotations
 
@@ -70,6 +80,63 @@ class _BlockGraph:
         self.vset = vset
         self.out = out
         self.into = into
+
+
+class _SubsetWalk:
+    """The subset construction on a letter-indexed graph, built as it is read.
+
+    ``step[v][c]`` lists the vertices one step on from v reading c.  A state
+    is the set of vertices that walks spelling some word, started anywhere,
+    can end at; states are numbered as first reached, 0 being the set of all
+    vertices, and each move (state, letter) -> state is computed once.  A
+    word is spelled by some walk exactly when its state is non-empty.
+    """
+
+    def __init__(self, step: list[dict], letters: tuple[str, ...]):
+        self._step = step
+        self._letters = letters
+        start = frozenset(range(len(step)))
+        self.sets: list[frozenset[int]] = [start]
+        self._ids = {start: 0}
+        self._moves: list[dict[str, int]] = [{}]
+        self._levels: list[list[tuple[Word, int]]] = [[((), 0)]]
+
+    def move(self, state: int, c: str) -> int:
+        moves = self._moves[state]
+        nxt = moves.get(c)
+        if nxt is None:
+            step = self._step
+            reached = frozenset(w for v in self.sets[state] for w in step[v].get(c, ()))
+            nxt = self._ids.setdefault(reached, len(self.sets))
+            if nxt == len(self.sets):
+                self.sets.append(reached)
+                self._moves.append({})
+            moves[c] = nxt
+        return nxt
+
+    def read(self, word: Word) -> int:
+        state, moves = 0, self._moves
+        for c in word:
+            nxt = moves[state].get(c)
+            state = self.move(state, c) if nxt is None else nxt
+        return state
+
+    def words(self, k: int) -> list[tuple[Word, int]]:
+        """The spelled k-words with their states, in alphabet order.
+
+        Each level extends the one below by every letter in order, so it
+        comes out sorted without a sort.
+        """
+        levels = self._levels
+        while len(levels) <= k:
+            level = []
+            for w, s in levels[-1]:
+                for c in self._letters:
+                    t = self.move(s, c)
+                    if self.sets[t]:
+                        level.append((w + (c,), t))
+            levels.append(level)
+        return levels[k]
 
 
 @dataclass(frozen=True)
@@ -153,8 +220,9 @@ class ZipShiftSpace:
         self.kind = kind
         self.n = tm.n
         self._lang_cache: dict[int, list[Word]] = {}
-        self._a_image_cache: dict[int, frozenset[Word]] = {}
-        self._mixed_cache: dict[tuple[int, int], frozenset[tuple[Word, Word]]] = {}
+        self._window_graph = None  # the graph the A-side is read on, see _a_walk
+        self._walk: _SubsetWalk | None = None
+        self._seams: dict[tuple[int, Word], bool] = {}
         self._a_forb: frozenset[Word] | None = None
         self._labeled_graph = None  # built by preimage.labeled_graph_for
 
@@ -250,6 +318,11 @@ class ZipShiftSpace:
         )
         self._nfa_out = {v: out[v] for v in vset}
         self._nfa_in = {v: into[v] for v in vset}
+        index = {v: i for i, v in enumerate(self.presentation_vertices)}
+        step: list[dict[str, list[int]]] = [{} for _ in index]
+        for src, dst, c in self.presentation_edges:
+            step[index[src]].setdefault(c, []).append(index[dst])
+        self._nfa_walk = _SubsetWalk(step, self.alphabet_aprime.symbols)
 
     # -- A'-side language ------------------------------------------------
 
@@ -260,12 +333,8 @@ class ZipShiftSpace:
             if c not in self.alphabet_aprime:
                 raise UnknownSymbol(f"{c!r} is not an A' symbol")
         if self.kind == "sofic":
-            states = set(self._nfa_out)
-            for c in word:
-                states = {t for s in states for t, lab in self._nfa_out[s] if lab == c}
-                if not states:
-                    return False
-            return True
+            walk = self._nfa_walk
+            return bool(walk.sets[walk.read(word)])
         g = self._graph
         core = g.block_len
         if len(word) < core:
@@ -290,78 +359,79 @@ class ZipShiftSpace:
         if side == "aprime":
             return list(self._language_aprime(k))
         if side == "a":
-            return sorted(self._a_images(k), key=self.alphabet_a.key)
+            return [w for w, _state in self._a_walk().words(k)]
         if side == "mixed":
-            pairs = set()
+            walk = self._a_walk()
+            pairs = []
             for j in range(1, k):
-                pairs |= self._mixed_pairs(j, k - j)
-            return sorted(
-                pairs,
-                key=lambda p: (len(p[0]), self.alphabet_a.key(p[0]), self.alphabet_aprime.key(p[1])),
-            )
+                aprime = self._language_aprime(k - j)
+                for a, state in walk.words(j):
+                    pairs += [(a, u) for u in aprime if self._seam(state, u)]
+            return pairs
         raise InvalidWord(f"unknown side {side!r}")
 
     def _language_aprime(self, k: int) -> list[Word]:
+        """The admissible k-words in alphabet order, generated in that order
+        where they come from walks (sofic spaces; block paths past the core)."""
         if k in self._lang_cache:
             return self._lang_cache[k]
-        key = self.alphabet_aprime.key
         if self.kind == "sofic":
-            memo: dict[tuple[str, int], set[Word]] = {}
-
-            def words_from(v: str, length: int) -> set[Word]:
-                if length == 0:
-                    return {()}
-                if (v, length) in memo:
-                    return memo[(v, length)]
-                acc = set()
-                for t, c in self._nfa_out[v]:
-                    for w in words_from(t, length - 1):
-                        acc.add((c,) + w)
-                memo[(v, length)] = acc
-                return acc
-
-            out = set()
-            for v in self._nfa_out:
-                out |= words_from(v, k)
-            result = sorted(out, key=key)
+            result = [w for w, _state in self._nfa_walk.words(k)]
         else:
             g = self._graph
             core = g.block_len
             if k <= core:
                 out = {v[i : i + k] for v in g.vset for i in range(core - k + 1)}
-                result = sorted(out, key=key)
+                result = sorted(out, key=self.alphabet_aprime.key)
             else:
-                memo2: dict[tuple[Word, int], set[Word]] = {}
-
-                def ext(v: Word, extra: int) -> set[Word]:
-                    if extra == 0:
-                        return {()}
-                    if (v, extra) in memo2:
-                        return memo2[(v, extra)]
-                    acc = set()
-                    for t in g.out[v]:
-                        for w in ext(t, extra - 1):
-                            acc.add((t[-1],) + w)
-                    memo2[(v, extra)] = acc
-                    return acc
-
-                out = set()
-                for v in g.vset:
-                    for w in ext(v, k - core):
-                        out.add(v + w)
-                result = sorted(out, key=key)
+                # A path is spelled by its first block and the last letter of
+                # every later one; blocks and out-lists are in alphabet order.
+                level = [(v, v) for v in g.vertices]
+                for _ in range(k - core):
+                    level = [(w + (t[-1],), t) for w, v in level for t in g.out[v]]
+                result = [w for w, _v in level]
         self._lang_cache[k] = result
         return result
 
     # -- derived A-side and mixed languages -------------------------------
 
-    def _a_images(self, k: int) -> frozenset[Word]:
-        """The phi-images of the admissible A'-words of length k + n - 1."""
-        if k not in self._a_image_cache:
-            self._a_image_cache[k] = frozenset(
-                self.tm.phi_extend(u) for u in self._language_aprime(k + self.n - 1)
-            )
-        return self._a_image_cache[k]
+    def _a_walk(self) -> _SubsetWalk:
+        """The subset walk reading A-words on the labeled window graph.
+
+        The graph is ``build_labeled_graph`` at width max(n - 1, step_k, 1)
+        (sofic spaces: the recode, of width n), built on first use and kept
+        as ``_window_graph``; the pre-image engine reuses it whenever its own
+        width comes out the same.  A walk of L edges spells an admissible
+        A'-word, and its edges' A-labels are the phi-images of that word's
+        first L windows; every admissible A'-word of length L + n - 1
+        extends to such a walk, so an A-word is admissible exactly when its
+        state is non-empty.
+        """
+        if self._walk is None:
+            from . import graph
+
+            g = graph.build_labeled_graph(self, ell=max(self.n - 1, self.step_k, 1))
+            self._window_graph = g
+            self._walk = _SubsetWalk(g.targets_by_sofic, self.alphabet_a.symbols)
+        return self._walk
+
+    def _seam(self, state: int, u: Word) -> bool:
+        """Can a vertex of the walk state sit at index 0 and spell u from there?
+
+        Its label must start with u's first letters; the rest of u is read
+        along the edges' A'-labels.  Memoized per (state, u).
+        """
+        key = (state, u)
+        ok = self._seams.get(key)
+        if ok is None:
+            g = self._window_graph
+            ell = len(g.labels[0])
+            head, tail = u[:ell], u[ell:]
+            here = {v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head}
+            for c in tail:
+                here = {w for v in here for w in g.targets_by_first[v].get(c, ())}
+            ok = self._seams[key] = bool(here)
+        return ok
 
     def admissible_a_word(self, word: Word) -> bool:
         """Is ``word`` an admissible A-word (a phi-image of an A'-word)?"""
@@ -369,32 +439,24 @@ class ZipShiftSpace:
         for c in word:
             if c not in self.alphabet_a:
                 raise UnknownSymbol(f"{c!r} is not an A symbol")
-        return word in self._a_images(len(word))
-
-    def _mixed_pairs(self, j: int, k: int) -> frozenset[tuple[Word, Word]]:
-        """The straddling blocks with j A-letters and k A'-letters, as pairs.
-
-        Each is read off an admissible A'-word long enough for phi to reach
-        all j A-letters: its phi-image's first j letters, then its next k
-        letters.
-        """
-        if (j, k) not in self._mixed_cache:
-            self._mixed_cache[(j, k)] = frozenset(
-                (self.tm.phi_extend(u)[:j], u[j : j + k])
-                for u in self._language_aprime(j + max(k, self.n - 1))
-            )
-        return self._mixed_cache[(j, k)]
+        walk = self._a_walk()
+        return bool(walk.sets[walk.read(word)])
 
     def mixed_admissible(self, a_part: Word, aprime_part: Word) -> bool:
-        """Does the straddling block (a_part ; aprime_part) occur in a point?"""
+        """Does the straddling block (a_part ; aprime_part) occur in a point?
+
+        Letters outside the alphabets make it ``False``, not an error.
+        """
         a_part, aprime_part = tuple(a_part), tuple(aprime_part)
         if not a_part or not aprime_part:
             raise InvalidWord("mixed words need letters on both sides")
-        return (a_part, aprime_part) in self._mixed_pairs(len(a_part), len(aprime_part))
+        return self._seam(self._a_walk().read(a_part), aprime_part)
 
     def derived_a_forbidden(self) -> frozenset[Word]:
         """Minimal inadmissible A-words up to the derivation cutoff.
 
+        One breadth-first pass of the A-side walk: w + c is minimal
+        forbidden when w is admissible, w + c is not, and (w + c)[1:] is.
         The cutoff ``step_k + n`` is exact for every finite-type fixture in
         this package; in general the A-side may need longer memory, which a
         finite list cannot express.
@@ -402,13 +464,17 @@ class ZipShiftSpace:
         if self.kind == "sofic":
             raise NotFiniteType("A-side forbidden derivation needs a finite-type space")
         if self._a_forb is None:
-            bad: set[Word] = set()
+            walk = self._a_walk()
             cutoff = max(2, self.step_k + self.n)
-            for length in range(2, cutoff + 1):
-                for w in itertools.product(self.alphabet_a.symbols, repeat=length):
-                    if not self.admissible_a_word(w):
-                        bad.add(w)
-            self._a_forb = frozenset(_prune_superwords(bad))
+            bad: list[Word] = []
+            for length in range(1, cutoff):
+                level = walk.words(length)
+                known = {w for w, _state in level}
+                for w, state in level:
+                    for c in self.alphabet_a.symbols:
+                        if not walk.sets[walk.move(state, c)] and w[1:] + (c,) in known:
+                            bad.append(w + (c,))
+            self._a_forb = frozenset(bad)
         return self._a_forb
 
     def a_step(self) -> int:

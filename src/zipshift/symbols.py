@@ -70,7 +70,10 @@ class Alphabet:
 
     def key(self, word: Iterable[str]) -> tuple[int, ...]:
         """Sort key for a word: the tuple of symbol indices."""
-        return tuple(self.index(s) for s in word)
+        try:
+            return tuple(map(self._index.__getitem__, word))
+        except KeyError as e:
+            raise UnknownSymbol(f"{e.args[0]!r} is not in alphabet {list(self.symbols)}")
 
     def check_word(self, word: Word) -> None:
         for s in word:

@@ -69,6 +69,20 @@ def test_language_even(even):
     assert even.admissible_word(("0", "0", "0", "0"))
 
 
+@pytest.mark.parametrize(
+    "name", ["ex21", "f3", "classical", "sigma_f", "sigma_g", "even", "five", "coding1", "coding2"]
+)
+def test_language_in_alphabet_order(request, name):
+    """Languages are generated in order, not sorted: the order is still the
+    one sorting by symbol indexes gives."""
+    space = request.getfixturevalue(name)
+    for k in range(1, 6):
+        for side, alphabet in (("aprime", space.alphabet_aprime), ("a", space.alphabet_a)):
+            got = space.language(k, side)
+            assert got == sorted(set(got), key=lambda w: tuple(alphabet.index(c) for c in w))
+            assert got == sorted(got, key=alphabet.key)
+
+
 def test_language_full(sigma_f):
     assert len(sigma_f.language(3)) == 64
     assert sigma_f.admissible_word(("4", "4", "4"))

@@ -4,7 +4,8 @@ replaced.
 The trim oracles are the original "drop what has no live successor until
 nothing changes" loops: over (vertex, phase) pairs, with the transient
 walked from the start set first, and over the vertices of a graph.  The
-chain oracle is the path search that visits every depth up to d_max.
+chain oracle is the path search that visits every depth up to d_max, and
+the classification oracle checks the patterns at every one of those depths.
 Graphs are drawn small and unconstrained: self-loops, parallel edges, dead
 ends and empty edge sets all occur.
 """
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 from zipshift.graph import LabeledGraph, _trim
 from zipshift.point import EpPoint
-from zipshift.preimage import _alive_cycle_nodes, _Chain, _Label, left_viability
+from zipshift.preimage import (
+    LabelClassification,
+    _alive_cycle_nodes,
+    _Chain,
+    _classify,
+    _Label,
+    _left_label,
+    left_viability,
+)
 
 
 def fixpoint_alive(n: int, m: int, succ) -> set[tuple[int, int]]:
@@ -171,6 +180,94 @@ def test_chain_fold_matches_unfolded_search(data):
         assert list(folded.state_at(depth).items()) == list(oracle.state_at(depth).items())
         assert folded.paths_at(depth) == oracle.paths_at(depth)
         assert folded.witness(g, depth) == oracle.witness(g, depth)
+    # The periodicity the classification stops on holds in the unfolded search
+    # (the folded period is found within d_max, so 2 * d_max is deep enough).
+    shape = folded.periodic_from()
+    if shape is not None:
+        deep = UnfoldedChain(g, x, starts, origin, 2 * d_max + 1)
+        start, p = shape
+        for depth in range(start, d_max + 1):
+            assert deep.state_at(depth + p) == deep.state_at(depth)
+
+
+def full_scan_classify(space, g, x, left, cands, origin, viable, v0, d_max):
+    """The classification as it was before the early stop: unfolded chains,
+    every depth up to d_max checked against the patterns."""
+    chains = {t: UnfoldedChain(g, x, cands[t], origin[t], d_max) for t in cands}
+    sofic = space.kind == "sofic"
+
+    def wits(depth):
+        return tuple((t, chains[t].witness(g, depth)) for t in viable)
+
+    start_chains = {}
+    if sofic and len(v0) >= 2:
+        for v in sorted(v0):
+            sv = {}
+            for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
+                sv[u] = min(2, sv.get(u, 0) + 1)
+            if sv:
+                start_chains[v] = UnfoldedChain(g, x, sv, dict.fromkeys(sv, v), d_max)
+    for d in range(1, d_max + 1):
+        alive = [t for t in cands if chains[t].state_at(d)]
+        if not alive:
+            break
+        if sum(chains[t].paths_at(d) for t in alive) == 1:
+            if sofic:
+                return LabelClassification(
+                    kind="distinguishable", variant="dL", delay=d, multiplicity=1, witness_paths=wits(d)
+                )
+            return LabelClassification(kind="delay", delay=d, multiplicity=1, witness_paths=wits(d))
+        union = set()
+        for t in alive:
+            union |= set(chains[t].state_at(d))
+        if len(union) == 1 and len(alive) >= 2:
+            kind = "left_closing"
+            if sofic and sum(1 for ch in start_chains.values() if ch.state_at(d)) >= 2:
+                kind = "sofic_left_closing"
+            return LabelClassification(kind=kind, length=d, multiplicity=len(alive), witness_paths=wits(d))
+    if sofic and sum(1 for v in v0 if left.viable(v, 0)) == 1:
+        return LabelClassification(
+            kind="distinguishable",
+            variant="L",
+            multiplicity=len(viable),
+            searched_to=d_max,
+            witness_paths=wits(d_max),
+        )
+    return LabelClassification(
+        kind="branching", multiplicity=len(viable), searched_to=d_max, witness_paths=wits(d_max)
+    )
+
+
+@settings(max_examples=1000)
+@given(st.data())
+def test_classify_early_stop_matches_full_scan(data):
+    g, letters = data.draw(graphs())
+    n = g.n_vertices()
+    vertex = st.integers(0, n - 1)
+    x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
+    space = SimpleNamespace(kind=data.draw(st.sampled_from(["sft", "sofic"])))
+    branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
+    cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
+    origin = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
+    viable = [t for t in cands if data.draw(st.booleans())]
+    v0 = data.draw(st.sets(vertex))
+    d_max = data.draw(st.integers(1, 40))
+    args = (space, g, x, _left_label(g, x), cands, origin, viable, v0, d_max)
+    assert _classify(*args) == full_scan_classify(*args)
+
+
+def test_classify_waits_for_a_late_ending_chain():
+    """Branch y cycles on one path from depth 1; branch x's path dies at
+    depth 3, which leaves one path there: a delay of 3, found only if the
+    scan runs past the depth where y starts to repeat."""
+    g = LabeledGraph([("0",), ("1",), ("2",)], [(0, 0, "a", "a"), (2, 1, "a", "a")])
+    x = EpPoint(("a",), (), (), ("a",))
+    cands = {"x": {1: 1}, "y": {0: 1}}
+    origin = {"x": {1: 1}, "y": {0: 0}}
+    args = (SimpleNamespace(kind="sft"), g, x, _left_label(g, x), cands, origin, ["y"], {0, 1}, 32)
+    got = _classify(*args)
+    assert (got.kind, got.delay) == ("delay", 3)
+    assert got == full_scan_classify(*args)
 
 
 def fixpoint_graph_trim(g: LabeledGraph) -> LabeledGraph:
