@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
-from .graph import LabeledGraph, _block_recode, presentation_graph, vertex_like
+from .graph import LabeledGraph, _block_recode, build_labeled_graph, presentation_graph, vertex_like
 from .orbits import periodic_points
 from .point import EpPoint, random_point, shift
 from .preimage import canonical_lift
@@ -38,16 +38,7 @@ def _walk_graph(space: ZipShiftSpace, span: int) -> LabeledGraph:
     if space.kind == "sofic":
         vl = vertex_like(presentation_graph(space))
         return _block_recode(vl, max(span - 1, space.n, 1), space)
-    ell = max(span - 1, space.n - 1, space.memory(), 1)
-    vertices = space.language(ell)
-    index = {w: i for i, w in enumerate(vertices)}
-    edges: list[tuple[int, int, str, str | None]] = []
-    for u in vertices:
-        for c in space.alphabet_aprime:
-            w = u + (c,)
-            if space.admissible_word(w):
-                edges.append((index[u], index[w[1:]], c, None))
-    return LabeledGraph(list(vertices), edges)
+    return build_labeled_graph(space, ell=max(span - 1, space.n - 1, space.memory(), 1))
 
 
 class BlockCodeSpec:
@@ -351,7 +342,7 @@ def higher_block(space: ZipShiftSpace, N: int):
     tm = TransitionMap(n, table)
 
     if space.kind == "sofic":
-        g = _block_recode(vertex_like(presentation_graph(space)), max(N, n, 1), space)
+        g = _walk_graph(space, N + 1)
         names = [f"q{i}" for i in range(g.n_vertices())]
         edges = [
             (names[src], names[dst], _join(sep, (g.labels[src] + (first,))[:N]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidWord, NotFiniteType
-from .space import ZipShiftSpace
+from .space import ZipShiftSpace, _live_vertices
 from .symbols import Word
 
 
@@ -155,33 +155,14 @@ def vertex_like(g: LabeledGraph) -> LabeledGraph:
 def _trim(g: LabeledGraph) -> LabeledGraph:
     """Restrict to vertices with bi-infinite walks through them.
 
-    One worklist pass: a vertex dies when its last live in-edge or its last
-    live out-edge goes, so each edge is visited at most twice.
+    The live vertices come from the same linear worklist trim that the
+    space's own A'-graph goes through; survivors keep their order.
     """
-    n = g.n_vertices()
-    live_in = [len(ids) for ids in g._in]
-    live_out = [len(ids) for ids in g._out]
-    alive = bytearray(b"\1") * n
-    dead = [v for v in range(n) if not (live_in[v] and live_out[v])]
-    for v in dead:
-        alive[v] = 0
-    while dead:
-        v = dead.pop()
-        for i in g._out[v]:
-            w = g.edges[i][1]
-            if alive[w]:
-                live_in[w] -= 1
-                if not live_in[w]:
-                    alive[w] = 0
-                    dead.append(w)
-        for i in g._in[v]:
-            u = g.edges[i][0]
-            if alive[u]:
-                live_out[u] -= 1
-                if not live_out[u]:
-                    alive[u] = 0
-                    dead.append(u)
-    keep = [v for v in range(n) if alive[v]]
+    alive = _live_vertices(
+        [[g.edges[i][1] for i in ids] for ids in g._out],
+        [[g.edges[i][0] for i in ids] for ids in g._in],
+    )
+    keep = [v for v in range(g.n_vertices()) if alive[v]]
     remap = {old: new for new, old in enumerate(keep)}
     labels = [g.labels[v] for v in keep]
     edges = [

@@ -12,10 +12,13 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InvalidWord
-from .space import Lift, ZipShiftSpace
 from .symbols import Word, _check_symbol
+
+if TYPE_CHECKING:
+    from .space import ZipShiftSpace
 
 
 def _primitive(word: Word) -> Word:
@@ -37,6 +40,8 @@ class EpPoint:
     primitive roots and transient letters that merely continue the adjacent
     period are absorbed into it (rotating the period to keep the phase pinned
     at the junction).  Equality of canonical forms is equality of sequences.
+    The same type holds lifts, whose letters are A'-letters on both sides
+    (``ZipShiftSpace.random_lift``, ``canonical_lift``).
     """
 
     left_period: Word
@@ -204,8 +209,9 @@ def is_admissible(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
     return preimage.point_admissibility(space, x)
 
 
-def point_from_lift(space: ZipShiftSpace, lift: Lift) -> EpPoint:
-    """The point whose left tail is the transition image of the given lift."""
+def point_from_lift(space: ZipShiftSpace, lift: EpPoint) -> EpPoint:
+    """The point whose left tail is the transition image of the given lift,
+    a two-sided A'-sequence."""
     n = space.n
     depth = len(lift.left_transient) + n - 1
     outward = [space.tm(lift.window(-j, n)) for j in range(1, depth + 1)]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import InvalidWord, NotInSpace
 from .graph import LabeledGraph, LetterSteps, build_labeled_graph
 from .point import AdmissibilityReport, EpPoint
-from .space import Lift, ZipShiftSpace
+from .space import ZipShiftSpace
 from .symbols import Word
 
 
@@ -475,7 +475,7 @@ def preimages_k(
     return frontier
 
 
-def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> Lift:
+def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> EpPoint:
     """The unique backward lift that always picks the least viable branch.
 
     The right side of the lift is x's right side verbatim.  Going left, each
@@ -502,7 +502,7 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> Lift:
             state = (v, (depth - trans_len) % m)
             if state in seen:
                 j = seen[state]
-                return Lift(
+                return EpPoint(
                     tuple(reversed(letters[j:])),
                     tuple(reversed(letters[:j])),
                     x.right_transient,

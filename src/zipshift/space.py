@@ -6,6 +6,18 @@ indices.  The A'-side language is given either by a finite forbidden set
 (full = empty set) or by an edge-labeled presentation graph (sofic).  The
 A-side and mixed languages are derived, never user-supplied.
 
+Both ways of giving the A'-side are edge-labeled graphs, and every space
+builds one at construction, trimmed to the vertices on bi-infinite walks:
+``step[v][c]`` lists the vertices one edge on from v along edges that emit
+c, ``back`` is its reverse.  Full and finite-type spaces take the admissible
+max(step_k, 1)-blocks as vertices, in alphabet order, with an edge
+u -> u[1:] + (c,) when u + (c,) has no forbidden factor; that edge emits
+u[0], so a walk emits the first letter of every block it leaves.  Sofic
+spaces take the presentation vertices, numbered in sorted-name order, and
+each edge emits its label.  An A'-word is admissible exactly when some walk
+emits it, and language, admissibility, irreducibility and random lifts are
+read off this one graph whatever the kind.
+
 Every A-word and every seam block is the image of some A'-word, so both are
 decided by reading them through the labeled window graph of width
 max(n - 1, step_k, 1) (sofic spaces: their recoded presentation) with the
@@ -18,14 +30,17 @@ in alphabet order and derives the minimal forbidden A-words.
 """
 from __future__ import annotations
 
-import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
+from .point import EpPoint
 from .symbols import Alphabet, TransitionMap, Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _prune_superwords(words: set[Word]) -> set[Word]:
@@ -43,43 +58,57 @@ def _prune_superwords(words: set[Word]) -> set[Word]:
     return keep
 
 
-class _BlockGraph:
-    """De Bruijn graph on admissible blocks, trimmed to its essential part.
+def _live_vertices(succ: list[list[int]], pred: list[list[int]]) -> bytearray:
+    """Mark with 1 the vertices that lie on bi-infinite walks.
 
-    Vertices are admissible ``block_len``-words; there is an edge u -> v when
-    u and v overlap in ``block_len - 1`` letters and the combined word is
-    admissible.  Iterated trimming of vertices without predecessors or
-    successors leaves exactly the words that occur in bi-infinite sequences.
+    ``succ[v]`` lists the target of every edge out of v and ``pred[v]`` the
+    source of every edge into v.  One worklist pass with per-vertex live in-
+    and out-counters: a vertex dies when its last live in-edge or its last
+    live out-edge goes, so each edge is visited at most twice.
     """
+    live_in = [len(p) for p in pred]
+    live_out = [len(s) for s in succ]
+    alive = bytearray(b"\1") * len(succ)
+    dead = [v for v in range(len(succ)) if not (live_in[v] and live_out[v])]
+    for v in dead:
+        alive[v] = 0
+    while dead:
+        v = dead.pop()
+        for w in succ[v]:
+            if alive[w]:
+                live_in[w] -= 1
+                if not live_in[w]:
+                    alive[w] = 0
+                    dead.append(w)
+        for u in pred[v]:
+            if alive[u]:
+                live_out[u] -= 1
+                if not live_out[u]:
+                    alive[u] = 0
+                    dead.append(u)
+    return alive
 
-    def __init__(self, letters: tuple[str, ...], block_len: int, word_ok):
-        vertices = [w for w in itertools.product(letters, repeat=block_len) if word_ok(w)]
-        out: dict[Word, list[Word]] = {v: [] for v in vertices}
-        into: dict[Word, list[Word]] = {v: [] for v in vertices}
-        vset = set(vertices)
-        for u in vertices:
-            for c in letters:
-                v = u[1:] + (c,)
-                if v in vset and word_ok(u + (c,)):
-                    out[u].append(v)
-                    into[v].append(u)
-        # Trim to the essential core.
-        changed = True
-        while changed:
-            changed = False
-            for v in list(vset):
-                if not out[v] or not into[v]:
-                    vset.discard(v)
-                    for w in out.pop(v, ()):
-                        into[w].remove(v)
-                    for w in into.pop(v, ()):
-                        out[w].remove(v)
-                    changed = True
-        self.block_len = block_len
-        self.vertices: list[Word] = sorted(vset, key=lambda w: tuple(letters.index(c) for c in w))
-        self.vset = vset
-        self.out = out
-        self.into = into
+
+def _trimmed(step: list[dict[str, list[int]]]):
+    """The live vertices of a letter-indexed graph, and its live part
+    renumbered in vertex order as ``(live, step, back)``."""
+    succ = [[t for targets in out.values() for t in targets] for out in step]
+    pred: list[list[int]] = [[] for _ in step]
+    for v, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(v)
+    alive = _live_vertices(succ, pred)
+    live = [v for v in range(len(step)) if alive[v]]
+    new_id = {v: i for i, v in enumerate(live)}
+    live_step: list[dict[str, list[int]]] = [{} for _ in live]
+    back: list[dict[str, list[int]]] = [{} for _ in live]
+    for i, v in enumerate(live):
+        for c, targets in step[v].items():
+            for t in targets:
+                if alive[t]:
+                    live_step[i].setdefault(c, []).append(new_id[t])
+                    back[new_id[t]].setdefault(c, []).append(i)
+    return live, live_step, back
 
 
 class _SubsetWalk:
@@ -140,36 +169,6 @@ class _SubsetWalk:
 
 
 @dataclass(frozen=True)
-class Lift:
-    """An eventually periodic two-sided A'-sequence (a lift of a point).
-
-    Fields follow the point conventions: ``left_transient`` is stored with
-    the entry nearest index -1 last; ``left_period`` repeats toward minus
-    infinity with its last letter adjacent to the transient.
-    """
-
-    left_period: Word
-    left_transient: Word
-    right_transient: Word
-    right_period: Word
-
-    def letter(self, i: int) -> str:
-        if i >= 0:
-            if i < len(self.right_transient):
-                return self.right_transient[i]
-            return self.right_period[(i - len(self.right_transient)) % len(self.right_period)]
-        depth = -i
-        if depth <= len(self.left_transient):
-            return self.left_transient[len(self.left_transient) - depth]
-        d = depth - len(self.left_transient)
-        m = len(self.left_period)
-        return self.left_period[m - 1 - ((d - 1) % m)]
-
-    def window(self, i: int, length: int) -> Word:
-        return tuple(self.letter(i + j) for j in range(length))
-
-
-@dataclass(frozen=True)
 class MatrixSet:
     """Adjacency data of a finite-type space.
 
@@ -225,16 +224,32 @@ class ZipShiftSpace:
         self._seams: dict[tuple[int, Word], bool] = {}
         self._a_forb: frozenset[Word] | None = None
         self._labeled_graph = None  # built by preimage.labeled_graph_for
+        self.forbidden: frozenset[Word] = frozenset()
+        self.step_k = 0
+        self.presentation_vertices: tuple[str, ...] | None = None
+        self.presentation_edges: tuple[tuple[str, str, str], ...] | None = None
 
         if kind == "sofic":
             if presentation is None:
                 raise InvalidWord("sofic spaces need a presentation graph")
-            self._init_sofic(presentation)
+            step = self._presentation_step(presentation)
         else:
             forb = set() if kind == "full" else set(tuple(w) for w in (forbidden or set()))
             if kind == "sft" and not forb:
                 raise InvalidWord("finite-type spaces need forbidden words (use a full space otherwise)")
-            self._init_sft(forb)
+            step = self._block_step(forb)
+        live, self._step, self._back = _trimmed(step)
+        if not live:
+            raise InvalidWord("the space has an empty language")
+        self._aprime_walk = _SubsetWalk(self._step, alphabet_aprime.symbols)
+        if kind == "sofic":
+            vertices, edges = presentation
+            names = sorted(vertices)
+            kept = {names[v] for v in live}
+            self.presentation_vertices = tuple(v for v in vertices if v in kept)
+            order = {v: i for i, v in enumerate(self.presentation_vertices)}
+            live_edges = [(src, dst, c) for src, dst, c in edges if src in kept and dst in kept]
+            self.presentation_edges = tuple(sorted(live_edges, key=lambda e: order[e[0]]))
 
         # The transition table must cover exactly the admissible n-words.
         tm.validate_onto(alphabet_a)
@@ -252,7 +267,8 @@ class ZipShiftSpace:
 
     # -- construction ----------------------------------------------------
 
-    def _init_sft(self, forbidden: set[Word]) -> None:
+    def _block_step(self, forbidden: set[Word]) -> list[dict[str, list[int]]]:
+        """The block graph of a full or finite-type space, before trimming."""
         for w in forbidden:
             if not isinstance(w, tuple) or not all(isinstance(c, str) for c in w):
                 raise InvalidWord(
@@ -261,68 +277,42 @@ class ZipShiftSpace:
             self.alphabet_aprime.check_word(w)
             if len(w) < 2:
                 raise InvalidWord(f"forbidden word {' '.join(w)!r} is shorter than 2")
-        self.forbidden: frozenset[Word] = frozenset(_prune_superwords(forbidden))
+        self.forbidden = frozenset(_prune_superwords(forbidden))
         self.step_k = max((len(w) - 1 for w in self.forbidden), default=0)
-        core = max(self.step_k, 1)
         forb = self.forbidden
+        lengths = {len(f) for f in forb}
 
-        def word_ok(w: Word) -> bool:
-            return not any(
-                w[i : i + len(f)] == f
-                for f in forb
-                for i in range(len(w) - len(f) + 1)
-            )
+        def clean_end(w: Word) -> bool:
+            """Does no forbidden word end at w's last letter?"""
+            return not any(w[-m:] in forb for m in lengths if m <= len(w))
 
-        self._word_ok = word_ok
-        self._graph = _BlockGraph(self.alphabet_aprime.symbols, core, word_ok)
-        if not self._graph.vset:
-            raise InvalidWord("the space has an empty language")
-        self.presentation_vertices: tuple[str, ...] | None = None
-        self.presentation_edges: tuple[tuple[str, str, str], ...] | None = None
+        # Blocks grow one letter at a time, so each needs only its last
+        # letter checked, and they come out in alphabet order.
+        letters = self.alphabet_aprime.symbols
+        blocks: list[Word] = [()]
+        for _ in range(max(self.step_k, 1)):
+            blocks = [u + (c,) for u in blocks for c in letters if clean_end(u + (c,))]
+        index = {w: i for i, w in enumerate(blocks)}
+        step: list[dict[str, list[int]]] = []
+        for u in blocks:
+            targets = [index[u[1:] + (c,)] for c in letters if clean_end(u + (c,))]
+            step.append({u[0]: targets} if targets else {})
+        return step
 
-    def _init_sofic(self, presentation) -> None:
+    def _presentation_step(self, presentation) -> list[dict[str, list[int]]]:
+        """The presentation graph of a sofic space, before trimming."""
         vertices, edges = presentation
-        vnames = list(vertices)
-        if len(set(vnames)) != len(vnames):
+        if len(set(vertices)) != len(vertices):
             raise InvalidWord("presentation vertex names must be distinct")
-        vset = set(vnames)
-        out: dict[str, list[tuple[str, str]]] = {v: [] for v in vnames}
-        into: dict[str, list[tuple[str, str]]] = {v: [] for v in vnames}
+        index = {v: i for i, v in enumerate(sorted(vertices))}
+        step: list[dict[str, list[int]]] = [{} for _ in index]
         for src, dst, label in edges:
-            if src not in vset or dst not in vset:
+            if src not in index or dst not in index:
                 raise InvalidWord(f"edge {src}->{dst} uses an unknown vertex")
             if label not in self.alphabet_aprime:
                 raise UnknownSymbol(f"edge label {label!r} is not an A' symbol")
-            out[src].append((dst, label))
-            into[dst].append((src, label))
-        changed = True
-        while changed:
-            changed = False
-            for v in list(vset):
-                if not out[v] or not into[v]:
-                    vset.discard(v)
-                    out.pop(v)
-                    into.pop(v)
-                    for d in out.values():
-                        d[:] = [(t, c) for t, c in d if t != v]
-                    for d in into.values():
-                        d[:] = [(t, c) for t, c in d if t != v]
-                    changed = True
-        if not vset:
-            raise InvalidWord("the presentation graph has no bi-infinite walks")
-        self.forbidden = frozenset()
-        self.step_k = 0
-        self.presentation_vertices = tuple(v for v in vnames if v in vset)
-        self.presentation_edges = tuple(
-            (src, dst, c) for src in self.presentation_vertices for dst, c in out[src]
-        )
-        self._nfa_out = {v: out[v] for v in vset}
-        self._nfa_in = {v: into[v] for v in vset}
-        index = {v: i for i, v in enumerate(self.presentation_vertices)}
-        step: list[dict[str, list[int]]] = [{} for _ in index]
-        for src, dst, c in self.presentation_edges:
-            step[index[src]].setdefault(c, []).append(index[dst])
-        self._nfa_walk = _SubsetWalk(step, self.alphabet_aprime.symbols)
+            step[index[src]].setdefault(label, []).append(index[dst])
+        return step
 
     # -- A'-side language ------------------------------------------------
 
@@ -332,21 +322,8 @@ class ZipShiftSpace:
         for c in word:
             if c not in self.alphabet_aprime:
                 raise UnknownSymbol(f"{c!r} is not an A' symbol")
-        if self.kind == "sofic":
-            walk = self._nfa_walk
-            return bool(walk.sets[walk.read(word)])
-        g = self._graph
-        core = g.block_len
-        if len(word) < core:
-            return any(
-                v[i : i + len(word)] == word
-                for v in g.vset
-                for i in range(core - len(word) + 1)
-            )
-        windows = [word[i : i + core] for i in range(len(word) - core + 1)]
-        if any(w not in g.vset for w in windows):
-            return False
-        return all(b in g.out[a] for a, b in zip(windows, windows[1:]))
+        walk = self._aprime_walk
+        return bool(walk.sets[walk.read(word)])
 
     def language(self, k: int, side: str = "aprime"):
         """The admissible words of length ``k`` on the requested side.
@@ -371,27 +348,11 @@ class ZipShiftSpace:
         raise InvalidWord(f"unknown side {side!r}")
 
     def _language_aprime(self, k: int) -> list[Word]:
-        """The admissible k-words in alphabet order, generated in that order
-        where they come from walks (sofic spaces; block paths past the core)."""
-        if k in self._lang_cache:
-            return self._lang_cache[k]
-        if self.kind == "sofic":
-            result = [w for w, _state in self._nfa_walk.words(k)]
-        else:
-            g = self._graph
-            core = g.block_len
-            if k <= core:
-                out = {v[i : i + k] for v in g.vset for i in range(core - k + 1)}
-                result = sorted(out, key=self.alphabet_aprime.key)
-            else:
-                # A path is spelled by its first block and the last letter of
-                # every later one; blocks and out-lists are in alphabet order.
-                level = [(v, v) for v in g.vertices]
-                for _ in range(k - core):
-                    level = [(w + (t[-1],), t) for w, v in level for t in g.out[v]]
-                result = [w for w, _v in level]
-        self._lang_cache[k] = result
-        return result
+        """The admissible k-words, emitted by walks of the A'-graph in
+        alphabet order."""
+        if k not in self._lang_cache:
+            self._lang_cache[k] = [w for w, _state in self._aprime_walk.words(k)]
+        return self._lang_cache[k]
 
     # -- derived A-side and mixed languages -------------------------------
 
@@ -488,6 +449,8 @@ class ZipShiftSpace:
     # -- matrices and counting -------------------------------------------
 
     def build_matrices(self) -> MatrixSet:
+        import numpy as np
+
         if self.kind == "sofic":
             raise NotFiniteType("matrix presentation needs a finite-type space")
         k_idx = max(self.step_k, 1)
@@ -566,125 +529,47 @@ class ZipShiftSpace:
         return IrreducibilityReport(True, witnesses, None)
 
     def _connecting_word(self, a: str, b: str) -> Word | None:
-        if self.kind == "sofic":
-            starts = {dst for v in self._nfa_out for dst, c in self._nfa_out[v] if c == a}
-            goals = {src for v in self._nfa_in for src, c in self._nfa_in[v] if c == b}
-            # BFS over vertices; word = a + path labels + b.
-            frontier = {s: () for s in starts}
-            seen = set(starts)
-            while frontier:
-                for v, w in frontier.items():
-                    if v in goals:
-                        return (a,) + w + (b,)
-                nxt: dict[str, Word] = {}
-                for v, w in frontier.items():
-                    for t, c in self._nfa_out[v]:
-                        if t not in seen:
-                            seen.add(t)
-                            nxt[t] = w + (c,)
-                frontier = nxt
-            return None
-        g = self._graph
-        goals = {v for v in g.vset if v[-1] == b}
-        if g.block_len == 1:
-            # Words need at least two letters, so take one step before testing.
-            src = (a,)
-            if src not in g.vset:
-                return None
-            frontier = {t: src + (t[-1],) for t in g.out[src]}
-            seen = set(frontier)
-        else:
-            frontier = {v: v for v in g.vertices if v[0] == a}
-            seen = set(frontier)
-        while frontier:
-            for v, w in frontier.items():
-                if v in goals:
-                    return w
-            nxt: dict[Word, Word] = {}
-            for v, w in frontier.items():
-                for t in g.out[v]:
-                    if t not in seen:
-                        seen.add(t)
-                        nxt[t] = w + (t[-1],)
-            frontier = nxt
+        """A shortest a + path + b emitted by a walk: breadth-first from the
+        targets of the a-edges to a source of a b-edge."""
+        step = self._step
+        words = {t: (a,) for out in step for t in out.get(a, ())}
+        queue = deque(sorted(words))
+        while queue:
+            v = queue.popleft()
+            if b in step[v]:
+                return words[v] + (b,)
+            for c, targets in step[v].items():
+                for t in targets:
+                    if t not in words:
+                        words[t] = words[v] + (c,)
+                        queue.append(t)
         return None
 
     # -- random sampling ----------------------------------------------------
 
-    def random_lift(self, rng: random.Random, wander: int = 4) -> Lift:
-        """A random admissible two-sided A'-sequence, eventually periodic both ways."""
-        if self.kind == "sofic":
-            start = rng.choice(sorted(self._nfa_out))
-            state = start
-            fwd_letters: list[str] = []
-            seen = {state: 0}
-            steps = 0
+    def random_lift(self, rng: random.Random, wander: int = 4) -> EpPoint:
+        """A random admissible two-sided A'-sequence, eventually periodic both ways.
+
+        From a random vertex, one walk forward on ``step`` gives indices 0, 1,
+        ... and one walk backward on ``back`` gives -1, -2, ...; each picks
+        uniformly among its edges in (vertex id, letter) order and stops at
+        the first repeated vertex once it has taken ``wander`` steps.
+        """
+        start = rng.choice(range(len(self._step)))
+
+        def tail(graph: list[dict[str, list[int]]]) -> tuple[Word, Word]:
+            v, letters, seen = start, [], {start: 0}
             while True:
-                t, c = rng.choice(sorted(self._nfa_out[state]))
-                fwd_letters.append(c)
-                state = t
-                steps += 1
-                if state in seen and steps >= wander:
-                    j = seen[state]
-                    rt = tuple(fwd_letters[:j])
-                    rp = tuple(fwd_letters[j:])
-                    break
-                if state not in seen:
-                    seen[state] = steps
-            state = start
-            back_letters: list[str] = []
-            seenb = {state: 0}
-            steps = 0
-            while True:
-                s, c = rng.choice(sorted(self._nfa_in[state]))
-                back_letters.append(c)
-                state = s
-                steps += 1
-                if state in seenb and steps >= wander:
-                    j = seenb[state]
-                    out_tr = back_letters[:j]
-                    out_per = back_letters[j:]
-                    break
-                if state not in seenb:
-                    seenb[state] = steps
-            lt = tuple(reversed(out_tr))
-            lp = tuple(reversed(out_per))
-            return Lift(lp, lt, rt, rp)
-        g = self._graph
-        start = rng.choice(g.vertices)
-        fwd: list[str] = list(start)
-        state = start
-        seen = {state: 0}
-        steps = 0
-        while True:
-            t = rng.choice(sorted(g.out[state], key=self.alphabet_aprime.key))
-            fwd.append(t[-1])
-            state = t
-            steps += 1
-            if state in seen and steps >= wander:
-                j = seen[state]
-                rt = tuple(fwd[: g.block_len + j])
-                rp = tuple(fwd[g.block_len + j :])
-                break
-            if state not in seen:
-                seen[state] = steps
-        state = start
-        back: list[str] = []
-        seenb = {state: 0}
-        steps = 0
-        while True:
-            s = rng.choice(sorted(g.into[state], key=self.alphabet_aprime.key))
-            back.append(s[0])
-            state = s
-            steps += 1
-            if state in seenb and steps >= wander:
-                j = seenb[state]
-                out_tr = back[:j]
-                out_per = back[j:]
-                break
-            if state not in seenb:
-                seenb[state] = steps
-        return Lift(tuple(reversed(out_per)), tuple(reversed(out_tr)), rt, rp)
+                v, c = rng.choice(sorted((t, c) for c, ts in graph[v].items() for t in ts))
+                letters.append(c)
+                if v in seen and len(letters) >= wander:
+                    j = seen[v]
+                    return tuple(letters[:j]), tuple(letters[j:])
+                seen.setdefault(v, len(letters))
+
+        right_transient, right_period = tail(self._step)
+        outward, cycle = tail(self._back)
+        return EpPoint(cycle[::-1], outward[::-1], right_transient, right_period)
 
 
 # -- constructors ---------------------------------------------------------

@@ -1,12 +1,16 @@
 """The A-side and seam languages, read by subset walks on the window graph,
-against the image-set enumeration they replaced.
+against the image-set enumeration they replaced; and the A'-side itself
+against live walks of graphs built apart from the package.
 
-The oracle lists every admissible A'-word long enough, applies phi and
-reads off the A-words and seam blocks; minimal forbidden A-words come from
-all A-words up to the cutoff, pruned to those with no forbidden factor.
-Spaces are drawn small and unconstrained: full, finite-type and sofic, at
-most 4 letters, window n of 1 or 2, letters unused by the language, A-side
-collisions and unreachable presentation vertices all occur.
+The image-set oracle lists every admissible A'-word long enough, applies phi
+and reads off the A-words and seam blocks; minimal forbidden A-words come
+from all A-words up to the cutoff, pruned to those with no forbidden factor.
+The A'-oracle (:class:`LiveWalks`) walks the live 2-block graph of a
+finite-type spec or the live presentation graph of a sofic one, as drawn,
+never a graph the package built.  Spaces are drawn small and unconstrained:
+full, finite-type and sofic, at most 4 letters, window n of 1 or 2, letters
+unused by the language, A-side collisions, reducible languages and
+unreachable presentation vertices all occur.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from zipshift import (
     UnknownSymbol,
     full_space,
     is_admissible,
+    periodic_points,
     random_point,
     sft_space,
     sofic_space,
@@ -40,29 +45,56 @@ def _live(vertices, succ) -> set:
         alive = keep
 
 
-def admissible_n_words(letters, n, forbidden=(), presentation=None) -> list[tuple]:
-    """The n-words (n <= 2) occurring in bi-infinite sequences, found apart
-    from the package so that the drawn transition table covers them."""
-    if presentation is not None:
-        names, edges = presentation
-        out = {v: {(d, c) for s, d, c in edges if s == v} for v in names}
-        alive = _live(names, lambda v: {d for d, _c in out[v]})
-        level = {(v, ()) for v in alive}
-        for _ in range(n):
-            level = {(d, w + (c,)) for v, w in level for d, c in out[v] if d in alive}
-        return sorted({w for _v, w in level})
+class LiveWalks:
+    """The words emitted by walks through live vertices of an edge-labeled graph.
 
-    def ok(w):
-        return not any(w[i : i + len(f)] == f for f in forbidden for i in range(len(w) - len(f) + 1))
+    Finite-type specs become their 2-block graph: vertices are the 2-words
+    with no forbidden factor, and u -> v, emitting v[1], is an edge when
+    v[0] == u[1] and u + v[1:] has no forbidden factor (forbidden words have
+    at most 3 letters, so this sees every constraint).  Sofic specs are
+    their presentation, each edge emitting its label.
+    """
 
-    # Forbidden words have at most 3 letters, so 2-blocks see every constraint.
-    blocks = [u for u in itertools.product(letters, repeat=2) if ok(u)]
-    alive = _live(blocks, lambda u: {v for v in blocks if v[0] == u[1] and ok(u + v[1:])})
-    return sorted({u[:n] for u in alive})
+    def __init__(self, vertices, edges):
+        alive = _live(vertices, lambda v: {d for s, d, _c in edges if s == v})
+        self.alive = alive
+        self.edges = {(s, d, c) for s, d, c in edges if s in alive and d in alive}
+
+    @classmethod
+    def of_spec(cls, letters, forbidden=(), presentation=None) -> LiveWalks:
+        if presentation is not None:
+            return cls(*presentation)
+
+        def ok(w):
+            return not any(w[i : i + len(f)] == f for f in forbidden for i in range(len(w) - len(f) + 1))
+
+        blocks = [u for u in itertools.product(letters, repeat=2) if ok(u)]
+        return cls(blocks, [(u, v, v[1]) for u in blocks for v in blocks if v[0] == u[1] and ok(u + v[1:])])
+
+    def words(self, k: int) -> set[tuple]:
+        level = {(v, ()) for v in self.alive}
+        for _ in range(k):
+            level = {(d, w + (c,)) for v, w in level for s, d, c in self.edges if s == v}
+        return {w for _v, w in level}
+
+    def admissible(self, word) -> bool:
+        here = set(self.alive)
+        for x in word:
+            here = {d for s, d, c in self.edges if s in here and c == x}
+        return bool(here)
+
+    def connects(self, a, b) -> bool:
+        """Is some word a w b (w possibly empty) admissible?"""
+        reached = {d for _s, d, c in self.edges if c == a}
+        while True:
+            more = reached | {d for s, d, _c in self.edges if s in reached}
+            if more == reached:
+                return any(s in reached and c == b for s, _d, c in self.edges)
+            reached = more
 
 
 @st.composite
-def spaces(draw):
+def spaces_with_oracles(draw):
     letters = [str(i) for i in range(draw(st.integers(1, 4)))]
     n = draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["full", "sft", "sofic"]))
@@ -77,7 +109,8 @@ def spaces(draw):
         vertex = st.sampled_from(names)
         edges = draw(st.lists(st.tuples(vertex, vertex, letter), min_size=1, max_size=8))
         presentation = (names, edges)
-    domain = admissible_n_words(letters, n, forbidden, presentation)
+    oracle = LiveWalks.of_spec(letters, forbidden, presentation)
+    domain = sorted(oracle.words(n))
     assume(domain)  # an empty language is no space
     a_letters = draw(st.permutations("abc"))[: draw(st.integers(1, 3))]
     table = {w: draw(st.sampled_from(a_letters)) for w in domain}
@@ -85,10 +118,14 @@ def spaces(draw):
     alphabet_aprime = Alphabet(letters)
     tm = TransitionMap(n, table)
     if kind == "full":
-        return full_space(alphabet_a, alphabet_aprime, tm)
+        return full_space(alphabet_a, alphabet_aprime, tm), oracle
     if kind == "sft":
-        return sft_space(alphabet_a, alphabet_aprime, tm, forbidden)
-    return sofic_space(alphabet_a, alphabet_aprime, tm, *presentation)
+        return sft_space(alphabet_a, alphabet_aprime, tm, forbidden), oracle
+    return sofic_space(alphabet_a, alphabet_aprime, tm, *presentation), oracle
+
+
+def spaces():
+    return spaces_with_oracles().map(lambda drawn: drawn[0])
 
 
 def images(space, k: int) -> set[tuple]:
@@ -149,6 +186,39 @@ def test_a_side_matches_image_sets(space):
             space.derived_a_forbidden()
     else:
         assert space.derived_a_forbidden() == minimal_forbidden(space)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_oracles())
+def test_a_prime_side_matches_live_walks(drawn):
+    space, oracle = drawn
+    letters = space.alphabet_aprime.symbols
+    for k in range(1, 6):
+        want = oracle.words(k)
+        for w in itertools.product(letters, repeat=k):
+            assert space.admissible_word(w) == (w in want)
+        assert space.language(k) == sorted(want, key=index_key(space.alphabet_aprime))
+    pairs = list(itertools.product(letters, repeat=2))
+    failing = next((p for p in pairs if not oracle.connects(*p)), None)
+    report = space.is_irreducible()
+    assert (report.is_irreducible, report.failing_pair) == (failing is None, failing)
+    if failing is None:
+        assert set(report.witnesses) == set(pairs)
+        for (a, b), w in report.witnesses.items():
+            assert len(w) >= 2 and (w[0], w[-1]) == (a, b) and oracle.admissible(w)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
+def test_periodic_count_matches_listing(drawn):
+    """Trace count, listed cycles and a brute-force count agree: w repeated
+    is a point exactly when www is admissible, as www holds every cyclic
+    window of 3 letters."""
+    space, oracle = drawn
+    for m in range(1, 5):
+        words = itertools.product(space.alphabet_aprime.symbols, repeat=m)
+        brute = sum(oracle.admissible(w * 3) for w in words)
+        assert space.count_periodic(m) == len(periodic_points(space, m)) == brute
 
 
 def test_first_question_lists_no_long_words():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,3 +163,18 @@ def test_random_lift_deterministic(ex21, even):
         assert l1 == l2
         x = point_from_lift(space, l1)
         assert is_admissible(space, x)
+
+
+def test_import_leaves_numpy_unloaded():
+    """numpy is loaded by build_matrices alone, not by importing the package."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, zipshift; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    ).stdout.split()
+    assert out == ["False"]
