@@ -239,7 +239,8 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
 
     Finite-type spaces get the sliding-window graph on admissible ell-words,
     ell = max(n-1, memory, 1) unless given (at least max(n-1, step_k, 1)),
-    with an edge for every admissible extension.  Sofic spaces go through
+    with an edge for every admissible extension: one move of the space's
+    A'-side subset walk per (word, letter).  Sofic spaces go through
     the vertex-like construction, then a block recode so every vertex label
     is long enough to evaluate the transition map; the recode is
     cross-checked against the space's own language, and ``ell`` is ignored.
@@ -251,15 +252,16 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
             ell = max(least, space.memory())
         elif ell < least:
             raise InvalidWord(f"window width {ell} is below max(n - 1, step, 1) = {least}")
-        vertices = space.language(ell)
-        index = {w: i for i, w in enumerate(vertices)}
+        walk = space._aprime_walk
+        vertices = walk.words(ell)
+        index = {w: i for i, (w, _state) in enumerate(vertices)}
         edges: list[tuple[int, int, str, str | None]] = []
-        for u in vertices:
+        for u, state in vertices:
             for c in space.alphabet_aprime.symbols:
-                w = u + (c,)
-                if space.admissible_word(w):
+                if walk.sets[walk.move(state, c)]:
+                    w = u + (c,)
                     edges.append((index[u], index[w[1:]], c, space.tm(w[:n])))
-        return LabeledGraph(list(vertices), edges)
+        return LabeledGraph([w for w, _state in vertices], edges)
     vl = vertex_like(presentation_graph(space))
     recoded = _block_recode(vl, max(n, 1), space)
     bound = min(2 * recoded.n_vertices(), 10)

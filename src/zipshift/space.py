@@ -16,7 +16,8 @@ u[0], so a walk emits the first letter of every block it leaves.  Sofic
 spaces take the presentation vertices, numbered in sorted-name order, and
 each edge emits its label.  An A'-word is admissible exactly when some walk
 emits it, and language, admissibility, irreducibility and random lifts are
-read off this one graph whatever the kind.
+read off this one graph whatever the kind; so are the A'-adjacency matrix
+and the periodic counts (closed walks) of full and finite-type spaces.
 
 Every A-word and every seam block is the image of some A'-word, so both are
 decided by reading them through the labeled window graph of width
@@ -170,11 +171,12 @@ class _SubsetWalk:
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """Adjacency data of a finite-type space.
+    """Adjacency data of a finite-type space, as numpy arrays.
 
-    ``aprime_adj`` is indexed by ``aprime_words`` (K-step blocks over A'),
-    ``a_adj`` by ``a_words`` (derived A-side blocks) and ``t`` relates A-side
-    rows to A'-side columns through mixed-word admissibility.  ``k`` and
+    ``aprime_adj`` is the adjacency of the space's A'-graph, indexed by its
+    vertices ``aprime_words`` (K-step blocks over A'), ``a_adj`` by
+    ``a_words`` (derived A-side blocks) and ``t`` relates A-side rows to
+    A'-side columns through mixed-word admissibility.  ``k`` and
     ``n_step`` are the computed step orders (0 for full shifts; index blocks
     are then single letters), ``m_step`` their maximum.
     """
@@ -418,9 +420,9 @@ class ZipShiftSpace:
 
         One breadth-first pass of the A-side walk: w + c is minimal
         forbidden when w is admissible, w + c is not, and (w + c)[1:] is.
-        The cutoff ``step_k + n`` is exact for every finite-type fixture in
-        this package; in general the A-side may need longer memory, which a
-        finite list cannot express.
+        The cutoff ``step_k + n`` is a search bound: longer minimal forbidden
+        words go unreported even on fixtures (``a b a`` on ``ex21``, ``a c a``
+        on ``five``), and the A-side need not be of finite type.
         """
         if self.kind == "sofic":
             raise NotFiniteType("A-side forbidden derivation needs a finite-type space")
@@ -456,18 +458,16 @@ class ZipShiftSpace:
         k_idx = max(self.step_k, 1)
         ap_words = tuple(self._language_aprime(k_idx))
         ap = np.zeros((len(ap_words), len(ap_words)), dtype=np.int64)
-        for i, u in enumerate(ap_words):
-            for j, v in enumerate(ap_words):
-                if u[1:] == v[:-1] and self.admissible_word(u + v[-1:]):
-                    ap[i, j] = 1
+        for i, out in enumerate(self._step):
+            for targets in out.values():
+                ap[i, targets] = 1
         n_step = self.a_step()
         n_idx = max(n_step, 1)
         a_words = tuple(self.language(n_idx, side="a"))
+        a_index = {w: i for i, w in enumerate(a_words)}
         aa = np.zeros((len(a_words), len(a_words)), dtype=np.int64)
-        for i, u in enumerate(a_words):
-            for j, v in enumerate(a_words):
-                if u[1:] == v[:-1] and self.admissible_a_word(u + v[-1:]):
-                    aa[i, j] = 1
+        for w in self.language(n_idx + 1, side="a"):
+            aa[a_index[w[:-1]], a_index[w[1:]]] = 1
         t = np.zeros((len(a_words), len(ap_words)), dtype=np.int64)
         for i, u in enumerate(a_words):
             for j, v in enumerate(ap_words):
@@ -485,34 +485,26 @@ class ZipShiftSpace:
         )
 
     def count_periodic(self, m: int) -> int:
-        """Number of period-m points: the trace of the m-th matrix power.
-
-        Computed with exact Python integers on the 1-step block matrix.
+        """Number of period-m points: the closed walks of m edges on the
+        A'-graph, i.e. the trace of the m-th power of its adjacency matrix,
+        counted from each vertex with exact Python integers.
         """
         if m < 1:
             raise InvalidWord(f"period must be positive, got {m}")
         if self.kind == "sofic":
             raise NotFiniteType("periodic counting by trace needs a finite-type space")
-        ms = self.build_matrices()
-        mat = [[int(x) for x in row] for row in ms.aprime_adj]
-        size = len(mat)
-
-        def mul(x, y):
-            return [
-                [sum(x[i][l] * y[l][j] for l in range(size)) for j in range(size)]
-                for i in range(size)
-            ]
-
-        result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        base = mat
-        e = m
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        return sum(result[i][i] for i in range(size))
+        succ = [[t for targets in out.values() for t in targets] for out in self._step]
+        total = 0
+        for start in range(len(succ)):
+            walks = {start: 1}
+            for _ in range(m):
+                reached: dict[int, int] = {}
+                for v, count in walks.items():
+                    for t in succ[v]:
+                        reached[t] = reached.get(t, 0) + count
+                walks = reached
+            total += walks.get(start, 0)
+        return total
 
     # -- irreducibility ----------------------------------------------------
 

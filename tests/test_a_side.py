@@ -26,6 +26,7 @@ from zipshift import (
     NotFiniteType,
     TransitionMap,
     UnknownSymbol,
+    build_labeled_graph,
     full_space,
     is_admissible,
     periodic_points,
@@ -219,6 +220,37 @@ def test_periodic_count_matches_listing(drawn):
         words = itertools.product(space.alphabet_aprime.symbols, repeat=m)
         brute = sum(oracle.admissible(w * 3) for w in words)
         assert space.count_periodic(m) == len(periodic_points(space, m)) == brute
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
+def test_adjacency_matches_oracles(drawn):
+    """Matrices and window graphs, read off the space's own graphs, against
+    per-pair admissibility by the live-walk oracle and the image sets."""
+    space, oracle = drawn
+    letters = space.alphabet_aprime.symbols
+    ms = space.build_matrices()
+    for i, u in enumerate(ms.aprime_words):
+        for j, v in enumerate(ms.aprime_words):
+            assert ms.aprime_adj[i, j] == (u[1:] == v[:-1] and oracle.admissible(u + v[-1:]))
+    a_longer = images(space, max(ms.n_step, 1) + 1)
+    for i, u in enumerate(ms.a_words):
+        for j, v in enumerate(ms.a_words):
+            assert ms.a_adj[i, j] == (u[1:] == v[:-1] and u + v[-1:] in a_longer)
+    seams = seam_blocks(space, len(ms.a_words[0]), len(ms.aprime_words[0]))
+    for i, u in enumerate(ms.a_words):
+        for j, v in enumerate(ms.aprime_words):
+            assert ms.t[i, j] == ((u, v) in seams)
+    least = max(space.n - 1, space.step_k, 1)
+    for ell in (least, least + 1):
+        g = build_labeled_graph(space, ell)
+        assert sorted(g.labels) == sorted(oracle.words(ell))
+        words = itertools.product(letters, repeat=ell + 1)
+        want = sorted((w[:-1], w[-1]) for w in words if oracle.admissible(w))
+        assert sorted((g.labels[src], first) for src, _dst, first, _a in g.edges) == want
+        for src, dst, first, a_letter in g.edges:
+            w = g.labels[src] + (first,)
+            assert g.labels[dst] == w[1:] and a_letter == space.tm(w[: space.n])
 
 
 def test_first_question_lists_no_long_words():

@@ -165,16 +165,40 @@ def test_random_lift_deterministic(ex21, even):
         assert is_admissible(space, x)
 
 
+_WITHOUT_NUMPY = """
+import random, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from zipshift import (
+    Alphabet, TransitionMap, is_admissible, periodic_points, preimages, random_point, sft_space,
+)
+ex21 = sft_space(
+    Alphabet(["a", "b"]),
+    Alphabet(["1", "2", "3"]),
+    TransitionMap(1, {("1",): "a", ("2",): "b", ("3",): "b"}),
+    {("1", "1"), ("1", "3"), ("2", "1"), ("3", "3")},
+)
+x = random_point(ex21, random.Random(0))
+print(ex21.count_periodic(3), len(periodic_points(ex21, 3)))
+print(bool(is_admissible(ex21, x)), len(preimages(ex21, x).points) > 0)
+"""
+
+
 def test_import_leaves_numpy_unloaded():
-    """numpy is loaded by build_matrices alone, not by importing the package."""
+    """numpy is loaded by build_matrices alone, not by importing the package,
+    and periodic points, admissibility and pre-images run without it."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, zipshift; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-        check=True,
-    ).stdout.split()
-    assert out == ["False"]
+    cases = [
+        ("import sys, zipshift; print('numpy' in sys.modules)", ["False"]),
+        (_WITHOUT_NUMPY, ["7", "7", "True", "True"]),
+    ]
+    for script, want in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        ).stdout.split()
+        assert out == want
