@@ -11,7 +11,6 @@ re-checks the derived map against the actual image language.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -22,7 +21,7 @@ from .graph import LabeledGraph, _block_recode, build_labeled_graph, presentatio
 from .orbits import periodic_points
 from .point import EpPoint, random_point, shift
 from .preimage import canonical_lift
-from .space import ZipShiftSpace, full_space, sft_space, sofic_space
+from .space import ZipShiftSpace, _minimal_forbidden, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
 
 
@@ -187,14 +186,13 @@ def check_commutation(
     """Spot-check code-then-shift against shift-then-code.
 
     Samples random source points, adds every periodic point of repeat
-    length up to 4 when the source supports enumeration, and reports the
-    first point where the two sides disagree.
+    length up to 4, sofic sources included, and reports the first point where
+    the two sides disagree.
     """
     rng = rng or random.Random(0)
     pts = [random_point(spec.source, rng) for _ in range(samples)]
-    if spec.source.kind != "sofic":
-        for mm in range(1, 5):
-            pts.extend(p.point for p in periodic_points(spec.source, mm))
+    for mm in range(1, 5):
+        pts.extend(p.point for p in periodic_points(spec.source, mm))
     for x in dict.fromkeys(pts):
         try:
             lhs = apply_code(spec, shift(spec.source, x))
@@ -230,14 +228,13 @@ def invert_code(
     """
     rng = rng or random.Random(0)
     src = spec.source
-    if src.kind != "sofic":
-        images: dict[EpPoint, EpPoint] = {}
-        for mm in range(1, max_window + 1):
-            for p in periodic_points(src, mm):
-                y = apply_code(spec, p.point)
-                prev = images.setdefault(y, p.point)
-                if prev != p.point:
-                    return NotFound(max_window)
+    images: dict[EpPoint, EpPoint] = {}
+    for mm in range(1, max_window + 1):
+        for p in periodic_points(src, mm):
+            y = apply_code(spec, p.point)
+            prev = images.setdefault(y, p.point)
+            if prev != p.point:
+                return NotFound(max_window)
 
     for w in range(1, max_window + 1):
         stretches = src.language(w + spec.window - 1)
@@ -277,9 +274,8 @@ def invert_code(
             continue
 
         trial = [random_point(src, rng) for _ in range(50)]
-        if src.kind != "sofic":
-            for mm in range(1, 4):
-                trial.extend(p.point for p in periodic_points(src, mm))
+        for mm in range(1, 4):
+            trial.extend(p.point for p in periodic_points(src, mm))
         back = [random_point(spec.target, rng) for _ in range(50)]
         try:
             if any(
@@ -297,12 +293,18 @@ def invert_code(
 # -- block and power presentations -----------------------------------------
 
 
-def _has_forbidden_subword(blocks: Word, forbidden: set[Word]) -> bool:
-    return any(
-        blocks[i : i + f] in forbidden
-        for f in range(2, len(blocks))
-        for i in range(len(blocks) - f + 1)
-    )
+def _block_forbidden(space: ZipShiftSpace, sep: str, N: int, stride: int, top: int) -> set[Word]:
+    """The minimal forbidden words, up to length ``top``, over N-block
+    letters whose blocks start ``stride`` letters apart.  A block word is
+    admissible when it holds the windows of an admissible word."""
+
+    def admissible(r: int) -> set[Word]:
+        return {
+            tuple(_join(sep, u[j * stride : j * stride + N]) for j in range(r))
+            for u in space.language(N + (r - 1) * stride)
+        }
+
+    return _minimal_forbidden([_join(sep, w) for w in space.language(N)], admissible, top)
 
 
 def _joiner(space: ZipShiftSpace) -> str:
@@ -350,27 +352,9 @@ def higher_block(space: ZipShiftSpace, N: int):
         ]
         new_space = sofic_space(new_a, new_ap, tm, names, edges)
     else:
-        spell = {c: _split(sep, c) for c in new_ap}
         K = space.step_k + 1 if space.step_k else 0
-        forbidden: set[Word] = set()
-        for r in range(2, max(2, K - N + 1) + 1):
-            for blocks in itertools.product(new_ap, repeat=r):
-                if _has_forbidden_subword(blocks, forbidden):
-                    continue
-                word = spell[blocks[0]]
-                ok = True
-                for b in blocks[1:]:
-                    wb = spell[b]
-                    if N > 1 and word[-(N - 1) :] != wb[: N - 1]:
-                        ok = False
-                        break
-                    word = word + wb[N - 1 :]
-                if not ok or not space.admissible_word(word):
-                    forbidden.add(tuple(blocks))
-        if forbidden:
-            new_space = sft_space(new_a, new_ap, tm, forbidden)
-        else:
-            new_space = full_space(new_a, new_ap, tm)
+        forbidden = _block_forbidden(space, sep, N, 1, max(2, K - N + 1))
+        new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
         rt = tuple(_join(sep, x.window(i, N)) for i in range(len(x.right_transient)))
@@ -440,21 +424,9 @@ def higher_power(space: ZipShiftSpace, N: int):
             new_a, new_ap, tm, list(space.presentation_vertices), edges
         )
     else:
-        spell = {c: _split(sep, c) for c in new_ap}
         K = space.step_k + 1 if space.step_k else 0
-        forbidden: set[Word] = set()
-        top = max(2, (K + N - 2) // N + 1) if K else 0
-        for r in range(2, top + 1):
-            for blocks in itertools.product(new_ap, repeat=r):
-                if _has_forbidden_subword(blocks, forbidden):
-                    continue
-                word = tuple(c for b in blocks for c in spell[b])
-                if not space.admissible_word(word):
-                    forbidden.add(tuple(blocks))
-        if forbidden:
-            new_space = sft_space(new_a, new_ap, tm, forbidden)
-        else:
-            new_space = full_space(new_a, new_ap, tm)
+        forbidden = _block_forbidden(space, sep, N, N, max(2, (K + N - 2) // N + 1) if K else 0)
+        new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
         rt_len = math.ceil(len(x.right_transient) / N)

@@ -144,11 +144,12 @@ def vertex_like(g: LabeledGraph) -> LabeledGraph:
             )
     # Line graph: one vertex per split edge, labeled by its letter.
     line_labels: list[Word] = [(first,) for _s, _d, first, _x in split_edges]
-    line_edges: list[tuple[int, int, str, str | None]] = []
-    for i, (_si, di, _fi, _xi) in enumerate(split_edges):
-        for j, (sj, _dj, fj, _xj) in enumerate(split_edges):
-            if di == sj:
-                line_edges.append((i, j, fj, None))
+    leaving: list[list[int]] = [[] for _ in split_labels]
+    for j, (sj, _dj, _fj, _xj) in enumerate(split_edges):
+        leaving[sj].append(j)
+    line_edges = [
+        (i, j, split_edges[j][2], None) for i, (_s, di, _f, _x) in enumerate(split_edges) for j in leaving[di]
+    ]
     return _trim(LabeledGraph(line_labels, line_edges))
 
 

@@ -1,25 +1,27 @@
 """Periodic orbit structure: periodic and pre-periodic points, stable and
 unstable tail membership, and homoclinic orbit enumeration.
 
-A periodic point is the two-sided repetition of an admissible cycle word,
-with transition-map images filling the negative side.  Pre-periodic points
-are the extra backward branches that fall onto such an orbit after finitely
-many steps.  Homoclinic orbits are enumerated by choosing a backward branch
-letter at each depth before the point's left tail has merged with the
-orbit; deeper letters are forced by the orbit's own two-sided lift.
+A periodic point is the two-sided repetition of a cycle word, with
+transition-map images filling the negative side.  In full, finite-type and
+sofic spaces alike a word is a cycle exactly when some closed walk of the
+space's A'-graph spells a power of it, which the space decides on its own
+subset walk; listing the points of repeat length m tests only the
+admissible m-words.  Pre-periodic points are the extra backward branches
+that fall onto such an orbit after finitely many steps.  Homoclinic orbits
+are enumerated by choosing a backward branch letter at each depth before
+the point's left tail has merged with the orbit; deeper letters are forced
+by the orbit's own two-sided lift.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidWord, NotFiniteType, NotInSpace
+from .errors import InvalidWord, NotInSpace
 from .point import EpPoint, shift, shift_k
 from .preimage import (
     _preimage_point,
     labeled_graph_for,
-    point_admissibility,
     preimages,
     preimages_k,
 )
@@ -40,7 +42,8 @@ class PeriodicPoint:
 
 
 def periodic_point(space: ZipShiftSpace, word: Word) -> PeriodicPoint:
-    """The periodic point repeating ``word``, or InvalidWord if no such point.
+    """The periodic point repeating ``word``, or InvalidWord if no such point
+    (UnknownSymbol for a letter outside A').
 
     The left side holds the transition-map images of the repetition, so its
     repeating pattern generally differs from ``word`` and may be shorter
@@ -49,50 +52,29 @@ def periodic_point(space: ZipShiftSpace, word: Word) -> PeriodicPoint:
     word = tuple(word)
     if not word:
         raise InvalidWord("period word must be non-empty")
-    m = len(word)
-    # Every cyclic window wide enough to cover a forbidden word must be
-    # admissible; that settles membership for finite-type spaces, and is a
-    # cheap necessary screen before the walk check on sofic ones.
-    if space.kind == "sofic":
-        width = max(space.n, 2)
-    else:
-        width = max(space.step_k + 1, space.n)
-    u = word * (width // m + 2)
-    for i in range(m):
-        if not space.admissible_word(u[i : i + width]):
-            raise InvalidWord(
-                f"cycle {' '.join(word)} has an inadmissible window"
-            )
+    if not space._is_cycle(word):
+        raise InvalidWord(f"no closed walk spells a power of cycle {' '.join(word)}")
+    return _cycle_point(space, word)
 
-    def img(depth: int) -> str:
-        start = (-depth) % m
-        return space.tm(u[start : start + space.n])
 
-    lp = tuple(img(m - i) for i in range(m))
-    candidate = EpPoint(lp, (), (), word)
-    if space.kind == "sofic" and not point_admissibility(space, candidate):
-        raise InvalidWord(f"cycle {' '.join(word)} does not label a closed walk")
-    return PeriodicPoint(word, candidate)
+def _cycle_point(space: ZipShiftSpace, word: Word) -> PeriodicPoint:
+    """The periodic point repeating ``word``, which must be a cycle."""
+    u = word * (space.n // len(word) + 2)
+    lp = tuple(space.tm(u[i : i + space.n]) for i in range(len(word)))
+    return PeriodicPoint(word, EpPoint(lp, (), (), word))
 
 
 def periodic_points(space: ZipShiftSpace, m: int) -> set[PeriodicPoint]:
     """All periodic points whose repeat length is m (not necessarily least).
 
     One entry per admissible cycle word, so a fixed point reappears at every
-    multiple of its least period under a different word; the count matches
-    count_periodic(m).
+    multiple of its least period under a different word.  Only the
+    admissible m-words are tested, by the space's cycle test; for full and
+    finite-type spaces the count matches count_periodic(m).
     """
     if m < 1:
         raise InvalidWord(f"period must be >= 1, got {m}")
-    if space.kind == "sofic":
-        raise NotFiniteType("periodic enumeration needs a finite-type space")
-    out: set[PeriodicPoint] = set()
-    for word in itertools.product(space.alphabet_aprime, repeat=m):
-        try:
-            out.add(periodic_point(space, word))
-        except InvalidWord:
-            continue
-    return out
+    return {_cycle_point(space, w) for w in space.language(m) if space._is_cycle(w)}
 
 
 def orbit_points(space: ZipShiftSpace, p: PeriodicPoint) -> tuple[EpPoint, ...]:

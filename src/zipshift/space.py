@@ -15,9 +15,10 @@ u -> u[1:] + (c,) when u + (c,) has no forbidden factor; that edge emits
 u[0], so a walk emits the first letter of every block it leaves.  Sofic
 spaces take the presentation vertices, numbered in sorted-name order, and
 each edge emits its label.  An A'-word is admissible exactly when some walk
-emits it, and language, admissibility, irreducibility and random lifts are
-read off this one graph whatever the kind; so are the A'-adjacency matrix
-and the periodic counts (closed walks) of full and finite-type spaces.
+emits it, and language, admissibility, cycle words (periodic points),
+irreducibility and random lifts are read off this one graph whatever the
+kind; so are the A'-adjacency matrix and the periodic counts (closed walks)
+of full and finite-type spaces.
 
 Every A-word and every seam block is the image of some A'-word, so both are
 decided by reading them through the labeled window graph of width
@@ -45,18 +46,30 @@ if TYPE_CHECKING:
 
 
 def _prune_superwords(words: set[Word]) -> set[Word]:
-    """Drop every word that contains another member as a factor."""
+    """Drop every word that contains another member as a proper factor."""
+    return {
+        w
+        for w in words
+        if not any(w[i : i + k] in words for k in range(1, len(w)) for i in range(len(w) - k + 1))
+    }
 
-    def contains(big: Word, small: Word) -> bool:
-        if len(small) > len(big):
-            return False
-        return any(big[i : i + len(small)] == small for i in range(len(big) - len(small) + 1))
 
-    keep = set()
-    for w in words:
-        if not any(v != w and contains(w, v) for v in words):
-            keep.add(w)
-    return keep
+def _minimal_forbidden(letters, admissible, top: int) -> set[Word]:
+    """The minimal forbidden words of a factorial language, up to length ``top``.
+
+    ``admissible(r)`` is the set of admissible r-words.  Every w + c of length
+    2..top is returned whose prefix w and suffix (w + c)[1:] are admissible
+    while w + c is not.
+    """
+    bad: set[Word] = set()
+    shorter = admissible(1)
+    for r in range(2, top + 1):
+        longer = admissible(r)
+        bad.update(
+            w + (c,) for w in shorter for c in letters if w + (c,) not in longer and w[1:] + (c,) in shorter
+        )
+        shorter = longer
+    return bad
 
 
 def _live_vertices(succ: list[list[int]], pred: list[list[int]]) -> bytearray:
@@ -144,8 +157,8 @@ class _SubsetWalk:
             moves[c] = nxt
         return nxt
 
-    def read(self, word: Word) -> int:
-        state, moves = 0, self._moves
+    def read(self, word: Word, state: int = 0) -> int:
+        moves = self._moves
         for c in word:
             nxt = moves[state].get(c)
             state = self.move(state, c) if nxt is None else nxt
@@ -327,6 +340,21 @@ class ZipShiftSpace:
         walk = self._aprime_walk
         return bool(walk.sets[walk.read(word)])
 
+    def _is_cycle(self, word: Word) -> bool:
+        """Is ``word`` repeated forever an A'-sequence of the space?
+
+        Read it from the all-vertices state again and again until the state
+        repeats.  The states only shrink, so the repeat is a fixed set, and it
+        is non-empty exactly when some closed walk spells a power of ``word``.
+        """
+        if not self.admissible_word(word):  # raises UnknownSymbol off A'
+            return False
+        walk = self._aprime_walk
+        prev, state = 0, walk.read(word)
+        while state != prev:
+            prev, state = state, walk.read(word, state)
+        return bool(walk.sets[state])
+
     def language(self, k: int, side: str = "aprime"):
         """The admissible words of length ``k`` on the requested side.
 
@@ -418,7 +446,7 @@ class ZipShiftSpace:
     def derived_a_forbidden(self) -> frozenset[Word]:
         """Minimal inadmissible A-words up to the derivation cutoff.
 
-        One breadth-first pass of the A-side walk: w + c is minimal
+        Read off the A-side languages up to the cutoff: w + c is minimal
         forbidden when w is admissible, w + c is not, and (w + c)[1:] is.
         The cutoff ``step_k + n`` is a search bound: longer minimal forbidden
         words go unreported even on fixtures (``a b a`` on ``ex21``, ``a c a``
@@ -427,17 +455,10 @@ class ZipShiftSpace:
         if self.kind == "sofic":
             raise NotFiniteType("A-side forbidden derivation needs a finite-type space")
         if self._a_forb is None:
-            walk = self._a_walk()
             cutoff = max(2, self.step_k + self.n)
-            bad: list[Word] = []
-            for length in range(1, cutoff):
-                level = walk.words(length)
-                known = {w for w, _state in level}
-                for w, state in level:
-                    for c in self.alphabet_a.symbols:
-                        if not walk.sets[walk.move(state, c)] and w[1:] + (c,) in known:
-                            bad.append(w + (c,))
-            self._a_forb = frozenset(bad)
+            self._a_forb = frozenset(
+                _minimal_forbidden(self.alphabet_a.symbols, lambda r: set(self.language(r, "a")), cutoff)
+            )
         return self._a_forb
 
     def a_step(self) -> int:

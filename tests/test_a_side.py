@@ -5,12 +5,14 @@ against live walks of graphs built apart from the package.
 The image-set oracle lists every admissible A'-word long enough, applies phi
 and reads off the A-words and seam blocks; minimal forbidden A-words come
 from all A-words up to the cutoff, pruned to those with no forbidden factor.
-The A'-oracle (:class:`LiveWalks`) walks the live 2-block graph of a
-finite-type spec or the live presentation graph of a sofic one, as drawn,
-never a graph the package built.  Spaces are drawn small and unconstrained:
-full, finite-type and sofic, at most 4 letters, window n of 1 or 2, letters
-unused by the language, A-side collisions, reducible languages and
-unreachable presentation vertices all occur.
+The minimal forbidden words of block and power presentations come from
+every tuple of block letters up to the same length bound.  The A'-oracle
+(:class:`LiveWalks`) walks the live 2-block graph of a finite-type spec or
+the live presentation graph of a sofic one, as drawn, never a graph the
+package built.  Spaces are drawn small and unconstrained: full, finite-type
+and sofic, at most 4 letters, window n of 1 or 2, letters unused by the
+language, A-side collisions, reducible languages and unreachable
+presentation vertices all occur.
 """
 from __future__ import annotations
 
@@ -23,12 +25,16 @@ from hypothesis import strategies as st
 
 from zipshift import (
     Alphabet,
+    InvalidWord,
     NotFiniteType,
     TransitionMap,
     UnknownSymbol,
     build_labeled_graph,
     full_space,
+    higher_block,
+    higher_power,
     is_admissible,
+    periodic_point,
     periodic_points,
     random_point,
     sft_space,
@@ -155,6 +161,30 @@ def minimal_forbidden(space) -> set[tuple]:
     return {w for w in bad if not any(v != w and contains(w, v) for v in bad)}
 
 
+def product_forbidden(space, N: int, power: bool) -> set[tuple]:
+    """Minimal forbidden words of the N-block (power: aligned N-block)
+    presentation, by trying every tuple of block letters up to the length
+    bound: a tuple is forbidden when its blocks do not spell an admissible
+    word and none of its proper factors is forbidden.  Letters are single
+    characters, so a block letter is its word joined."""
+    blocks = ["".join(w) for w in space.language(N)]
+    K = space.step_k + 1 if space.step_k else 0
+    top = (max(2, (K + N - 2) // N + 1) if K else 0) if power else max(2, K - N + 1)
+    forbidden: set[tuple] = set()
+    for r in range(2, top + 1):
+        for word in itertools.product(blocks, repeat=r):
+            if any(word[i : i + f] in forbidden for f in range(2, r) for i in range(r - f + 1)):
+                continue
+            if power:
+                ok = space.admissible_word(tuple("".join(word)))
+            else:
+                chained = all(a[1:] == b[:-1] for a, b in zip(word, word[1:]))
+                ok = chained and space.admissible_word(tuple(word[0] + "".join(b[-1] for b in word[1:])))
+            if not ok:
+                forbidden.add(word)
+    return forbidden
+
+
 def index_key(alphabet):
     return lambda w: tuple(alphabet.index(c) for c in w)
 
@@ -220,6 +250,42 @@ def test_periodic_count_matches_listing(drawn):
         words = itertools.product(space.alphabet_aprime.symbols, repeat=m)
         brute = sum(oracle.admissible(w * 3) for w in words)
         assert space.count_periodic(m) == len(periodic_points(space, m)) == brute
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_oracles())
+def test_periodic_points_match_live_walks(drawn):
+    """Every space kind lists its periodic points: w repeated forever is a
+    point exactly when w repeated once more than there are live oracle
+    vertices is admissible, since such a walk revisits a vertex after a
+    whole number of repeats."""
+    space, oracle = drawn
+    letters = space.alphabet_aprime.symbols
+    reps = len(oracle.alive) + 1
+    for m in range(1, 5):
+        words = list(itertools.product(letters, repeat=m))
+        cycles = {w for w in words if oracle.admissible(w * reps)}
+        assert {p.word for p in periodic_points(space, m)} == cycles
+        for w in words:
+            if w in cycles:
+                point = periodic_point(space, w).point
+                assert point.window(0, 2 * m) == w * 2 and is_admissible(space, point)
+            else:
+                with pytest.raises(InvalidWord):
+                    periodic_point(space, w)
+    with pytest.raises(UnknownSymbol):
+        periodic_point(space, letters[:1] + ("z",))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
+def test_block_and_power_constraints_match_enumeration(drawn):
+    """The block and power spaces' constraints, read off their languages,
+    against the tuple-by-tuple enumeration they replaced."""
+    space = drawn[0]
+    for N in range(1, 4):
+        assert higher_block(space, N)[0].forbidden == product_forbidden(space, N, power=False)
+        assert higher_power(space, N)[0].forbidden == product_forbidden(space, N, power=True)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from zipshift import (
+    Alphabet,
     InvalidWord,
-    NotFiniteType,
+    TransitionMap,
     format_point,
     heteroclinic_check,
     homoclinic_datum,
@@ -16,6 +17,7 @@ from zipshift import (
     periodic_points,
     pre_periodic_points,
     shift,
+    sofic_space,
     stable_unstable_membership,
 )
 
@@ -46,6 +48,23 @@ def test_periodic_point_even(even):
             periodic_point(even, bad)
 
 
+def test_periodic_point_needs_a_closed_walk():
+    """0 0 0 0 is a word here, yet 0 repeated is no point: the 0-edges form
+    a path, not a cycle, so no fixed number of reads of a cycle word
+    decides it."""
+    space = sofic_space(
+        Alphabet(["a"]),
+        Alphabet(["0", "1"]),
+        TransitionMap(1, {("0",): "a", ("1",): "a"}),
+        ["P", "Q", "R", "S", "T"],
+        [("P", "P", "1"), ("P", "Q", "0"), ("Q", "R", "0"), ("R", "S", "0"), ("S", "T", "0"), ("T", "T", "1")],
+    )
+    assert space.admissible_word(("0",) * 4)
+    with pytest.raises(InvalidWord):
+        periodic_point(space, ("0",))
+    assert {p.word for p in periodic_points(space, 2)} == {("1", "1")}
+
+
 def test_periodic_points_counts(ex21, sigma_f, classical, five):
     for space in (ex21, sigma_f, classical, five):
         for m in range(1, 6):
@@ -57,9 +76,14 @@ def test_periodic_points_counts(ex21, sigma_f, classical, five):
     }
 
 
-def test_periodic_points_sofic_rejected(even):
-    with pytest.raises(NotFiniteType):
-        periodic_points(even, 2)
+def test_periodic_points_even_listed(even):
+    """Sofic spaces list their periodic points too: in the even shift a
+    cycle word is a point exactly when its 0-runs, read cyclically, are
+    even."""
+    got = {p.word: format_point(p.point) for p in periodic_points(even, 3)}
+    assert sorted(got) == [("0", "0", "0"), ("0", "0", "1"), ("0", "1", "0"), ("1", "0", "0"), ("1", "1", "1")]
+    assert got[("1", "0", "0")] == "(b c b)* ; (1 0 0)*"
+    assert got[("0", "0", "0")] == "(c)* ; (0)*"
 
 
 def test_orbit_points(ex21):

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zipshift import (
     Alphabet,
@@ -18,6 +20,7 @@ from zipshift import (
     point_from_lift,
     sft_space,
 )
+from zipshift.space import _prune_superwords
 
 
 def words(space, k, side="aprime"):
@@ -202,3 +205,18 @@ def test_import_leaves_numpy_unloaded():
             check=True,
         ).stdout.split()
         assert out == want
+
+
+def pairwise_prune(words: set) -> set:
+    """The prune by comparing every pair of members."""
+
+    def contains(big, small):
+        return any(big[i : i + len(small)] == small for i in range(len(big) - len(small) + 1))
+
+    return {w for w in words if not any(v != w and contains(w, v) for v in words)}
+
+
+@given(st.sets(st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(tuple), max_size=12))
+def test_prune_superwords_matches_pairwise(words):
+    assert _prune_superwords(words) == pairwise_prune(words)
+
