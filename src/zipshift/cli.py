@@ -25,24 +25,18 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .codes import BlockCodeSpec, apply_code, check_commutation, invert_code
 from .errors import NotInSpace, ZipShiftError
-from .graph import backward, export_dot
-from .horseshoe import build_model, coding_space, stable_string, verify_conjugacy
-from .orbits import (
-    PeriodicPoint,
-    homoclinic_datum,
-    homoclinic_orbits,
-    letter_preimage_sum,
-    periodic_point,
-    periodic_points,
-    pre_periodic_points,
-)
 from .point import EpPoint, format_point, is_admissible, metrics, parse_point, shift_k
-from .preimage import labeled_graph_for, preimages, preimages_k
 from .space import ZipShiftSpace, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
+
+# Each command imports the modules it needs beyond the four above, so a
+# process loads and compiles only what its subcommand uses.
+if TYPE_CHECKING:
+    from .codes import BlockCodeSpec
+    from .orbits import PeriodicPoint
 
 
 class SpecError(ZipShiftError):
@@ -153,6 +147,8 @@ _CODE_KEYS = ("source", "target_a", "target_a_prime", "m", "psi_plus", "psi_minu
 
 
 def code_from_dict(data: object) -> BlockCodeSpec:
+    from .codes import BlockCodeSpec
+
     if not isinstance(data, dict):
         raise SpecError("code spec must be a JSON object")
     unknown = sorted(set(data) - set(_CODE_KEYS))
@@ -206,6 +202,8 @@ def _loose_point_arg(space: ZipShiftSpace, text: str) -> EpPoint:
 
 
 def _periodic_arg(space: ZipShiftSpace, text: str) -> PeriodicPoint:
+    from .orbits import periodic_point
+
     x = _point_arg(space, text)
     p = periodic_point(space, x.right_period)
     if p.point != x:
@@ -267,6 +265,9 @@ def _cmd_space_irreducible(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_build(args: argparse.Namespace) -> int:
+    from .graph import backward, export_dot
+    from .preimage import labeled_graph_for
+
     space = space_from_dict(_load_json(args.spec))
     g = labeled_graph_for(space)
     if args.backward:
@@ -295,6 +296,8 @@ def _cmd_point_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_point_preimages(args: argparse.Namespace) -> int:
+    from .preimage import preimages, preimages_k
+
     space = space_from_dict(_load_json(args.spec))
     x = _point_arg(space, args.point)
     if args.depth == 1:
@@ -332,6 +335,8 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
     if args.count_only:
         print(space.count_periodic(args.m))
         return 0
+    from .orbits import periodic_points
+
     points = periodic_points(space, args.m)
     for p in sorted(points, key=lambda p: space.alphabet_aprime.key(p.word)):
         print(f"{' '.join(p.word)}\t{format_point(p.point)}")
@@ -339,6 +344,8 @@ def _cmd_periodic(args: argparse.Namespace) -> int:
 
 
 def _cmd_preperiodic(args: argparse.Namespace) -> int:
+    from .orbits import pre_periodic_points
+
     space = space_from_dict(_load_json(args.spec))
     p = _periodic_arg(space, args.point)
     points = pre_periodic_points(space, p, args.level, d_max=args.dmax)
@@ -348,6 +355,8 @@ def _cmd_preperiodic(args: argparse.Namespace) -> int:
 
 
 def _cmd_homoclinic(args: argparse.Namespace) -> int:
+    from .orbits import homoclinic_datum, homoclinic_orbits, letter_preimage_sum
+
     space = space_from_dict(_load_json(args.spec))
     p = _periodic_arg(space, args.periodic)
     x = _point_arg(space, args.point)
@@ -375,6 +384,8 @@ def _cmd_homoclinic(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_check(args: argparse.Namespace) -> int:
+    from .codes import check_commutation
+
     spec = code_from_dict(_load_json(args.codespec))
     report = check_commutation(spec, samples=args.samples, rng=random.Random(args.seed))
     if report:
@@ -386,6 +397,8 @@ def _cmd_code_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_apply(args: argparse.Namespace) -> int:
+    from .codes import apply_code
+
     spec = code_from_dict(_load_json(args.codespec))
     x = _point_arg(spec.source, args.point)
     print(format_point(apply_code(spec, x)))
@@ -393,6 +406,8 @@ def _cmd_code_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_code_invert(args: argparse.Namespace) -> int:
+    from .codes import invert_code
+
     spec = code_from_dict(_load_json(args.codespec))
     inverse = invert_code(spec, max_window=args.max_window, rng=random.Random(args.seed))
     if not inverse:
@@ -411,6 +426,8 @@ def _cmd_code_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_horseshoe_build(args: argparse.Namespace) -> int:
+    from .horseshoe import build_model
+
     model = build_model(args.n, args.eps)
     print(f"delta\t{model.delta}")
     print(f"delta_prime\t{model.delta_prime}")
@@ -424,6 +441,8 @@ def _cmd_horseshoe_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_horseshoe_verify(args: argparse.Namespace) -> int:
+    from .horseshoe import build_model, coding_space, verify_conjugacy
+
     model = build_model(args.n, args.eps)
     space = coding_space(model)
     report = verify_conjugacy(model, space, args.depth, args.samples, rng=random.Random(args.seed))
@@ -434,6 +453,8 @@ def _cmd_horseshoe_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_horseshoe_stable_string(args: argparse.Namespace) -> int:
+    from .horseshoe import build_model, stable_string
+
     model = build_model(2, args.eps)
     chain = stable_string(model, args.word)
     print("\t".join("".join(word) for word in chain))
@@ -441,6 +462,8 @@ def _cmd_horseshoe_stable_string(args: argparse.Namespace) -> int:
 
 
 def _cmd_horseshoe_coding(args: argparse.Namespace) -> int:
+    from .horseshoe import build_model, coding_space
+
     model = build_model(args.n, args.eps)
     space = coding_space(model)
     print(json.dumps(space_to_dict(space), indent=2))

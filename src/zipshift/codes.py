@@ -189,6 +189,8 @@ def check_commutation(
     length up to 4, sofic sources included, and reports the first point where
     the two sides disagree.
     """
+    if samples < 0:
+        raise InvalidWord(f"sample count must be >= 0, got {samples}")
     rng = rng or random.Random(0)
     pts = [random_point(spec.source, rng) for _ in range(samples)]
     for mm in range(1, 5):

@@ -316,30 +316,40 @@ def verify_conjugacy(
     reproduce the window), its image under the map is coded to depth k-1
     and compared with the space's shift of the same window, and its
     pre-image count must equal the fold count.  Distinct sampled codes must
-    decode to rectangles with disjoint interiors.  Violations are reported,
-    never raised, so a deliberately wrong space shows up as a non-empty
-    report.
+    decode to rectangles with disjoint interiors; the overlapping pairs are
+    found by one sweep over the rectangles sorted by x (see
+    :func:`_overlapping_pairs`), so the cost grows with the sample count
+    and not with its square.  Each overlap is reported at the first sample
+    of the later code, against the earlier codes in the order they were
+    first drawn.  Violations are reported, never raised, so a deliberately
+    wrong space shows up as a non-empty report.
     """
     if depth < 2:
         raise InvalidWord(f"conjugacy checks need depth >= 2, got {depth}")
+    if samples < 1:
+        raise InvalidWord(f"conjugacy checks need at least one sample, got {samples}")
     rng = rng or random.Random(0)
-    violations: list[str] = []
-    seen: dict[ItineraryCode, tuple[Interval, Interval]] = {}
+    draws: list[tuple[ItineraryCode, tuple[int, ...]]] = []
     for _ in range(samples):
         code = ItineraryCode(
             tuple(rng.choice(("a", "b")) for _ in range(depth)),
             tuple(rng.choice(model.letters) for _ in range(depth)),
         )
-        rect = decode(model, code)
-        if code not in seen:
-            for other, orect in seen.items():
-                dx = min(rect[0][1], orect[0][1]) - max(rect[0][0], orect[0][0])
-                dy = min(rect[1][1], orect[1][1]) - max(rect[1][0], orect[1][0])
-                if dx > 0 and dy > 0:
-                    violations.append(f"rectangles overlap: {code} and {other}")
-            seen[code] = rect
+        draws.append((code, tuple(rng.randint(1, model.n_folds) for _ in range(depth))))
+    rects: dict[ItineraryCode, tuple[Interval, Interval]] = {}
+    for code, _ in draws:
+        if code not in rects:
+            rects[code] = decode(model, code)
+    codes = list(rects)
+    earlier: dict[ItineraryCode, list[ItineraryCode]] = {}
+    for i, j in _overlapping_pairs(list(rects.values())):
+        earlier.setdefault(codes[i], []).append(codes[j])
+    violations: list[str] = []
+    for code, choices in draws:
+        for other in earlier.pop(code, ()):
+            violations.append(f"rectangles overlap: {code} and {other}")
+        rect = rects[code]
         p = ((rect[0][0] + rect[0][1]) / 2, (rect[1][0] + rect[1][1]) / 2)
-        choices = tuple(rng.randint(1, model.n_folds) for _ in range(depth))
         if code_point(model, p, depth, choices) != code:
             violations.append(f"recoding the center of {code} changed the window")
             continue
@@ -355,6 +365,28 @@ def verify_conjugacy(
         if count_point_preimages(model, p) != model.n_folds:
             violations.append(f"pre-image count at the center of {code} is not N")
     return ConjugacyReport(samples, depth, tuple(violations))
+
+
+def _overlapping_pairs(rects: list[tuple[Interval, Interval]]) -> list[tuple[int, int]]:
+    """The pairs (i, j), j < i, of rectangles whose interiors meet, sorted.
+
+    Rectangles are taken in order of their left edge.  The active list holds
+    those seen so far whose right edge lies right of the current left edge;
+    only they can share interior points with the current rectangle, so
+    rectangles that merely touch along an edge never pair up.
+    """
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for i in sorted(range(len(rects)), key=lambda i: rects[i][0][0]):
+        (xlo, xhi), (ylo, yhi) = rects[i]
+        active = [j for j in active if rects[j][0][1] > xlo]
+        if xhi > xlo:
+            for j in active:
+                jy = rects[j][1]
+                if min(yhi, jy[1]) > max(ylo, jy[0]):
+                    pairs.append((i, j) if j < i else (j, i))
+        active.append(i)
+    return sorted(pairs)
 
 
 def stable_string(model: HorseshoeModel, w) -> tuple[Word, ...]:

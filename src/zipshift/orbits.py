@@ -70,11 +70,14 @@ def periodic_points(space: ZipShiftSpace, m: int) -> set[PeriodicPoint]:
     One entry per admissible cycle word, so a fixed point reappears at every
     multiple of its least period under a different word.  Only the
     admissible m-words are tested, by the space's cycle test; for full and
-    finite-type spaces the count matches count_periodic(m).
+    finite-type spaces the count matches count_periodic(m).  The m-words are
+    generated on the space's A'-walk as they are tested, so the space keeps
+    no list of them afterwards.
     """
     if m < 1:
         raise InvalidWord(f"period must be >= 1, got {m}")
-    return {_cycle_point(space, w) for w in space.language(m) if space._is_cycle(w)}
+    words = space._aprime_walk.iter_words(m)
+    return {_cycle_point(space, w) for w in words if space._is_cycle(w)}
 
 
 def orbit_points(space: ZipShiftSpace, p: PeriodicPoint) -> tuple[EpPoint, ...]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
 from .point import EpPoint
@@ -180,6 +180,23 @@ class _SubsetWalk:
                         level.append((w + (c,), t))
             levels.append(level)
         return levels[k]
+
+    def iter_words(self, k: int) -> Iterator[Word]:
+        """The spelled k-words in alphabet order, generated depth first.
+
+        Unlike :meth:`words` this keeps no level lists: at any time it holds
+        one pending branch per letter and depth.
+        """
+        stack = [((), 0)]
+        while stack:
+            w, s = stack.pop()
+            if len(w) == k:
+                yield w
+                continue
+            for c in reversed(self._letters):
+                t = self.move(s, c)
+                if self.sets[t]:
+                    stack.append((w + (c,), t))
 
 
 @dataclass(frozen=True)

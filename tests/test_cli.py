@@ -326,6 +326,17 @@ def test_horseshoe_verify(capsys):
     assert out == "samples=20\tdepth=4\tviolations=0\n"
 
 
+def test_negative_sample_counts_rejected(specs, capsys):
+    rc, out, err = run(
+        capsys, ["horseshoe", "verify", "-n", "2", "--depth", "3", "--samples", "-3"]
+    )
+    assert rc == 1 and out == ""
+    assert err == "error: conjugacy checks need at least one sample, got -3\n"
+    rc, out, err = run(capsys, ["code", "check", specs["block2"], "--samples", "-2"])
+    assert rc == 1 and out == ""
+    assert err == "error: sample count must be >= 0, got -2\n"
+
+
 def test_horseshoe_stable_string(capsys):
     rc, out, _ = run(capsys, ["horseshoe", "stable-string", "00"])
     assert rc == 0

@@ -8,6 +8,7 @@ from zipshift import (
     Alphabet,
     BlockCodeSpec,
     InvalidCode,
+    InvalidWord,
     apply_code,
     check_commutation,
     format_point,
@@ -66,6 +67,17 @@ def test_apply_code(ex21):
 def test_check_commutation(ex21, sigma_f):
     assert check_commutation(two_block_spec(ex21), samples=60)
     assert check_commutation(projection_spec(sigma_f), samples=60)
+
+
+def test_check_commutation_sample_count(ex21):
+    """No sample count below zero; zero samples still screens the periodic
+    points, which is where this corruption shows."""
+    spec = two_block_spec(ex21)
+    with pytest.raises(InvalidWord):
+        check_commutation(spec, samples=-1)
+    assert check_commutation(spec, samples=0)
+    spec.psi_plus[("2", "3")] = "31"
+    assert not check_commutation(spec, samples=0)
 
 
 def test_corrupted_table_fails_with_witness(ex21):

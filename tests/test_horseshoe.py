@@ -7,12 +7,16 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zipshift import (
     Alphabet,
     BadLetter,
+    EpPoint,
     EscapedSquare,
     GeometryError,
+    HorseshoeModel,
     InvalidWord,
     ItineraryCode,
     TransitionMap,
@@ -22,9 +26,11 @@ from zipshift import (
     count_point_preimages,
     decode,
     full_space,
+    shift,
     stable_string,
     verify_conjugacy,
 )
+from zipshift.horseshoe import _overlapping_pairs
 
 F = Fraction
 
@@ -162,6 +168,93 @@ def test_verify_conjugacy_negative(model2):
     )
     rep = verify_conjugacy(model2, wrong, 4, 40)
     assert len(rep.violations) > 0
+
+
+def test_verify_conjugacy_needs_a_sample(model2, coding2):
+    for samples in (0, -3):
+        with pytest.raises(InvalidWord):
+            verify_conjugacy(model2, coding2, 3, samples)
+
+
+def interiors_meet(r, s) -> bool:
+    dx = min(r[0][1], s[0][1]) - max(r[0][0], s[0][0])
+    dy = min(r[1][1], s[1][1]) - max(r[1][0], s[1][0])
+    return dx > 0 and dy > 0
+
+
+def all_pairs_verify(model, space, depth, samples, rng):
+    """The conjugacy check with every new rectangle compared against every
+    earlier one, kept here as the oracle of the sorted sweep."""
+    violations = []
+    seen = {}
+    for _ in range(samples):
+        code = ItineraryCode(
+            tuple(rng.choice(("a", "b")) for _ in range(depth)),
+            tuple(rng.choice(model.letters) for _ in range(depth)),
+        )
+        rect = decode(model, code)
+        if code not in seen:
+            for other, orect in seen.items():
+                if interiors_meet(rect, orect):
+                    violations.append(f"rectangles overlap: {code} and {other}")
+            seen[code] = rect
+        p = ((rect[0][0] + rect[0][1]) / 2, (rect[1][0] + rect[1][1]) / 2)
+        choices = tuple(rng.randint(1, model.n_folds) for _ in range(depth))
+        if code_point(model, p, depth, choices) != code:
+            violations.append(f"recoding the center of {code} changed the window")
+            continue
+        _, image = model.apply(p)
+        geometric = code_point(model, image, depth - 1, choices)
+        x = EpPoint((code.back[0],), code.back, code.fwd, (code.fwd[-1],))
+        symbolic = shift(space, x).window(-(depth - 1), 2 * (depth - 1))
+        if geometric.back + geometric.fwd != symbolic:
+            violations.append(
+                f"window of coded image {geometric} differs from shifted code at {code}"
+            )
+        if count_point_preimages(model, p) != model.n_folds:
+            violations.append(f"pre-image count at the center of {code} is not N")
+    return tuple(violations)
+
+
+class AliasedStripModel(HorseshoeModel):
+    """Decodes strip 1 as if it were strip 0.  The map itself, which reads
+    the strips directly, is untouched, so every rectangle center stays in the
+    square; only the decoded rectangles of 0 and 1 now overlap."""
+
+    def x_interval(self, letter):
+        return super().x_interval("0" if letter == "1" else letter)
+
+
+@pytest.mark.parametrize(
+    "n, depth, samples, aliased",
+    [(2, 2, 200, True), (2, 3, 300, True), (1, 4, 100, True), (1, 5, 120, False), (3, 3, 120, False)],
+)
+def test_verify_conjugacy_matches_all_pairs_scan(n, depth, samples, aliased):
+    model = AliasedStripModel(n, F(1, 2)) if aliased else build_model(n)
+    space = coding_space(model)
+    got = verify_conjugacy(model, space, depth, samples, random.Random(depth))
+    want = all_pairs_verify(model, space, depth, samples, random.Random(depth))
+    assert got.violations == want
+    overlaps = [v for v in want if v.startswith("rectangles overlap: ")]
+    later = {v.split(" and ")[0] for v in overlaps}
+    if aliased:
+        # with two folds some later codes overlap several earlier ones, so the
+        # order within those runs of lines is pinned too
+        assert len(later) > 5 and (n == 1 or len(overlaps) > len(later))
+    else:
+        assert want == ()
+
+
+_grid = st.integers(0, 8).map(lambda k: F(k, 8))
+_interval = st.tuples(_grid, _grid).map(lambda t: (min(t), max(t)))
+
+
+@given(st.lists(st.tuples(_interval, _interval), max_size=30))
+def test_overlapping_pairs_match_all_pairs(rects):
+    """On a coarse grid many rectangles share edges or have no width; only
+    interiors that meet count, as in the all-pairs scan."""
+    want = [(i, j) for i in range(len(rects)) for j in range(i) if interiors_meet(rects[i], rects[j])]
+    assert _overlapping_pairs(rects) == want
 
 
 def test_stable_string_chains(model2):

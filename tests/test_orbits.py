@@ -86,6 +86,24 @@ def test_periodic_points_even_listed(even):
     assert got[("0", "0", "0")] == "(c)* ; (0)*"
 
 
+def test_periodic_points_keep_no_word_lists():
+    """Listing walks the m-words without keeping them: no language entry and
+    no new level of the A'-walk stays behind in the space."""
+    space = sofic_space(
+        Alphabet(["a", "b", "c"]),
+        Alphabet(["0", "1"]),
+        TransitionMap(2, {("1", "1"): "a", ("1", "0"): "b", ("0", "1"): "b", ("0", "0"): "c"}),
+        ["P", "Q", "R"],
+        [("P", "P", "1"), ("P", "Q", "0"), ("Q", "R", "0"), ("R", "P", "0"), ("R", "R", "1")],
+    )
+    levels = len(space._aprime_walk._levels)
+    got = {p.word for p in periodic_points(space, 7)}
+    assert 7 not in space._lang_cache
+    assert len(space._aprime_walk._levels) == levels
+    assert got == {w for w in space.language(7) if space._is_cycle(w)}
+    assert len(got) > 10
+
+
 def test_orbit_points(ex21):
     p = periodic_point(ex21, ("2", "3"))
     orb = orbit_points(ex21, p)
