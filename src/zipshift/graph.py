@@ -23,14 +23,17 @@ class LetterSteps:
     ``back[w][c]`` lists the v with w in ``step[v][c]``, as often as it
     occurs there.  ``letter(c)`` gives, for every vertex v, the out-degree
     ``len(step[v][c])``, the same as a byte mask (1 where it is positive), and
-    the vertices where it is 0.
+    the vertices where it is 0.  ``last_label`` is the pre-image engine's
+    most recent label trim along this walk, or None: one per walk, so the
+    queries asked in turn about one point trim each of its sides once.
     """
 
-    __slots__ = ("back", "_by_letter", "_unread")
+    __slots__ = ("back", "last_label", "_by_letter", "_unread")
 
     def __init__(self, step: list[dict], back: list[dict]):
         n = len(step)
         self.back = back
+        self.last_label = None
         degree: dict[str | None, list[int]] = {}
         for v, by_letter in enumerate(step):
             for c, targets in by_letter.items():

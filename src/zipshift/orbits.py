@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import InvalidWord, NotInSpace
 from .point import EpPoint, shift, shift_k
 from .preimage import (
+    _check_search_bound,
     _preimage_point,
     labeled_graph_for,
     preimages,
@@ -100,6 +101,7 @@ def pre_periodic_points(
     """
     if level < 1:
         raise InvalidWord(f"level must be >= 1, got {level}")
+    _check_search_bound(d_max)
     orbit = set(orbit_points(space, p))
     m = len(p.word)
     found: set[EpPoint] = set()
@@ -316,6 +318,7 @@ def homoclinic_orbits(
     anchor, and branches whose forced continuation dies are dropped.
     Returned in alphabet order of the choice words.
     """
+    _check_search_bound(d_max)
     anchor = orbit_points(space, datum.periodic)[datum.k_back]
     w = anchor.right_period
 

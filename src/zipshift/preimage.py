@@ -21,7 +21,12 @@ that die.  The path search behind the classification stops at its first
 repeated (label phase, path counts) state past the left transient and folds
 deeper depths into that cycle; the classification stops checking depths
 once every search has ended or cycled and one common period of their
-states has been checked.  Nothing is kept across queries.
+states has been checked.
+
+Across queries, each walk direction of the labeled graph keeps its latest
+label trim (``LetterSteps.last_label``), and a query reads that one instead
+of trimming again when its (transient, period) is the same: the queries
+asked in turn about one point trim each side of it once between them.
 """
 from __future__ import annotations
 
@@ -98,6 +103,7 @@ class _Label:
     """
 
     def __init__(self, walk: LetterSteps, transient: Word, period: Word):
+        self.key = (transient, period)
         n = len(walk.back)
         layers = _alive_cycle_nodes(walk, period)
         ahead = layers[0]
@@ -120,9 +126,18 @@ class _Label:
         return bool(self._layers[depth][v])
 
 
+def _label(walk: LetterSteps, transient: Word, period: Word) -> _Label:
+    """The label's trim along ``walk``: the walk's last one when it was built
+    for the same (transient, period), else a new one that takes its place."""
+    label = walk.last_label
+    if label is None or label.key != (transient, period):
+        label = walk.last_label = _Label(walk, transient, period)
+    return label
+
+
 def _left_label(g: LabeledGraph, x: EpPoint) -> _Label:
     """x's A-label read outward on the backward graph: depth d starts at x_{-1-d}."""
-    return _Label(
+    return _label(
         g.leftward,
         tuple(reversed(x.left_transient)),
         tuple(reversed(x.left_period)),
@@ -143,7 +158,7 @@ def left_viability(
     transient, period = left_label
     if not period:
         raise InvalidWord("left label needs a non-empty period")
-    label = _Label(labeled_graph_for(space).leftward, tuple(transient), tuple(period))
+    label = _label(labeled_graph_for(space).leftward, tuple(transient), tuple(period))
     return any(label.viable(v, 0) for v in start_vertices)
 
 
@@ -153,12 +168,15 @@ def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
     ids = g.ids_with_label(x.window(0, ell))
     if not ids:
         return set()
-    right = _Label(g.rightward, x.right_transient, x.right_period)
+    right = _label(g.rightward, x.right_transient, x.right_period)
     return {v for v in ids if right.viable(v, ell)}
 
 
 def point_admissibility(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
-    """Window admissibility on the unrolled representation plus liftability."""
+    """Is x in the space?  Decided exactly by lifting x to a walk of the
+    labeled graph.  Only a refused x is scanned, letter by letter and window
+    by window, so that the report names the first letter or window that fails
+    (or, when all pass, the side that does not lift)."""
     return _admissibility(space, x)[0]
 
 
@@ -166,18 +184,19 @@ def _admissibility(
     space: ZipShiftSpace, x: EpPoint
 ) -> tuple[AdmissibilityReport, set[int], _Label | None]:
     """The report, with the position-0 vertices and the left label that
-    liftability was decided on (empty and None where the check stopped first)."""
+    liftability was decided on (empty and None where a letter or window
+    fails, and None where no vertex carries the right tail)."""
+    g = labeled_graph_for(space)
+    starts = _position_zero_vertices(g, x)
+    left = _left_label(g, x) if starts else None
+    if left is not None and any(left.viable(v, 0) for v in starts):
+        return AdmissibilityReport(True, None), starts, left
     failure = _window_failure(space, x)
     if failure is not None:
         return failure, set(), None
-    g = labeled_graph_for(space)
-    starts = _position_zero_vertices(g, x)
     if not starts:
         return AdmissibilityReport(False, "right tail is not realizable by any walk"), starts, None
-    left = _left_label(g, x)
-    if not any(left.viable(v, 0) for v in starts):
-        return AdmissibilityReport(False, "left label is not liftable"), starts, left
-    return AdmissibilityReport(True, None), starts, left
+    return AdmissibilityReport(False, "left label is not liftable"), starts, left
 
 
 def _window_failure(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport | None:
@@ -439,8 +458,15 @@ def _classify(
     )
 
 
+def _check_search_bound(d_max: int) -> None:
+    """Refuse a path-search bound below 1: the classification starts at depth 1."""
+    if d_max < 1:
+        raise InvalidWord(f"search bound must be >= 1, got {d_max}")
+
+
 def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResult:
     """All y with shift(y) = x, plus classification metadata."""
+    _check_search_bound(d_max)
     report, v0, left = _admissibility(space, x)
     if not report.ok:
         raise NotInSpace(report.reason)
@@ -469,6 +495,7 @@ def preimages_k(
     """All y with shift_k(y) = x, by k-fold branching with per-step pruning."""
     if k < 1:
         raise InvalidWord(f"pre-image depth must be >= 1, got {k}")
+    _check_search_bound(d_max)
     frontier = {x}
     for _ in range(k):
         frontier = {y for p in frontier for y in preimages(space, p, d_max).points}

@@ -12,9 +12,7 @@ import pytest
 
 from zipshift import (
     Alphabet,
-    EpPoint,
     TransitionMap,
-    UndefinedWindow,
     build_labeled_graph,
     build_model,
     check_commutation,
@@ -36,6 +34,7 @@ from zipshift import (
     stable_string,
     verify_conjugacy,
 )
+from oracles import oracle_preimages
 
 
 def _finish(num: int, t0: float, bound: float, detail: str) -> None:
@@ -210,73 +209,15 @@ def test_criterion_08_higher_block_and_power(ex21, even, coding1):
     _finish(8, t0, 30, "block/power recodings round-trip and commute, N<=3, 100 points each")
 
 
-def _unshift_candidate(x, t):
-    # y with sigma(y) = x and y_0 = t, by index arithmetic alone
-    m = len(x.left_period)
-    depth = len(x.left_transient) + m
-    lt = tuple(x.letter(-j - 1) for j in range(depth, 0, -1))
-    lp = tuple(x.letter(-(depth + 1 + k)) for k in range(m, 0, -1))
-    return EpPoint(lp, lt, (t,) + x.right_transient, x.right_period)
-
-
-def _oracle_member(space, y, depth=12):
-    # extendability oracle: admissible right ray plus a depth-limited
-    # backward search for an A'-lift of the left letters
-    n = space.n
-    reach = (
-        len(y.right_transient)
-        + 6 * len(y.right_period)
-        + n
-        + space.step_k
-        + depth
-    )
-    right = y.window(0, reach)
-    if not space.admissible_word(right):
-        return False
-    targets = [y.letter(-j) for j in range(1, depth + 1)]
-
-    def search(j, lifted):
-        if j > depth:
-            return True
-        for t in space.alphabet_aprime:
-            window = ((t,) + lifted + right)[:n]
-            try:
-                image = space.tm(window)
-            except UndefinedWindow:
-                continue
-            if image != targets[j - 1]:
-                continue
-            attempt = (t,) + lifted
-            if not space.admissible_word(attempt + right):
-                continue
-            if search(j + 1, attempt):
-                return True
-        return False
-
-    return search(1, ())
-
-
 def test_criterion_09_preimage_oracle(ex21, classical, sigma_f, sigma_g, even, five, golden, coding2):
     t0 = time.perf_counter()
     fixtures = (ex21, classical, sigma_f, sigma_g, even, five, golden, coding2)
     rng = random.Random(9)
     for space in fixtures:
         assert len(space.alphabet_aprime.symbols) <= 6
-        n = space.n
         for _ in range(100):
             x = random_point(space, rng)
-            expected = set()
-            for t in space.alphabet_aprime:
-                seam = (t,) + x.window(0, n - 1)
-                try:
-                    if space.tm(seam) != x.letter(-1):
-                        continue
-                except UndefinedWindow:
-                    continue
-                y = _unshift_candidate(x, t)
-                if _oracle_member(space, y):
-                    expected.add(y)
-            assert set(preimages(space, x).points) == expected
+            assert set(preimages(space, x).points) == oracle_preimages(space, x)
     _finish(9, t0, 60, f"branch sets equal the depth-12 oracle on {len(fixtures)} fixtures")
 
 

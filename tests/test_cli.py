@@ -337,6 +337,14 @@ def test_negative_sample_counts_rejected(specs, capsys):
     assert err == "error: sample count must be >= 0, got -2\n"
 
 
+def test_search_bound_below_one_rejected(specs, capsys):
+    for extra in (["--classify"], ["--depth", "2"]):
+        argv = ["point", "preimages", specs["sigma_f"], "(a)* ; (1)*", "--dmax", "0", *extra]
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err == "error: search bound must be >= 1, got 0\n"
+
+
 def test_horseshoe_stable_string(capsys):
     rc, out, _ = run(capsys, ["horseshoe", "stable-string", "00"])
     assert rc == 0

@@ -129,6 +129,22 @@ def test_pre_periodic_points(ex21, sigma_f, sigma_g, classical):
     }
 
 
+def test_search_bound_below_one_refused_up_front(coding2, monkeypatch):
+    p = periodic_point(coding2, ("0", "1'"))
+    datum = homoclinic_datum(coding2, p, parse_point("(a b)* b a ; 1 (0 1')*"))
+
+    def no_search(*args):
+        raise AssertionError("a pre-image was computed")
+
+    monkeypatch.setattr("zipshift.orbits.preimages", no_search)
+    monkeypatch.setattr("zipshift.orbits.preimages_k", no_search)
+    for d_max in (0, -3):
+        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
+            pre_periodic_points(coding2, p, 1, d_max)
+        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
+            homoclinic_orbits(coding2, datum, d_max)
+
+
 def test_stable_unstable_membership(coding2):
     p = periodic_point(coding2, ("0", "1'"))
     h = parse_point("(a b)* b a ; 1 (0 1')*")

@@ -5,21 +5,31 @@ import random
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_preimages
+from test_a_side import spaces
 from zipshift import (
+    AdmissibilityReport,
     Alphabet,
+    EpPoint,
     InvalidWord,
+    NotInSpace,
     TransitionMap,
     canonical_lift,
     format_point,
     full_space,
     is_admissible,
     parse_point,
+    point_from_lift,
     preimages,
     preimages_k,
     random_point,
     shift,
 )
+from zipshift.cli import space_from_dict, space_to_dict
+from zipshift.preimage import _Label, _window_failure, labeled_graph_for
 
 
 def pts(result):
@@ -111,6 +121,16 @@ def test_preimages_k(sigma_f):
         preimages_k(sigma_f, x, 0)
 
 
+def test_search_bound_below_one_refused(sigma_f):
+    x = parse_point("(a)* ; (1)*")
+    for d_max in (0, -3):
+        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
+            preimages(sigma_f, x, d_max)
+        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
+            preimages_k(sigma_f, x, 2, d_max)
+    assert preimages(sigma_f, x, 1).classification.searched_to == 1
+
+
 def test_preimage_shift_round_trip(ex21, even, five, sigma_f):
     rng = random.Random(5)
     for space in (ex21, even, five, sigma_f):
@@ -146,3 +166,100 @@ def test_graph_cache_does_not_keep_spaces():
     del space
     gc.collect()
     assert ref() is None
+
+
+def window_first_admissibility(space, x) -> AdmissibilityReport:
+    """Membership in the order it was decided before the exact check went
+    first: the letter and window scan, then the lift, every trim built
+    afresh."""
+    failure = _window_failure(space, x)
+    if failure is not None:
+        return failure
+    g = labeled_graph_for(space)
+    ell = len(g.labels[0])
+    right = _Label(g.rightward, x.right_transient, x.right_period)
+    starts = {v for v in g.ids_with_label(x.window(0, ell)) if right.viable(v, ell)}
+    if not starts:
+        return AdmissibilityReport(False, "right tail is not realizable by any walk")
+    left = _Label(g.leftward, tuple(reversed(x.left_transient)), tuple(reversed(x.left_period)))
+    if not any(left.viable(v, 0) for v in starts):
+        return AdmissibilityReport(False, "left label is not liftable")
+    return AdmissibilityReport(True, None)
+
+
+@st.composite
+def points_near(draw, space):
+    """A point of the space or an eventually periodic sequence over both
+    alphabets, then maybe one letter replaced by a letter of A, of A' or of
+    neither."""
+    a, ap = space.alphabet_a.symbols, space.alphabet_aprime.symbols
+    if draw(st.booleans()):
+        x = random_point(space, random.Random(draw(st.integers(0, 2**32 - 1))))
+        parts = [x.left_period, x.left_transient, x.right_transient, x.right_period]
+    else:
+        def word(alphabet, least):
+            return draw(st.lists(st.sampled_from(alphabet), min_size=least, max_size=3).map(tuple))
+
+        parts = [word(a, 1), word(a, 0), word(ap, 0), word(ap, 1)]
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([j for j, w in enumerate(parts) if w]))
+        k = draw(st.integers(0, len(parts[i]) - 1))
+        c = draw(st.sampled_from(a + ap + ("z",)))
+        parts[i] = parts[i][:k] + (c,) + parts[i][k + 1 :]
+    return EpPoint(*parts)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.data())
+def test_exact_check_first_keeps_the_window_first_reports(space, data):
+    """A refused point's report still names the first letter or window that
+    fails, and the exact check accepts exactly what the scan-first order did."""
+    for x in data.draw(st.lists(points_near(space), min_size=1, max_size=8)):
+        assert is_admissible(space, x) == window_first_admissibility(space, x)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.integers(0, 2**32 - 1))
+def test_preimages_and_lift_match_oracles(space, seed):
+    """Pre-images against the depth-12 oracle of acceptance criterion 9, and
+    the canonical lift against the point it lifts."""
+    rng = random.Random(seed)
+    for _ in range(2):
+        x = random_point(space, rng)
+        assert set(preimages(space, x).points) == oracle_preimages(space, x)
+        assert point_from_lift(space, canonical_lift(space, x)) == x
+
+
+def _ask(query, space, x):
+    try:
+        return query(space, x)
+    except NotInSpace as exc:
+        return f"NotInSpace: {exc}"
+
+
+def test_label_memo_does_not_leak_between_points(ex21, even, five, f3):
+    """Queries on one space that alternate between points sharing one side
+    (a right tail with another left label, a left label with another right
+    tail) answer as a fresh space does, and each walk keeps one label."""
+    queries = (is_admissible, preimages, canonical_lift)
+    for fixture in (ex21, even, five, f3):
+        spec = space_to_dict(fixture)
+        space = space_from_dict(spec)
+        a, ap = space.alphabet_a.symbols, space.alphabet_aprime.symbols
+        rng = random.Random(7)
+        asked = set()
+        for i in range(20):
+            x = random_point(space, rng)
+            lp, lt, rt, rp = x.left_period, x.left_transient, x.right_transient, x.right_period
+            other_left = EpPoint(lp, lt + (rng.choice(a),), rt, rp)
+            other_right = EpPoint(lp, lt, (rng.choice(ap),) + rt, rp)
+            for j, p in enumerate((x, other_left, x, other_right)):
+                for k in range(3):
+                    query = queries[(i + j + k) % 3]
+                    got = _ask(query, space, p)
+                    assert got == _ask(query, space_from_dict(spec), p), (query.__name__, format_point(p))
+                    asked.add((query.__name__, p))
+        assert len(asked) >= 100
+        g = labeled_graph_for(space)
+        for walk in (g.leftward, g.rightward):
+            assert isinstance(walk.last_label, _Label)
