@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import NotInSpace, ZipShiftError
-from .point import EpPoint, format_point, is_admissible, metrics, parse_point, shift_k
+from .point import EpPoint, _letter_failure, format_point, is_admissible, metrics, parse_point, shift_k
 from .space import ZipShiftSpace, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
 
@@ -192,12 +192,9 @@ def _point_arg(space: ZipShiftSpace, text: str) -> EpPoint:
 def _loose_point_arg(space: ZipShiftSpace, text: str) -> EpPoint:
     """Parse a point checking only alphabet membership, not whole-space admissibility."""
     x = parse_point(text)
-    for j in range(1, len(x.left_transient) + len(x.left_period) + 1):
-        if x.letter(-j) not in space.alphabet_a:
-            raise NotInSpace(f"letter {x.letter(-j)!r} at index {-j} is not in A")
-    for i in range(len(x.right_transient) + len(x.right_period)):
-        if x.letter(i) not in space.alphabet_aprime:
-            raise NotInSpace(f"letter {x.letter(i)!r} at index {i} is not in A'")
+    failure = _letter_failure(space, x)
+    if failure is not None:
+        raise NotInSpace(failure)
     return x
 
 

@@ -17,27 +17,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
-from .graph import LabeledGraph, _block_recode, build_labeled_graph, presentation_graph, vertex_like
+from .graph import _default_width, build_labeled_graph
 from .orbits import periodic_points
 from .point import EpPoint, random_point, shift
 from .preimage import canonical_lift
 from .space import ZipShiftSpace, _minimal_forbidden, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
-
-
-def _walk_graph(space: ZipShiftSpace, span: int) -> LabeledGraph:
-    """A graph whose bi-infinite walks spell the space's positive-side
-    language, with every edge carrying an admissible ``span``-letter word.
-
-    Finite-type spaces get the sliding-window graph on admissible words of
-    length span - 1 (at least the memory); sofic spaces reuse the block
-    recode of their presentation.  Each edge's word is its source label
-    followed by the emitted letter.
-    """
-    if space.kind == "sofic":
-        vl = vertex_like(presentation_graph(space))
-        return _block_recode(vl, max(span - 1, space.n, 1), space)
-    return build_labeled_graph(space, ell=max(span - 1, space.n - 1, space.memory(), 1))
 
 
 class BlockCodeSpec:
@@ -125,7 +110,7 @@ class BlockCodeSpec:
                 )
         self.derived = derived
 
-        g = _walk_graph(source, window)
+        g = build_labeled_graph(source, max(window - 1, _default_width(source)))
         names = [f"q{i}" for i in range(g.n_vertices())]
         edges = [
             (names[src], names[dst], self.psi_plus[(g.labels[src] + (first,))[:window]])
@@ -302,11 +287,11 @@ def _block_forbidden(space: ZipShiftSpace, sep: str, N: int, stride: int, top: i
 
     def admissible(r: int) -> set[Word]:
         return {
-            tuple(_join(sep, u[j * stride : j * stride + N]) for j in range(r))
+            tuple(sep.join(u[j * stride : j * stride + N]) for j in range(r))
             for u in space.language(N + (r - 1) * stride)
         }
 
-    return _minimal_forbidden([_join(sep, w) for w in space.language(N)], admissible, top)
+    return _minimal_forbidden([sep.join(w) for w in space.language(N)], admissible, top)
 
 
 def _joiner(space: ZipShiftSpace) -> str:
@@ -315,10 +300,6 @@ def _joiner(space: ZipShiftSpace) -> str:
         for c in tuple(space.alphabet_a.symbols) + tuple(space.alphabet_aprime.symbols)
     )
     return "" if single else "."
-
-
-def _join(sep: str, w: Word) -> str:
-    return sep.join(w) if sep else "".join(w)
 
 
 def _split(sep: str, letter: str) -> tuple[str, ...]:
@@ -337,19 +318,19 @@ def higher_block(space: ZipShiftSpace, N: int):
         raise InvalidWord(f"block length must be >= 1, got {N}")
     sep = _joiner(space)
     n = space.n
-    new_ap = Alphabet([_join(sep, w) for w in space.language(N)])
-    new_a = Alphabet([_join(sep, w) for w in space.language(N, "a")])
+    new_ap = Alphabet([sep.join(w) for w in space.language(N)])
+    new_a = Alphabet([sep.join(w) for w in space.language(N, "a")])
     table: dict[Word, str] = {}
     for u in space.language(N + n - 1):
-        key = tuple(_join(sep, u[j : j + N]) for j in range(n))
-        table[key] = _join(sep, space.tm.phi_extend(u))
+        key = tuple(sep.join(u[j : j + N]) for j in range(n))
+        table[key] = sep.join(space.tm.phi_extend(u))
     tm = TransitionMap(n, table)
 
     if space.kind == "sofic":
-        g = _walk_graph(space, N + 1)
+        g = build_labeled_graph(space, max(N, _default_width(space)))
         names = [f"q{i}" for i in range(g.n_vertices())]
         edges = [
-            (names[src], names[dst], _join(sep, (g.labels[src] + (first,))[:N]))
+            (names[src], names[dst], sep.join((g.labels[src] + (first,))[:N]))
             for src, dst, first, _ in g.edges
         ]
         new_space = sofic_space(new_a, new_ap, tm, names, edges)
@@ -359,9 +340,9 @@ def higher_block(space: ZipShiftSpace, N: int):
         new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
-        rt = tuple(_join(sep, x.window(i, N)) for i in range(len(x.right_transient)))
+        rt = tuple(sep.join(x.window(i, N)) for i in range(len(x.right_transient)))
         rp = tuple(
-            _join(sep, x.window(len(x.right_transient) + j, N))
+            sep.join(x.window(len(x.right_transient) + j, N))
             for j in range(len(x.right_period))
         )
 
@@ -369,7 +350,7 @@ def higher_block(space: ZipShiftSpace, N: int):
             return x.letter(p) if p < 0 else space.tm(x.window(p, n))
 
         def y_neg(j: int) -> str:
-            return _join(sep, tuple(bar(-j + t) for t in range(N)))
+            return sep.join(bar(-j + t) for t in range(N))
 
         depth = len(x.left_transient) + N
         out = [y_neg(j) for j in range(1, depth + 1)]
@@ -400,12 +381,12 @@ def higher_power(space: ZipShiftSpace, N: int):
     sep = _joiner(space)
     n = space.n
     n2 = 1 + math.ceil((n - 1) / N)
-    new_ap = Alphabet([_join(sep, w) for w in space.language(N)])
-    new_a = Alphabet([_join(sep, w) for w in space.language(N, "a")])
+    new_ap = Alphabet([sep.join(w) for w in space.language(N)])
+    new_a = Alphabet([sep.join(w) for w in space.language(N, "a")])
     table: dict[Word, str] = {}
     for u in space.language(n2 * N):
-        key = tuple(_join(sep, u[j * N : (j + 1) * N]) for j in range(n2))
-        table[key] = _join(sep, space.tm.phi_extend(u[: N + n - 1]))
+        key = tuple(sep.join(u[j * N : (j + 1) * N]) for j in range(n2))
+        table[key] = sep.join(space.tm.phi_extend(u[: N + n - 1]))
     tm = TransitionMap(n2, table)
 
     if space.kind == "sofic":
@@ -420,7 +401,7 @@ def higher_power(space: ZipShiftSpace, N: int):
                 (v0, d, w + (c,)) for v0, v, w in frontier for d, c in out[v]
             ]
         edges = sorted(
-            {(v0, v1, _join(sep, w)) for v0, v1, w in frontier}
+            {(v0, v1, sep.join(w)) for v0, v1, w in frontier}
         )
         new_space = sofic_space(
             new_a, new_ap, tm, list(space.presentation_vertices), edges
@@ -433,13 +414,13 @@ def higher_power(space: ZipShiftSpace, N: int):
     def forward(x: EpPoint) -> EpPoint:
         rt_len = math.ceil(len(x.right_transient) / N)
         rp_len = len(x.right_period) // math.gcd(N, len(x.right_period))
-        rt = tuple(_join(sep, x.window(i * N, N)) for i in range(rt_len))
-        rp = tuple(_join(sep, x.window((rt_len + j) * N, N)) for j in range(rp_len))
+        rt = tuple(sep.join(x.window(i * N, N)) for i in range(rt_len))
+        rp = tuple(sep.join(x.window((rt_len + j) * N, N)) for j in range(rp_len))
         lt_len = math.ceil(len(x.left_transient) / N)
         lp_len = len(x.left_period) // math.gcd(N, len(x.left_period))
 
         def y_neg(j: int) -> str:
-            return _join(sep, tuple(x.letter(-j * N + t) for t in range(N)))
+            return sep.join(x.letter(-j * N + t) for t in range(N))
 
         out = [y_neg(j) for j in range(1, lt_len + 1)]
         cyc = [y_neg(lt_len + 1 + t) for t in range(lp_len)]

@@ -5,6 +5,13 @@ id).  Edges carry a pair of labels: ``first`` is the A'-letter the walk reads
 next, ``sofic`` the A-letter the transition map assigns to that step.  Walks
 of the graph spell exactly the admissible sequences, which is what the
 pre-image engine runs on.
+
+Every space kind gets its window graph the same way, as a higher edge graph
+(Lind & Marcus, section 2.3) of the trimmed A'-graph the space already
+holds: its vertices are walks of that graph, labeled by the letters they
+spell, and its edges are the walks one step longer.  ``presentation_graph``
+and ``vertex_like`` build a sofic presentation's line graph apart from that
+construction and serve as its reference.
 """
 from __future__ import annotations
 
@@ -212,74 +219,69 @@ def spelled_language(g: LabeledGraph, k: int) -> set[Word]:
     return words
 
 
-def _block_recode(g: LabeledGraph, ell: int, space: ZipShiftSpace) -> LabeledGraph:
-    """Recode a 1-letter vertex-like graph so every vertex label has ell letters.
-
-    New vertices are length-ell walks of the input; the sofic edge label
-    becomes the transition image of the source label's leading window.
-    """
-    walks: list[tuple[int, ...]] = [(v,) for v in range(g.n_vertices())]
-    for _ in range(ell - 1):
-        walks = [
-            w + (e[1],)
-            for w in walks
-            for e in g.out_edges(w[-1])
-        ]
-        walks = sorted(set(walks))
-    wid = {w: i for i, w in enumerate(walks)}
-    labels = [tuple(g.labels[v][0] for v in w) for w in walks]
-    edges: list[tuple[int, int, str, str | None]] = []
-    for w in walks:
-        src_label = labels[wid[w]]
-        for e in g.out_edges(w[-1]):
-            w2 = w[1:] + (e[1],)
-            if w2 in wid:
-                edges.append((wid[w], wid[w2], labels[wid[w2]][-1], space.tm(src_label[: space.n])))
-    return _trim(LabeledGraph(labels, edges))
+def _default_width(space: ZipShiftSpace) -> int:
+    """The width the pre-image engine works at: the least width, or the
+    derived memory of a finite-type space when that is longer."""
+    least = space._least_width()
+    return least if space.kind == "sofic" else max(least, space.memory())
 
 
 def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> LabeledGraph:
-    """The labeled presentation used by the pre-image engine.
+    """The labeled window graph of width ``ell``: for every space kind, a
+    higher edge graph of the space's trimmed A'-graph.
 
-    Finite-type spaces get the sliding-window graph on admissible ell-words,
-    ell = max(n-1, memory, 1) unless given (at least max(n-1, step_k, 1)),
-    with an edge for every admissible extension: one move of the space's
-    A'-side subset walk per (word, letter).  Sofic spaces go through
-    the vertex-like construction, then a block recode so every vertex label
-    is long enough to evaluate the transition map; the recode is
-    cross-checked against the space's own language, and ``ell`` is ignored.
+    Its units are, for full and finite-type spaces, the block graph's
+    vertices (the max(step_k, 1)-blocks, in alphabet order) and, for sofic
+    spaces, the presentation edges in the order given, each labeled by its
+    letter, so that parallel edges stay distinct.  A vertex is a walk of
+    units whose labels, overlapped, spell ell letters.  It has an edge to
+    every walk that drops its first unit and takes one more; the edge reads
+    that unit's last letter c and carries the A-letter tm((label + c)[:n]).
+    Vertices come in lexicographic order of their units, which for
+    finite-type spaces is alphabet order of their labels.  ``ell`` defaults
+    to ``_default_width`` and may not be below the least width; sofic graphs
+    are cross-checked against the space's language on short words.
     """
-    n = space.n
-    if space.kind in ("full", "sft"):
-        least = max(n - 1, space.step_k, 1)
-        if ell is None:
-            ell = max(least, space.memory())
-        elif ell < least:
-            raise InvalidWord(f"window width {ell} is below max(n - 1, step, 1) = {least}")
-        walk = space._aprime_walk
-        vertices = walk.words(ell)
-        index = {w: i for i, (w, _state) in enumerate(vertices)}
-        edges: list[tuple[int, int, str, str | None]] = []
-        for u, state in vertices:
-            for c in space.alphabet_aprime.symbols:
-                if walk.sets[walk.move(state, c)]:
-                    w = u + (c,)
-                    edges.append((index[u], index[w[1:]], c, space.tm(w[:n])))
-        return LabeledGraph([w for w, _state in vertices], edges)
-    vl = vertex_like(presentation_graph(space))
-    recoded = _block_recode(vl, max(n, 1), space)
-    bound = min(2 * recoded.n_vertices(), 10)
-    for k in range(1, bound + 1):
-        if len(space.alphabet_aprime) ** k > 200_000:
-            break
-        got = spelled_language(recoded, k)
-        want = set(space.language(k))
-        if got != want:
-            raise InvalidWord(
-                f"vertex-like recode changed the language at length {k}: "
-                f"extra={sorted(got - want)[:3]} missing={sorted(want - got)[:3]}"
-            )
-    return recoded
+    least = space._least_width()
+    if ell is None:
+        ell = _default_width(space)
+    elif ell < least:
+        raise InvalidWord(f"window width {ell} is below the least width {least}")
+    if space.kind == "sofic":
+        units = space.presentation_edges
+        leaving: dict[str, list[int]] = {}
+        for i, (src, _dst, _c) in enumerate(units):
+            leaving.setdefault(src, []).append(i)
+        labels_of = [(c,) for _s, _d, c in units]
+        succ = [leaving[dst] for _s, dst, _c in units]
+    else:
+        labels_of = [w for w, _state in space._aprime_walk.words(max(space.step_k, 1))]
+        succ = [[t for targets in out.values() for t in targets] for out in space._step]
+    walks: list[tuple[int, ...]] = [(u,) for u in range(len(labels_of))]
+    for _ in range(ell - len(labels_of[0])):
+        walks = [w + (t,) for w in walks for t in succ[w[-1]]]
+    index = {w: i for i, w in enumerate(walks)}
+    labels = [labels_of[w[0]] + tuple(labels_of[u][-1] for u in w[1:]) for w in walks]
+    n, tm = space.n, space.tm
+    edges: list[tuple[int, int, str, str | None]] = []
+    for i, w in enumerate(walks):
+        for t in succ[w[-1]]:
+            c = labels_of[t][-1]
+            edges.append((i, index[w[1:] + (t,)], c, tm((labels[i] + (c,))[:n])))
+    g = LabeledGraph(labels, edges)
+    if space.kind == "sofic":
+        bound = min(2 * g.n_vertices(), 10)
+        for k in range(1, bound + 1):
+            if len(space.alphabet_aprime) ** k > 200_000:
+                break
+            got = spelled_language(g, k)
+            want = set(space.language(k))
+            if got != want:
+                raise InvalidWord(
+                    f"window graph spells a different language at length {k}: "
+                    f"extra={sorted(got - want)[:3]} missing={sorted(want - got)[:3]}"
+                )
+    return g
 
 
 def backward(g: LabeledGraph) -> LabeledGraph:

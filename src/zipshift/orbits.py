@@ -221,24 +221,13 @@ def homoclinic_datum(
     Raises NotInSpace when x lies on the orbit or one of its tails never
     merges with the orbit.
     """
-    orb = orbit_points(space, p)
-    if x in set(orb):
+    if x in set(orbit_points(space, p)):
         raise NotInSpace("the point lies on the periodic orbit itself")
-    back: tuple[int, int] | None = None
-    for k, r in enumerate(orb):
-        d = _left_merge(x, r)
-        if d is not None:
-            back = (k, d + 1)
-            break
-    fwd: tuple[int, int] | None = None
-    for k, r in enumerate(orb):
-        d = _right_merge(x, r)
-        if d is not None:
-            fwd = (k, d)
-            break
-    if back is None or fwd is None:
+    report = stable_unstable_membership(space, p, x)
+    back, fwd = report.u_global, report.s_global
+    if not (back and fwd):
         raise NotInSpace("the point is not doubly asymptotic to the orbit")
-    return HomoclinicDatum(p, x, back[1], fwd[1], back[0], fwd[0])
+    return HomoclinicDatum(p, x, back.merge + 1, fwd.merge, back.phase, fwd.phase)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,18 @@ class AdmissibilityReport:
         return self.ok
 
 
+def _letter_failure(space: ZipShiftSpace, x: EpPoint) -> str | None:
+    """Why x has a letter outside its side's alphabet, or None: the first
+    such letter of its unrolled representation, A-side depths first."""
+    for j in range(1, len(x.left_transient) + len(x.left_period) + 1):
+        if x.letter(-j) not in space.alphabet_a:
+            return f"letter {x.letter(-j)!r} at index {-j} is not in A"
+    for i in range(len(x.right_transient) + len(x.right_period)):
+        if x.letter(i) not in space.alphabet_aprime:
+            return f"letter {x.letter(i)!r} at index {i} is not in A'"
+    return None
+
+
 def is_admissible(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
     """Window admissibility plus left-tail liftability."""
     from . import preimage

@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
-from .graph import LabeledGraph, LetterSteps, build_labeled_graph
-from .point import AdmissibilityReport, EpPoint
+from .graph import LabeledGraph, LetterSteps, _default_width, build_labeled_graph
+from .point import AdmissibilityReport, EpPoint, _letter_failure
 from .space import ZipShiftSpace
 from .symbols import Word
 
@@ -43,14 +43,14 @@ from .symbols import Word
 def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
     """The space's labeled graph, built on first use and kept on the space.
 
-    It is the graph the space reads its A-side on whenever the widths agree,
-    which they do unless the derived A-side has the longer memory.
+    It is the graph the space reads its A-side on, at the least width,
+    unless the derived A-side of a finite-type space has the longer memory.
     """
     g = space._labeled_graph
     if g is None:
         space._a_walk()  # builds space._window_graph
         g = space._window_graph
-        if space.kind != "sofic" and len(g.labels[0]) != max(space.n - 1, space.memory(), 1):
+        if _default_width(space) != space._least_width():
             g = build_labeled_graph(space)
         space._labeled_graph = g
     return g
@@ -201,14 +201,9 @@ def _admissibility(
 
 def _window_failure(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport | None:
     """The first letter or window of x's unrolled representation that fails."""
-    left_len = len(x.left_transient) + len(x.left_period)
-    right_len = len(x.right_transient) + len(x.right_period)
-    for j in range(1, left_len + 1):
-        if x.letter(-j) not in space.alphabet_a:
-            return AdmissibilityReport(False, f"letter {x.letter(-j)!r} at index {-j} is not in A")
-    for i in range(right_len):
-        if x.letter(i) not in space.alphabet_aprime:
-            return AdmissibilityReport(False, f"letter {x.letter(i)!r} at index {i} is not in A'")
+    failure = _letter_failure(space, x)
+    if failure is not None:
+        return AdmissibilityReport(False, failure)
     if space.kind == "sofic":
         width = max(space.n, 2)
     else:

@@ -21,11 +21,10 @@ kind; so are the A'-adjacency matrix and the periodic counts (closed walks)
 of full and finite-type spaces.
 
 Every A-word and every seam block is the image of some A'-word, so both are
-decided by reading them through the labeled window graph of width
-max(n - 1, step_k, 1) (sofic spaces: their recoded presentation) with the
-subset construction, never by listing A'-words.  An A-word is admissible
-when reading it along the edges' A-labels from all vertices leaves a
-non-empty vertex set; a seam block (a ; u) when some vertex of the set
+decided by reading them through the labeled window graph of least width
+(a higher edge graph of the A'-graph) with the subset construction, never
+by listing A'-words.  An A-word is admissible when reading it along the
+edges' A-labels from all vertices leaves a non-empty vertex set; a seam block (a ; u) when some vertex of the set
 reached by a carries u's first letters and can read the rest of u along
 the edges' A'-labels.  The same walk lists the A-side and mixed languages
 in alphabet order and derives the minimal forbidden A-words.
@@ -403,22 +402,26 @@ class ZipShiftSpace:
 
     # -- derived A-side and mixed languages -------------------------------
 
+    def _least_width(self) -> int:
+        """The least width of a labeled window graph of the space:
+        max(n - 1, step_k, 1) for full and finite-type spaces, n for sofic."""
+        return self.n if self.kind == "sofic" else max(self.n - 1, self.step_k, 1)
+
     def _a_walk(self) -> _SubsetWalk:
         """The subset walk reading A-words on the labeled window graph.
 
-        The graph is ``build_labeled_graph`` at width max(n - 1, step_k, 1)
-        (sofic spaces: the recode, of width n), built on first use and kept
-        as ``_window_graph``; the pre-image engine reuses it whenever its own
-        width comes out the same.  A walk of L edges spells an admissible
-        A'-word, and its edges' A-labels are the phi-images of that word's
-        first L windows; every admissible A'-word of length L + n - 1
-        extends to such a walk, so an A-word is admissible exactly when its
-        state is non-empty.
+        The graph is ``build_labeled_graph`` at the least width, built on
+        first use and kept as ``_window_graph``; the pre-image engine reuses
+        it whenever its own width comes out the same.  A walk of L edges
+        spells an admissible A'-word, and its edges' A-labels are the
+        phi-images of that word's first L windows; every admissible A'-word
+        of length L + n - 1 extends to such a walk, so an A-word is
+        admissible exactly when its state is non-empty.
         """
         if self._walk is None:
             from . import graph
 
-            g = graph.build_labeled_graph(self, ell=max(self.n - 1, self.step_k, 1))
+            g = graph.build_labeled_graph(self, ell=self._least_width())
             self._window_graph = g
             self._walk = _SubsetWalk(g.targets_by_sofic, self.alphabet_a.symbols)
         return self._walk

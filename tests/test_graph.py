@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from test_a_side import spaces
 from zipshift import (
+    Alphabet,
     InvalidWord,
     NotFiniteType,
+    TransitionMap,
     backward,
     build_labeled_graph,
     export_dot,
+    parse_point,
+    preimages,
     presentation_graph,
+    sofic_space,
     spelled_language,
     vertex_like,
 )
@@ -68,7 +75,7 @@ def test_vertex_like(even):
 
 def test_recode_language_mismatch_raises(even, monkeypatch):
     monkeypatch.setattr(graph, "spelled_language", lambda g, k: set())
-    with pytest.raises(InvalidWord, match="vertex-like recode changed the language"):
+    with pytest.raises(InvalidWord, match="window graph spells a different language"):
         build_labeled_graph(even)
 
 
@@ -92,3 +99,52 @@ def test_export_dot(ex21):
     assert "v0_1" in text and "v2_3" in text
     # deterministic
     assert text == export_dot(build_labeled_graph(ex21))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(spaces().filter(lambda space: space.kind == "sofic"))
+def test_sofic_window_graph_is_a_higher_edge_graph(space):
+    """At widths n and n + 1 the window graph spells the space's language,
+    its edges slide the label window and carry the transition image; at
+    width 1 on a presentation with no parallel edges it is the line graph
+    that ``vertex_like`` builds."""
+    n = space.n
+    for ell in (n, n + 1):
+        g = build_labeled_graph(space, ell)
+        for k in range(1, 7):
+            assert spelled_language(g, k) == set(space.language(k))
+        for src, dst, first, a_letter in g.edges:
+            w = g.labels[src] + (first,)
+            assert g.labels[dst] == w[1:]
+            assert a_letter == space.tm(w[:n])
+    ends = [(src, dst) for src, dst, _c in space.presentation_edges]
+    if n == 1 and len(set(ends)) == len(ends):
+        g = build_labeled_graph(space, 1)
+        line = vertex_like(presentation_graph(space))
+        assert g.labels == line.labels
+        assert [e[:3] for e in g.edges] == [e[:3] for e in line.edges]
+
+
+def _loops(k):
+    return sofic_space(
+        Alphabet(["a"]),
+        Alphabet(["0", "1", "2", "3"]),
+        TransitionMap(2, {("3", "3"): "a"}),
+        ["q0"],
+        [("q0", "q0", "3")] * k,
+    )
+
+
+def test_parallel_loops_stay_distinct_paths():
+    """Six parallel loops give one vertex per 2-edge path, 6 * 6, and one
+    edge per 3-edge path; the pre-images are those of a single loop."""
+    g = build_labeled_graph(_loops(6))
+    assert (g.n_vertices(), len(g.edges)) == (36, 216)
+    x = parse_point("(a)* ; (3)*")
+    assert preimages(_loops(6), x).points == preimages(_loops(1), x).points
+
+
+def test_width_below_n_raises(even):
+    with pytest.raises(InvalidWord, match="below the least width 2"):
+        build_labeled_graph(even, 1)
+    assert len(build_labeled_graph(even, 3).labels[0]) == 3
