@@ -6,7 +6,8 @@ transition-map images filling the negative side.  In full, finite-type and
 sofic spaces alike a word is a cycle exactly when some closed walk of the
 space's A'-graph spells a power of it, which the space decides on its own
 subset walk; listing the points of repeat length m tests only the
-admissible m-words.  Pre-periodic points are the extra backward branches
+admissible m-words, generated on that walk as they are tested and never
+kept.  Pre-periodic points are the extra backward branches
 that fall onto such an orbit after finitely many steps.  Homoclinic orbits
 are enumerated by choosing a backward branch letter at each depth before
 the point's left tail has merged with the orbit; deeper letters are forced
@@ -72,13 +73,13 @@ def periodic_points(space: ZipShiftSpace, m: int) -> set[PeriodicPoint]:
     multiple of its least period under a different word.  Only the
     admissible m-words are tested, by the space's cycle test; for full and
     finite-type spaces the count matches count_periodic(m).  The m-words are
-    generated on the space's A'-walk as they are tested, so the space keeps
-    no list of them afterwards.
+    generated on the space's A'-walk together with their states, which start
+    each cycle test, and neither this function nor the space keeps them.
     """
     if m < 1:
         raise InvalidWord(f"period must be >= 1, got {m}")
-    words = space._aprime_walk.iter_words(m)
-    return {_cycle_point(space, w) for w in words if space._is_cycle(w)}
+    words = space._aprime_walk.words(m)
+    return {_cycle_point(space, w) for w, state in words if space._is_cycle(w, state)}
 
 
 def orbit_points(space: ZipShiftSpace, p: PeriodicPoint) -> tuple[EpPoint, ...]:
@@ -97,7 +98,8 @@ def pre_periodic_points(
     """Points that fall onto the orbit of p within ``level`` whole periods.
 
     A point qualifies when some multiple k*m of the period with k <= level
-    shifts it onto an orbit point, and it is not an orbit point itself.
+    shifts it onto an orbit point, and it is not an orbit point itself.  One
+    frontier of pre-images grows from the whole orbit, m steps per level.
     """
     if level < 1:
         raise InvalidWord(f"level must be >= 1, got {level}")
@@ -105,9 +107,10 @@ def pre_periodic_points(
     orbit = set(orbit_points(space, p))
     m = len(p.word)
     found: set[EpPoint] = set()
-    for o in orbit:
-        for k in range(1, level + 1):
-            found |= preimages_k(space, o, k * m, d_max)
+    frontier = orbit
+    for _ in range(level):
+        frontier = {y for x in frontier for y in preimages_k(space, x, m, d_max)}
+        found |= frontier
     return found - orbit
 
 
@@ -242,23 +245,35 @@ class HomoclinicOrbit:
     datum: HomoclinicDatum
     choices: Word
 
-    def _forced(self, space: ZipShiftSpace, depth: int) -> str:
-        anchor = orbit_points(space, self.datum.periodic)[self.datum.k_back]
-        w = anchor.right_period
-        return w[(-depth) % len(w)]
-
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
         """The orbit entry at index i (index 0 is the datum's point)."""
         if i >= 0:
             return shift_k(space, self.datum.point, i)
+        letters = self.choices[:-i]
+        if -i > len(self.choices):
+            forced, _phase_mod = _forced_letters(space, self.datum)
+            letters += tuple(forced(depth) for depth in range(len(self.choices) + 1, -i + 1))
         cur = self.datum.point
-        for depth in range(1, -i + 1):
-            if depth <= len(self.choices):
-                t = self.choices[depth - 1]
-            else:
-                t = self._forced(space, depth)
+        for t in letters:
             cur = _preimage_point(cur, t)
         return cur
+
+
+def _forced_letters(space: ZipShiftSpace, datum: HomoclinicDatum):
+    """The letter forced at each depth from ``n_back`` on, as a function of
+    the depth, and the period after which those letters and the anchor's
+    left side repeat together.
+
+    The anchor is the orbit point that the left tail merges with; the
+    forced letters are its right period read backward.
+    """
+    anchor = orbit_points(space, datum.periodic)[datum.k_back]
+    w = anchor.right_period
+
+    def forced(depth: int) -> str:
+        return w[(-depth) % len(w)]
+
+    return forced, math.lcm(len(w), len(anchor.left_period))
 
 
 def _forced_tail_ok(
@@ -308,13 +323,7 @@ def homoclinic_orbits(
     Returned in alphabet order of the choice words.
     """
     _check_search_bound(d_max)
-    anchor = orbit_points(space, datum.periodic)[datum.k_back]
-    w = anchor.right_period
-
-    def forced(s: int) -> str:
-        return w[(-s) % len(w)]
-
-    phase_mod = math.lcm(len(w), len(anchor.left_period))
+    forced, phase_mod = _forced_letters(space, datum)
     leaves: list[tuple[Word, EpPoint]] = [((), datum.point)]
     for _ in range(1, datum.n_back):
         grown: list[tuple[Word, EpPoint]] = []

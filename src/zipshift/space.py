@@ -28,6 +28,10 @@ edges' A-labels from all vertices leaves a non-empty vertex set; a seam block (a
 reached by a carries u's first letters and can read the rest of u along
 the edges' A'-labels.  The same walk lists the A-side and mixed languages
 in alphabet order and derives the minimal forbidden A-words.
+
+Every language is generated on a subset walk each time it is asked for
+and never kept: a space holds its graphs and the walks' move tables
+between queries, no word lists.
 """
 from __future__ import annotations
 
@@ -131,7 +135,9 @@ class _SubsetWalk:
     is the set of vertices that walks spelling some word, started anywhere,
     can end at; states are numbered as first reached, 0 being the set of all
     vertices, and each move (state, letter) -> state is computed once.  A
-    word is spelled by some walk exactly when its state is non-empty.
+    word is spelled by some walk exactly when its state is non-empty.  The
+    walk keeps its states and moves, never a list of words: every listing
+    is generated afresh by :meth:`words`.
     """
 
     def __init__(self, step: list[dict], letters: tuple[str, ...]):
@@ -141,7 +147,6 @@ class _SubsetWalk:
         self.sets: list[frozenset[int]] = [start]
         self._ids = {start: 0}
         self._moves: list[dict[str, int]] = [{}]
-        self._levels: list[list[tuple[Word, int]]] = [[((), 0)]]
 
     def move(self, state: int, c: str) -> int:
         moves = self._moves[state]
@@ -163,34 +168,17 @@ class _SubsetWalk:
             state = self.move(state, c) if nxt is None else nxt
         return state
 
-    def words(self, k: int) -> list[tuple[Word, int]]:
+    def words(self, k: int) -> Iterator[tuple[Word, int]]:
         """The spelled k-words with their states, in alphabet order.
 
-        Each level extends the one below by every letter in order, so it
-        comes out sorted without a sort.
-        """
-        levels = self._levels
-        while len(levels) <= k:
-            level = []
-            for w, s in levels[-1]:
-                for c in self._letters:
-                    t = self.move(s, c)
-                    if self.sets[t]:
-                        level.append((w + (c,), t))
-            levels.append(level)
-        return levels[k]
-
-    def iter_words(self, k: int) -> Iterator[Word]:
-        """The spelled k-words in alphabet order, generated depth first.
-
-        Unlike :meth:`words` this keeps no level lists: at any time it holds
-        one pending branch per letter and depth.
+        Generated depth first and kept nowhere: at any time the generator
+        holds one pending branch per letter and depth.
         """
         stack = [((), 0)]
         while stack:
             w, s = stack.pop()
             if len(w) == k:
-                yield w
+                yield w, s
                 continue
             for c in reversed(self._letters):
                 t = self.move(s, c)
@@ -249,7 +237,6 @@ class ZipShiftSpace:
         self.tm = tm
         self.kind = kind
         self.n = tm.n
-        self._lang_cache: dict[int, list[Word]] = {}
         self._window_graph = None  # the graph the A-side is read on, see _a_walk
         self._walk: _SubsetWalk | None = None
         self._seams: dict[tuple[int, Word], bool] = {}
@@ -349,24 +336,27 @@ class ZipShiftSpace:
 
     def admissible_word(self, word: Word) -> bool:
         """Is ``word`` an admissible A'-word (occurs in some point)?"""
+        return bool(self._aprime_walk.sets[self._aprime_state(word)])
+
+    def _aprime_state(self, word: Word) -> int:
+        """The A'-walk state of ``word``; UnknownSymbol for a letter off A'."""
         word = tuple(word)
         for c in word:
             if c not in self.alphabet_aprime:
                 raise UnknownSymbol(f"{c!r} is not an A' symbol")
-        walk = self._aprime_walk
-        return bool(walk.sets[walk.read(word)])
+        return self._aprime_walk.read(word)
 
-    def _is_cycle(self, word: Word) -> bool:
+    def _is_cycle(self, word: Word, state: int | None = None) -> bool:
         """Is ``word`` repeated forever an A'-sequence of the space?
 
         Read it from the all-vertices state again and again until the state
-        repeats.  The states only shrink, so the repeat is a fixed set, and it
-        is non-empty exactly when some closed walk spells a power of ``word``.
+        repeats; ``state`` is the first reading when the caller holds it
+        already.  The states only shrink, so the repeat is a fixed set, and
+        it is non-empty exactly when some closed walk spells a power of
+        ``word``.
         """
-        if not self.admissible_word(word):  # raises UnknownSymbol off A'
-            return False
         walk = self._aprime_walk
-        prev, state = 0, walk.read(word)
+        prev, state = 0, self._aprime_state(word) if state is None else state
         while state != prev:
             prev, state = state, walk.read(word, state)
         return bool(walk.sets[state])
@@ -375,30 +365,25 @@ class ZipShiftSpace:
         """The admissible words of length ``k`` on the requested side.
 
         ``side`` is one of ``aprime``, ``a`` or ``mixed``; mixed words are
-        returned as (A-part, A'-part) pairs over every split of ``k``.
+        returned as (A-part, A'-part) pairs over every split of ``k``.  The
+        words are generated on the space's subset walks in alphabet order at
+        each call; the space keeps no word list between calls.
         """
         if k < 1:
             raise InvalidWord(f"word length must be positive, got {k}")
         if side == "aprime":
-            return list(self._language_aprime(k))
+            return [w for w, _state in self._aprime_walk.words(k)]
         if side == "a":
             return [w for w, _state in self._a_walk().words(k)]
         if side == "mixed":
             walk = self._a_walk()
             pairs = []
             for j in range(1, k):
-                aprime = self._language_aprime(k - j)
+                aprime = self.language(k - j)
                 for a, state in walk.words(j):
                     pairs += [(a, u) for u in aprime if self._seam(state, u)]
             return pairs
         raise InvalidWord(f"unknown side {side!r}")
-
-    def _language_aprime(self, k: int) -> list[Word]:
-        """The admissible k-words, emitted by walks of the A'-graph in
-        alphabet order."""
-        if k not in self._lang_cache:
-            self._lang_cache[k] = [w for w, _state in self._aprime_walk.words(k)]
-        return self._lang_cache[k]
 
     # -- derived A-side and mixed languages -------------------------------
 
@@ -497,7 +482,7 @@ class ZipShiftSpace:
         if self.kind == "sofic":
             raise NotFiniteType("matrix presentation needs a finite-type space")
         k_idx = max(self.step_k, 1)
-        ap_words = tuple(self._language_aprime(k_idx))
+        ap_words = tuple(self.language(k_idx))
         ap = np.zeros((len(ap_words), len(ap_words)), dtype=np.int64)
         for i, out in enumerate(self._step):
             for targets in out.values():

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from zipshift import (
     Alphabet,
+    EpPoint,
     InvalidWord,
     NotFiniteType,
     TransitionMap,
@@ -38,6 +39,8 @@ from zipshift import (
     periodic_points,
     random_point,
     sft_space,
+    shift,
+    shift_k,
     sofic_space,
 )
 
@@ -288,6 +291,29 @@ def test_block_and_power_constraints_match_enumeration(drawn):
         assert higher_power(space, N)[0].forbidden == product_forbidden(space, N, power=True)
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.randoms(use_true_random=False))
+def test_block_and_power_recodings_round_trip(space, rng):
+    """Block and power recodings are conjugacies onto admissible points: the
+    block map's inverse undoes it, splitting the power map's letters undoes
+    that, and both commute with the shifts (N old shifts per new one)."""
+
+    def split(y):
+        parts = (y.left_period, y.left_transient, y.right_transient, y.right_period)
+        return EpPoint(*(tuple(c for letter in part for c in letter) for part in parts))
+
+    for N in range(1, 4):
+        block, fwd, inv = higher_block(space, N)
+        power, pfwd = higher_power(space, N)
+        for _ in range(3):
+            x = random_point(space, rng)
+            y, z = fwd(x), pfwd(x)
+            assert is_admissible(block, y) and inv(y) == x
+            assert fwd(shift(space, x)) == shift(block, y)
+            assert is_admissible(power, z) and split(z) == x
+            assert pfwd(shift_k(space, x, N)) == shift(power, z)
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
 def test_adjacency_matches_oracles(drawn):
@@ -319,9 +345,10 @@ def test_adjacency_matches_oracles(drawn):
             assert g.labels[dst] == w[1:] and a_letter == space.tm(w[: space.n])
 
 
-def test_first_question_lists_no_long_words():
+def test_first_question_lists_no_long_words(monkeypatch):
     """A membership question on a fresh wide space reads the A-side off the
-    window graph: no A'-language longer than the graph's width is listed."""
+    window graph: no A'-language longer than the graph's width is listed,
+    and what is listed is not kept, so listing it again walks again."""
     forbidden = ["0 4 2 4", "3 2 4 1", "3 3 0 2", "4 1 2 1", "4 3 3 2", "5 4 1 2"]
     letters = [str(i) for i in range(6)]
     pairs = list(itertools.product(letters, repeat=2))
@@ -331,7 +358,18 @@ def test_first_question_lists_no_long_words():
         TransitionMap(2, {w: "abc"[i % 3] for i, w in enumerate(pairs)}),
         {tuple(w.split()) for w in forbidden},
     )
+    walk = space._aprime_walk
+    words, listed = walk.words, []
+
+    def spy(k):
+        listed.append(k)
+        return words(k)
+
+    monkeypatch.setattr(walk, "words", spy)
     assert space.memory() == 3
     assert is_admissible(space, random_point(space, random.Random(0)))
     ell0 = max(space.n - 1, space.step_k, 1)
-    assert max(space._lang_cache) <= max(space.n, ell0)
+    assert max(listed) <= max(space.n, ell0)
+    move, moves = walk.move, []
+    monkeypatch.setattr(walk, "move", lambda state, c: moves.append(c) or move(state, c))
+    assert list(words(max(listed))) and moves
