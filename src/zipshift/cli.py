@@ -50,6 +50,13 @@ def _parse_symbol_word(text: str) -> Word:
     return word
 
 
+def _string_list(value: object, name: str) -> list[str]:
+    """``value`` itself, checked to be a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise SpecError(f"{name} must be a list of strings")
+    return value
+
+
 def _load_json(path: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -77,11 +84,8 @@ def space_from_dict(data: object) -> ZipShiftSpace:
     kind = data["kind"]
     if kind not in ("full", "sft", "sofic"):
         raise SpecError(f"kind must be full, sft or sofic, not {kind!r}")
-    for listname in ("alphabet_a", "alphabet_a_prime"):
-        if not isinstance(data[listname], list) or not data[listname]:
-            raise SpecError(f"{listname} must be a non-empty list")
-    alphabet_a = Alphabet(tuple(str(s) for s in data["alphabet_a"]))
-    alphabet_aprime = Alphabet(tuple(str(s) for s in data["alphabet_a_prime"]))
+    alphabet_a = Alphabet(_string_list(data["alphabet_a"], "alphabet_a"))
+    alphabet_aprime = Alphabet(_string_list(data["alphabet_a_prime"], "alphabet_a_prime"))
     n = data["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SpecError(f"n must be a positive integer, not {n!r}")
@@ -105,19 +109,19 @@ def space_from_dict(data: object) -> ZipShiftSpace:
     if kind == "sft":
         if "forbidden" not in data:
             raise SpecError("sft specs need a forbidden word list")
-        if not isinstance(data["forbidden"], list):
-            raise SpecError("forbidden must be a list of words")
-        forbidden = {_parse_symbol_word(str(w)) for w in data["forbidden"]}
+        forbidden = {_parse_symbol_word(w) for w in _string_list(data["forbidden"], "forbidden")}
         return sft_space(alphabet_a, alphabet_aprime, tm, forbidden)
     graph = data.get("graph")
     if not isinstance(graph, dict) or set(graph) != {"vertices", "edges"}:
         raise SpecError("sofic specs need a graph object with vertices and edges")
-    vertices = [str(v) for v in graph["vertices"]]
+    vertices = _string_list(graph["vertices"], "graph vertices")
+    if not isinstance(graph["edges"], list):
+        raise SpecError("graph edges must be a list of [src, dst, label] triples")
     edges = []
     for item in graph["edges"]:
-        if not isinstance(item, list) or len(item) != 3:
+        if not isinstance(item, list) or len(item) != 3 or not all(isinstance(s, str) for s in item):
             raise SpecError(f"graph edges must be [src, dst, label] triples, not {item!r}")
-        edges.append((str(item[0]), str(item[1]), str(item[2])))
+        edges.append(tuple(item))
     return sofic_space(alphabet_a, alphabet_aprime, tm, vertices, edges)
 
 
@@ -158,8 +162,8 @@ def code_from_dict(data: object) -> BlockCodeSpec:
     if missing:
         raise SpecError(f"missing code spec keys: {', '.join(missing)}")
     source = space_from_dict(data["source"])
-    target_a = Alphabet(tuple(str(s) for s in data["target_a"]))
-    target_aprime = Alphabet(tuple(str(s) for s in data["target_a_prime"]))
+    target_a = Alphabet(_string_list(data["target_a"], "target_a"))
+    target_aprime = Alphabet(_string_list(data["target_a_prime"], "target_a_prime"))
     m = data["m"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise SpecError(f"m must be a positive integer, not {m!r}")
@@ -238,12 +242,12 @@ def _cmd_space_matrices(args: argparse.Namespace) -> int:
     print("\t".join(["meta", f"k={ms.k}", f"n_step={ms.n_step}", f"m_step={ms.m_step}"]))
     print("\t".join(["aprime_words"] + [" ".join(w) for w in ms.aprime_words]))
     for word, row in zip(ms.aprime_words, ms.aprime_adj):
-        print("\t".join(["aprime_adj", " ".join(word)] + [str(int(v)) for v in row]))
+        print("\t".join(["aprime_adj", " ".join(word)] + [str(v) for v in row]))
     print("\t".join(["a_words"] + [" ".join(w) for w in ms.a_words]))
     for word, row in zip(ms.a_words, ms.a_adj):
-        print("\t".join(["a_adj", " ".join(word)] + [str(int(v)) for v in row]))
+        print("\t".join(["a_adj", " ".join(word)] + [str(v) for v in row]))
     for word, row in zip(ms.a_words, ms.t):
-        print("\t".join(["t", " ".join(word)] + [str(int(v)) for v in row]))
+        print("\t".join(["t", " ".join(word)] + [str(v) for v in row]))
     return 0
 
 

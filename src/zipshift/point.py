@@ -237,6 +237,6 @@ def point_from_lift(space: ZipShiftSpace, lift: EpPoint) -> EpPoint:
     )
 
 
-def random_point(space: ZipShiftSpace, rng: random.Random, wander: int = 4) -> EpPoint:
+def random_point(space: ZipShiftSpace, rng: random.Random) -> EpPoint:
     """A random admissible point, eventually periodic on both sides."""
-    return point_from_lift(space, space.random_lift(rng, wander))
+    return point_from_lift(space, space.random_lift(rng))

@@ -38,14 +38,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
 from .point import EpPoint
 from .symbols import Alphabet, TransitionMap, Word
 
-if TYPE_CHECKING:
-    import numpy as np
+_WANDER = 4
 
 
 def _prune_superwords(words: set[Word]) -> set[Word]:
@@ -188,21 +187,23 @@ class _SubsetWalk:
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """Adjacency data of a finite-type space, as numpy arrays.
+    """Adjacency data of a finite-type space, as 0/1 matrices.
 
-    ``aprime_adj`` is the adjacency of the space's A'-graph, indexed by its
-    vertices ``aprime_words`` (K-step blocks over A'), ``a_adj`` by
-    ``a_words`` (derived A-side blocks) and ``t`` relates A-side rows to
-    A'-side columns through mixed-word admissibility.  ``k`` and
-    ``n_step`` are the computed step orders (0 for full shifts; index blocks
-    are then single letters), ``m_step`` their maximum.
+    Each matrix is a tuple of rows and each row a tuple of ints 0 or 1, so
+    two sets compare and hash by value.  ``aprime_adj`` is the adjacency of
+    the space's A'-graph, indexed by its vertices ``aprime_words`` (K-step
+    blocks over A'), ``a_adj`` by ``a_words`` (derived A-side blocks) and
+    ``t`` relates A-side rows to A'-side columns through mixed-word
+    admissibility.  ``k`` and ``n_step`` are the computed step orders (0 for
+    full shifts; index blocks are then single letters), ``m_step`` their
+    maximum.
     """
 
     aprime_words: tuple[Word, ...]
-    aprime_adj: np.ndarray
+    aprime_adj: tuple[tuple[int, ...], ...]
     a_words: tuple[Word, ...]
-    a_adj: np.ndarray
-    t: np.ndarray
+    a_adj: tuple[tuple[int, ...], ...]
+    t: tuple[tuple[int, ...], ...]
     k: int
     n_step: int
     m_step: int
@@ -477,34 +478,22 @@ class ZipShiftSpace:
     # -- matrices and counting -------------------------------------------
 
     def build_matrices(self) -> MatrixSet:
-        import numpy as np
-
         if self.kind == "sofic":
             raise NotFiniteType("matrix presentation needs a finite-type space")
-        k_idx = max(self.step_k, 1)
-        ap_words = tuple(self.language(k_idx))
-        ap = np.zeros((len(ap_words), len(ap_words)), dtype=np.int64)
-        for i, out in enumerate(self._step):
-            for targets in out.values():
-                ap[i, targets] = 1
+        ap_words = tuple(self.language(max(self.step_k, 1)))
+        succ = [{t for targets in out.values() for t in targets} for out in self._step]
         n_step = self.a_step()
         n_idx = max(n_step, 1)
         a_words = tuple(self.language(n_idx, side="a"))
-        a_index = {w: i for i, w in enumerate(a_words)}
-        aa = np.zeros((len(a_words), len(a_words)), dtype=np.int64)
-        for w in self.language(n_idx + 1, side="a"):
-            aa[a_index[w[:-1]], a_index[w[1:]]] = 1
-        t = np.zeros((len(a_words), len(ap_words)), dtype=np.int64)
-        for i, u in enumerate(a_words):
-            for j, v in enumerate(ap_words):
-                if self.mixed_admissible(u, v):
-                    t[i, j] = 1
+        a_longer = set(self.language(n_idx + 1, side="a"))
         return MatrixSet(
             aprime_words=ap_words,
-            aprime_adj=ap,
+            aprime_adj=tuple(tuple(int(j in out) for j in range(len(ap_words))) for out in succ),
             a_words=a_words,
-            a_adj=aa,
-            t=t,
+            a_adj=tuple(
+                tuple(int(u[1:] == v[:-1] and u + v[-1:] in a_longer) for v in a_words) for u in a_words
+            ),
+            t=tuple(tuple(int(self.mixed_admissible(u, v)) for v in ap_words) for u in a_words),
             k=self.step_k,
             n_step=n_step,
             m_step=max(self.step_k, n_step),
@@ -565,13 +554,13 @@ class ZipShiftSpace:
 
     # -- random sampling ----------------------------------------------------
 
-    def random_lift(self, rng: random.Random, wander: int = 4) -> EpPoint:
+    def random_lift(self, rng: random.Random) -> EpPoint:
         """A random admissible two-sided A'-sequence, eventually periodic both ways.
 
         From a random vertex, one walk forward on ``step`` gives indices 0, 1,
         ... and one walk backward on ``back`` gives -1, -2, ...; each picks
         uniformly among its edges in (vertex id, letter) order and stops at
-        the first repeated vertex once it has taken ``wander`` steps.
+        the first repeated vertex once it has taken ``_WANDER`` steps.
         """
         start = rng.choice(range(len(self._step)))
 
@@ -580,7 +569,7 @@ class ZipShiftSpace:
             while True:
                 v, c = rng.choice(sorted((t, c) for c, ts in graph[v].items() for t in ts))
                 letters.append(c)
-                if v in seen and len(letters) >= wander:
+                if v in seen and len(letters) >= _WANDER:
                     j = seen[v]
                     return tuple(letters[:j]), tuple(letters[j:])
                 seen.setdefault(v, len(letters))

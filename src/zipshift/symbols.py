@@ -12,7 +12,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import InvalidWord, UndefinedWindow, UnknownSymbol
 
 Word = tuple[str, ...]
-MixedWord = tuple[Word, Word]
 
 _FORBIDDEN_CHARS = set("();*")
 

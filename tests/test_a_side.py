@@ -324,15 +324,15 @@ def test_adjacency_matches_oracles(drawn):
     ms = space.build_matrices()
     for i, u in enumerate(ms.aprime_words):
         for j, v in enumerate(ms.aprime_words):
-            assert ms.aprime_adj[i, j] == (u[1:] == v[:-1] and oracle.admissible(u + v[-1:]))
+            assert ms.aprime_adj[i][j] == (u[1:] == v[:-1] and oracle.admissible(u + v[-1:]))
     a_longer = images(space, max(ms.n_step, 1) + 1)
     for i, u in enumerate(ms.a_words):
         for j, v in enumerate(ms.a_words):
-            assert ms.a_adj[i, j] == (u[1:] == v[:-1] and u + v[-1:] in a_longer)
+            assert ms.a_adj[i][j] == (u[1:] == v[:-1] and u + v[-1:] in a_longer)
     seams = seam_blocks(space, len(ms.a_words[0]), len(ms.aprime_words[0]))
     for i, u in enumerate(ms.a_words):
         for j, v in enumerate(ms.aprime_words):
-            assert ms.t[i, j] == ((u, v) in seams)
+            assert ms.t[i][j] == ((u, v) in seams)
     least = max(space.n - 1, space.step_k, 1)
     for ell in (least, least + 1):
         g = build_labeled_graph(space, ell)

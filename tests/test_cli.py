@@ -369,6 +369,30 @@ def test_unknown_spec_key(specs, capsys):
     assert err == "error: unknown space spec keys: bogus\n"
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("space", dict(EVEN, graph=dict(EVEN["graph"], vertices=5)), "graph vertices must be a list of strings"),
+        ("space", dict(EVEN, graph=dict(EVEN["graph"], vertices="PQ")), "graph vertices must be a list of strings"),
+        (
+            "space",
+            dict(EVEN, graph=dict(EVEN["graph"], edges=5)),
+            "graph edges must be a list of [src, dst, label] triples",
+        ),
+        ("space", dict(EX21, forbidden=[["0", "0"]]), "forbidden must be a list of strings"),
+        ("code", dict(PROJ_CODE, target_a=5), "target_a must be a list of strings"),
+    ],
+    ids=["vertices-int", "vertices-string", "edges-int", "forbidden-nested", "target-a-int"],
+)
+def test_spec_schema_drift_is_an_error_line(tmp_path, capsys, command, payload, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    verb = "validate" if command == "space" else "check"
+    rc, out, err = run(capsys, [command, verb, str(path)])
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_inadmissible_point_rejected(specs, capsys):
     rc, _, err = run(capsys, ["point", "preimages", specs["ex21"], "(b)* ; (3 3)*"])
     assert rc == 1

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +20,7 @@ from zipshift import (
     point_from_lift,
     sft_space,
 )
+from zipshift.cli import space_to_dict
 from zipshift.space import _prune_superwords
 
 
@@ -114,14 +115,21 @@ def test_matrices_ex21(ex21):
     assert ms.k == 1 and ms.n_step == 1 and ms.m_step == 1
     assert ms.aprime_words == (("1",), ("2",), ("3",))
     assert ms.a_words == (("a",), ("b",))
-    assert np.array_equal(ms.aprime_adj, np.array([[0, 1, 0], [0, 1, 1], [1, 1, 0]]))
-    assert np.array_equal(ms.a_adj, np.array([[0, 1], [1, 1]]))
-    assert np.array_equal(ms.t, np.array([[0, 1, 0], [1, 1, 1]]))
+    assert ms.aprime_adj == ((0, 1, 0), (0, 1, 1), (1, 1, 0))
+    assert ms.a_adj == ((0, 1), (1, 1))
+    assert ms.t == ((0, 1, 0), (1, 1, 1))
 
 
 def test_matrices_full(sigma_f):
     ms = sigma_f.build_matrices()
-    assert np.array_equal(ms.aprime_adj, np.ones((4, 4), dtype=ms.aprime_adj.dtype))
+    assert ms.aprime_adj == ((1, 1, 1, 1),) * 4
+
+
+def test_matrix_sets_compare_and_hash_by_value(ex21, sigma_f):
+    for space in (ex21, sigma_f):
+        first, second = space.build_matrices(), space.build_matrices()
+        assert first == second and hash(first) == hash(second)
+    assert ex21.build_matrices() != sigma_f.build_matrices()
 
 
 def test_matrices_sofic_rejected(even):
@@ -183,27 +191,42 @@ ex21 = sft_space(
 x = random_point(ex21, random.Random(0))
 print(ex21.count_periodic(3), len(periodic_points(ex21, 3)))
 print(bool(is_admissible(ex21, x)), len(preimages(ex21, x).points) > 0)
+print(ex21.build_matrices().t == ((0, 1, 0), (1, 1, 1)))
+"""
+
+_MATRICES_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["zipshift", "space", "matrices", sys.argv[1]]
+runpy.run_module("zipshift", run_name="__main__")
 """
 
 
-def test_import_leaves_numpy_unloaded():
-    """numpy is loaded by build_matrices alone, not by importing the package,
-    and periodic points, admissibility and pre-images run without it."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+def test_import_leaves_numpy_unloaded(ex21, tmp_path):
+    """Importing the package loads no numpy, and periodic points,
+    admissibility, pre-images, build_matrices and ``space matrices`` run
+    with numpy unimportable; the command prints the golden CLI output."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    path = os.pathsep.join([os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    spec = tmp_path / "ex21.json"
+    spec.write_text(json.dumps(space_to_dict(ex21)))
+    with open(os.path.join(root, "bench", "golden_cli.json"), encoding="utf-8") as fh:
+        matrices = json.load(fh)["space matrices {ex21}"]
     cases = [
-        ("import sys, zipshift; print('numpy' in sys.modules)", ["False"]),
-        (_WITHOUT_NUMPY, ["7", "7", "True", "True"]),
+        (["import sys, zipshift; print('numpy' in sys.modules)"], "False\n"),
+        ([_WITHOUT_NUMPY], "7 7\nTrue True\nTrue\n"),
+        ([_MATRICES_WITHOUT_NUMPY, str(spec)], matrices),
     ]
-    for script, want in cases:
+    for args, want in cases:
         out = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", *args],
             capture_output=True,
             text=True,
             env=env,
             timeout=120,
             check=True,
-        ).stdout.split()
+        ).stdout
         assert out == want
 
 
