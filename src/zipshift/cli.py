@@ -297,10 +297,11 @@ def _cmd_point_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_point_preimages(args: argparse.Namespace) -> int:
-    from .preimage import preimages, preimages_k
+    from .preimage import _check_search_bound, preimages, preimages_k
 
     space = space_from_dict(_load_json(args.spec))
     x = _point_arg(space, args.point)
+    _check_search_bound(args.dmax)
     if args.depth == 1:
         result = preimages(space, x, d_max=args.dmax)
         points: set[EpPoint] | tuple[EpPoint, ...] = result.points
@@ -313,7 +314,7 @@ def _cmd_point_preimages(args: argparse.Namespace) -> int:
                     extras.append(f"{name}={value}")
             print("\t".join([f"# kind={c.kind}"] + extras))
     else:
-        points = preimages_k(space, x, args.depth, d_max=args.dmax)
+        points = preimages_k(space, x, args.depth)
     for line in sorted(format_point(y) for y in points):
         print(line)
     return 0
@@ -349,7 +350,7 @@ def _cmd_preperiodic(args: argparse.Namespace) -> int:
 
     space = space_from_dict(_load_json(args.spec))
     p = _periodic_arg(space, args.point)
-    points = pre_periodic_points(space, p, args.level, d_max=args.dmax)
+    points = pre_periodic_points(space, p, args.level)
     for line in sorted(format_point(y) for y in points):
         print(line)
     return 0
@@ -362,7 +363,7 @@ def _cmd_homoclinic(args: argparse.Namespace) -> int:
     p = _periodic_arg(space, args.periodic)
     x = _point_arg(space, args.point)
     datum = homoclinic_datum(space, p, x)
-    orbits = homoclinic_orbits(space, datum, d_max=args.dmax)
+    orbits = homoclinic_orbits(space, datum)
     bound = letter_preimage_sum(space, datum)
     print(
         "\t".join(
@@ -524,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("spec")
     sub.add_argument("point")
     sub.add_argument("--depth", type=int, default=1, help="pre-image depth (default 1)")
-    sub.add_argument("--dmax", type=int, default=32, help="left viability search bound")
+    sub.add_argument("--dmax", type=int, default=32, help="path-search bound of --classify")
     sub.add_argument(
         "--classify",
         action="store_true",
@@ -547,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("spec")
     sub.add_argument("point", help="a periodic point")
     sub.add_argument("--level", type=int, required=True, help="periods to search back")
-    sub.add_argument("--dmax", type=int, default=32)
     sub.set_defaults(handler=_cmd_preperiodic)
 
     code = top.add_parser("code", help="sliding block codes").add_subparsers(
@@ -572,7 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("spec")
     sub.add_argument("--periodic", required=True, metavar="POINT")
     sub.add_argument("--point", required=True, metavar="POINT")
-    sub.add_argument("--dmax", type=int, default=32)
     sub.set_defaults(handler=_cmd_homoclinic)
 
     horseshoe = top.add_parser("horseshoe", help="folded planar model").add_subparsers(

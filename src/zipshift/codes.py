@@ -213,6 +213,8 @@ def invert_code(
     short periodic points is screened first, since a non-injective code
     can never invert.
     """
+    if max_window < 1:
+        raise InvalidWord(f"window bound must be >= 1, got {max_window}")
     rng = rng or random.Random(0)
     src = spec.source
     images: dict[EpPoint, EpPoint] = {}

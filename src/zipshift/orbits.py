@@ -11,7 +11,8 @@ kept.  Pre-periodic points are the extra backward branches
 that fall onto such an orbit after finitely many steps.  Homoclinic orbits
 are enumerated by choosing a backward branch letter at each depth before
 the point's left tail has merged with the orbit; deeper letters are forced
-by the orbit's own two-sided lift.
+by the orbit's own two-sided lift.  Both read only the pre-image branch
+letters; the path-search classification runs in ``preimages`` alone.
 """
 from __future__ import annotations
 
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
 from .point import EpPoint, shift, shift_k
-from .preimage import (
-    _check_search_bound,
-    _preimage_point,
-    labeled_graph_for,
-    preimages,
-    preimages_k,
-)
+from .preimage import _branches, _preimage_point, labeled_graph_for, preimages_k
 from .space import ZipShiftSpace
 from .symbols import Word
 
@@ -92,9 +87,7 @@ def orbit_points(space: ZipShiftSpace, p: PeriodicPoint) -> tuple[EpPoint, ...]:
         pts.append(nxt)
 
 
-def pre_periodic_points(
-    space: ZipShiftSpace, p: PeriodicPoint, level: int, d_max: int = 32
-) -> set[EpPoint]:
+def pre_periodic_points(space: ZipShiftSpace, p: PeriodicPoint, level: int) -> set[EpPoint]:
     """Points that fall onto the orbit of p within ``level`` whole periods.
 
     A point qualifies when some multiple k*m of the period with k <= level
@@ -103,13 +96,12 @@ def pre_periodic_points(
     """
     if level < 1:
         raise InvalidWord(f"level must be >= 1, got {level}")
-    _check_search_bound(d_max)
     orbit = set(orbit_points(space, p))
     m = len(p.word)
     found: set[EpPoint] = set()
     frontier = orbit
     for _ in range(level):
-        frontier = {y for x in frontier for y in preimages_k(space, x, m, d_max)}
+        frontier = {y for x in frontier for y in preimages_k(space, x, m)}
         found |= frontier
     return found - orbit
 
@@ -282,7 +274,6 @@ def _forced_tail_ok(
     leaf: EpPoint,
     forced,
     phase_mod: int,
-    d_max: int,
 ) -> bool:
     """Can the branch keep following the forced lift letters forever?
 
@@ -301,20 +292,13 @@ def _forced_tail_ok(
             return True
         seen.add(state)
         t = forced(s)
-        nxt = None
-        for y in preimages(space, cur, d_max).points:
-            if y.letter(0) == t:
-                nxt = y
-                break
-        if nxt is None:
+        if t not in _branches(space, cur)[0]:
             return False
-        cur = nxt
+        cur = _preimage_point(cur, t)
         s += 1
 
 
-def homoclinic_orbits(
-    space: ZipShiftSpace, datum: HomoclinicDatum, d_max: int = 32
-) -> tuple[HomoclinicOrbit, ...]:
+def homoclinic_orbits(space: ZipShiftSpace, datum: HomoclinicDatum) -> tuple[HomoclinicOrbit, ...]:
     """All backward branch histories through the datum's point.
 
     Depths 1..n_back-1 branch over every viable pre-image letter; from depth
@@ -322,19 +306,18 @@ def homoclinic_orbits(
     anchor, and branches whose forced continuation dies are dropped.
     Returned in alphabet order of the choice words.
     """
-    _check_search_bound(d_max)
     forced, phase_mod = _forced_letters(space, datum)
     leaves: list[tuple[Word, EpPoint]] = [((), datum.point)]
     for _ in range(1, datum.n_back):
         grown: list[tuple[Word, EpPoint]] = []
         for choices, cur in leaves:
-            for y in preimages(space, cur, d_max).points:
-                grown.append((choices + (y.letter(0),), y))
+            for t in _branches(space, cur)[0]:
+                grown.append((choices + (t,), _preimage_point(cur, t)))
         leaves = grown
     out = [
         HomoclinicOrbit(datum, choices)
         for choices, leaf in leaves
-        if _forced_tail_ok(space, datum, leaf, forced, phase_mod, d_max)
+        if _forced_tail_ok(space, datum, leaf, forced, phase_mod)
     ]
     out.sort(key=lambda o: space.alphabet_aprime.key(o.choices))
     return tuple(out)

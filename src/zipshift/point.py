@@ -215,10 +215,13 @@ def _letter_failure(space: ZipShiftSpace, x: EpPoint) -> str | None:
 
 
 def is_admissible(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
-    """Window admissibility plus left-tail liftability."""
+    """Is x in the space?  Decided exactly by lifting x to a walk of the
+    labeled graph.  Only a refused x is scanned, letter by letter and window
+    by window, so that the report names the first letter or window that fails
+    (or, when all pass, the side that does not lift)."""
     from . import preimage
 
-    return preimage.point_admissibility(space, x)
+    return preimage._admissibility(space, x)[0]
 
 
 def point_from_lift(space: ZipShiftSpace, lift: EpPoint) -> EpPoint:

@@ -7,7 +7,8 @@ sofic label matches x_{-1}, then an exact viability decision (product of the
 backward graph with the left label's transient-then-cycle automaton) keeps
 the candidates that extend to genuine points.  A bounded-depth path search
 adds the delay / left-closing / distinguishable metadata on top; enumeration
-never depends on that search resolving.
+never depends on that search resolving.  Only ``preimages`` runs that search:
+iterated pre-images and the orbit tools read the branch letters alone.
 
 Each query trims the viability product once per side (backward for the left
 label, forward for the right tail) and reads it by phase: from any depth on,
@@ -170,14 +171,6 @@ def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
         return set()
     right = _label(g.rightward, x.right_transient, x.right_period)
     return {v for v in ids if right.viable(v, ell)}
-
-
-def point_admissibility(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
-    """Is x in the space?  Decided exactly by lifting x to a walk of the
-    labeled graph.  Only a refused x is scanned, letter by letter and window
-    by window, so that the report names the first letter or window that fails
-    (or, when all pass, the side that does not lift)."""
-    return _admissibility(space, x)[0]
 
 
 def _admissibility(
@@ -459,9 +452,18 @@ def _check_search_bound(d_max: int) -> None:
         raise InvalidWord(f"search bound must be >= 1, got {d_max}")
 
 
-def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResult:
-    """All y with shift(y) = x, plus classification metadata."""
-    _check_search_bound(d_max)
+def _branches(
+    space: ZipShiftSpace, x: EpPoint
+) -> tuple[
+    list[str], LabeledGraph, set[int], _Label, dict[str, dict[int, int]], dict[str, dict[int, int]]
+]:
+    """The letters t, in A' order, whose ``_preimage_point(x, t)`` is a
+    pre-image of x, with what ``_classify`` reads: the labeled graph, the
+    position-0 vertices, the left label, and per branch letter the backward
+    candidates (path counts capped at 2) and one position-0 origin of each.
+
+    Raises NotInSpace when x is not in the space.
+    """
     report, v0, left = _admissibility(space, x)
     if not report.ok:
         raise NotInSpace(report.reason)
@@ -474,26 +476,29 @@ def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResu
             per_u = cands.setdefault(t, {})
             per_u[u] = min(2, per_u.get(u, 0) + 1)
             origin.setdefault(t, {}).setdefault(u, v)
-    viable: list[str] = []
-    points: list[EpPoint] = []
-    for t in sorted(cands, key=space.alphabet_aprime.index):
-        if any(left.viable(u, 1) for u in cands[t]):
-            viable.append(t)
-            points.append(_preimage_point(x, t))
+    viable = [
+        t
+        for t in sorted(cands, key=space.alphabet_aprime.index)
+        if any(left.viable(u, 1) for u in cands[t])
+    ]
+    return viable, g, v0, left, cands, origin
+
+
+def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResult:
+    """All y with shift(y) = x, plus classification metadata."""
+    _check_search_bound(d_max)
+    viable, g, v0, left, cands, origin = _branches(space, x)
     classification = _classify(space, g, x, left, cands, origin, viable, v0, d_max)
-    return PreimageResult(classification, tuple(points))
+    return PreimageResult(classification, tuple(_preimage_point(x, t) for t in viable))
 
 
-def preimages_k(
-    space: ZipShiftSpace, x: EpPoint, k: int, d_max: int = 32
-) -> set[EpPoint]:
+def preimages_k(space: ZipShiftSpace, x: EpPoint, k: int) -> set[EpPoint]:
     """All y with shift_k(y) = x, by k-fold branching with per-step pruning."""
     if k < 1:
         raise InvalidWord(f"pre-image depth must be >= 1, got {k}")
-    _check_search_bound(d_max)
     frontier = {x}
     for _ in range(k):
-        frontier = {y for p in frontier for y in preimages(space, p, d_max).points}
+        frontier = {_preimage_point(p, t) for p in frontier for t in _branches(space, p)[0]}
     return frontier
 
 

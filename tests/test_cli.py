@@ -270,6 +270,8 @@ def test_code_invert_not_found(specs, capsys):
     rc, out, err = run(capsys, ["code", "invert", specs["proj"], "--max-window", "2"])
     assert rc == 1 and out == ""
     assert err == "error: no inverse found with window <= 2\n"
+    rc, out, err = run(capsys, ["code", "invert", specs["proj"], "--max-window", "0"])
+    assert rc == 1 and out == "" and err == "error: window bound must be >= 1, got 0\n"
 
 
 def test_code_invert(specs, capsys):

@@ -121,6 +121,8 @@ def test_invert_projection_not_found(sigma_f):
     missing = invert_code(spec, max_window=2)
     assert not missing
     assert missing.max_window == 2
+    with pytest.raises(InvalidWord, match="window bound must be >= 1, got 0"):
+        invert_code(spec, max_window=0)
 
 
 def test_higher_block_one_is_identity(ex21):

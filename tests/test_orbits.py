@@ -20,6 +20,7 @@ from zipshift import (
     periodic_point,
     periodic_points,
     pre_periodic_points,
+    preimages_k,
     shift,
     sofic_space,
     stable_unstable_membership,
@@ -143,20 +144,28 @@ def test_pre_periodic_points(ex21, sigma_f, sigma_g, classical):
     }
 
 
-def test_search_bound_below_one_refused_up_front(coding2, monkeypatch):
+def test_orbit_tools_run_no_classification(ex21, coding2, sigma_f, monkeypatch):
+    """Pre-periodic points, homoclinic orbits and iterated pre-images read
+    only the pre-image branch letters, never the path-search classification."""
+
+    def no_classify(*args):
+        raise AssertionError("the pre-image classification ran")
+
+    monkeypatch.setattr("zipshift.preimage._classify", no_classify)
+    p2 = periodic_point(ex21, ("2",))
+    assert {format_point(q) for q in pre_periodic_points(ex21, p2, 2)} == {
+        "(b)* ; 3 (2)*",
+        "(b)* ; 2 3 (2)*",
+    }
     p = periodic_point(coding2, ("0", "1'"))
     datum = homoclinic_datum(coding2, p, parse_point("(a b)* b a ; 1 (0 1')*"))
-
-    def no_search(*args):
-        raise AssertionError("a pre-image was computed")
-
-    monkeypatch.setattr("zipshift.orbits.preimages", no_search)
-    monkeypatch.setattr("zipshift.orbits.preimages_k", no_search)
-    for d_max in (0, -3):
-        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
-            pre_periodic_points(coding2, p, 1, d_max)
-        with pytest.raises(InvalidWord, match=f"search bound must be >= 1, got {d_max}"):
-            homoclinic_orbits(coding2, datum, d_max)
+    assert [o.choices for o in homoclinic_orbits(coding2, datum)] == [
+        ("0", "1"),
+        ("0", "1'"),
+        ("0'", "1"),
+        ("0'", "1'"),
+    ]
+    assert len(preimages_k(sigma_f, parse_point("(a)* ; (1)*"), 3)) == 8
 
 
 def test_stable_unstable_membership(coding2):
