@@ -601,7 +601,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "classify", False) and args.depth != 1:
+        parser.error("--classify needs --depth 1")
     try:
         return args.handler(args)
     except ZipShiftError as exc:

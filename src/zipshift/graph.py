@@ -25,35 +25,17 @@ from .symbols import Word
 class LetterSteps:
     """One walking direction of a labeled graph, indexed by letter.
 
-    Built from ``step``, where ``step[v][c]`` lists the vertices one step on
-    from v reading c, one entry per edge.  ``back`` is its reverse:
-    ``back[w][c]`` lists the v with w in ``step[v][c]``, as often as it
-    occurs there.  ``letter(c)`` gives, for every vertex v, the out-degree
-    ``len(step[v][c])``, the same as a byte mask (1 where it is positive), and
-    the vertices where it is 0.  ``last_label`` is the pre-image engine's
-    most recent label trim along this walk, or None: one per walk, so the
-    queries asked in turn about one point trim each of its sides once.
+    ``step[v][c]`` lists the vertices one step on from v reading c, one entry
+    per edge.  ``last_label`` is the pre-image engine's most recent label
+    along this walk, or None: one per walk, so the queries asked in turn
+    about one point share the viability searches on each of its sides.
     """
 
-    __slots__ = ("back", "last_label", "_by_letter", "_unread")
+    __slots__ = ("step", "last_label")
 
-    def __init__(self, step: list[dict], back: list[dict]):
-        n = len(step)
-        self.back = back
+    def __init__(self, step: list[dict]):
+        self.step = step
         self.last_label = None
-        degree: dict[str | None, list[int]] = {}
-        for v, by_letter in enumerate(step):
-            for c, targets in by_letter.items():
-                degree.setdefault(c, [0] * n)[v] = len(targets)
-        self._by_letter = {
-            c: (d, bytes(map(bool, d)), [v for v in range(n) if not d[v]])
-            for c, d in degree.items()
-        }
-        self._unread: tuple[list[int], bytes, list[int]] = ([0] * n, bytes(n), list(range(n)))
-
-    def letter(self, c: str | None) -> tuple[list[int], bytes, list[int]]:
-        """Out-degrees by vertex reading c, their byte mask, and the stuck vertices."""
-        return self._by_letter.get(c, self._unread)
 
 
 class LabeledGraph:
@@ -79,21 +61,19 @@ class LabeledGraph:
         for vid, lab in enumerate(self.labels):
             self._by_label.setdefault(lab, []).append(vid)
         # Letter indexes, one entry per edge: the sources of a vertex's
-        # in-edges by sofic letter, the targets of its out-edges by first
-        # letter, and the reverse of each.
+        # in-edges and the targets of its out-edges by sofic letter, and the
+        # targets of its out-edges by first letter.
         self.sources_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
         self.targets_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
         self.targets_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
-        self.sources_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
         for src, dst, first, sofic in self.edges:
             self.sources_by_sofic[dst].setdefault(sofic, []).append(src)
             self.targets_by_sofic[src].setdefault(sofic, []).append(dst)
             self.targets_by_first[src].setdefault(first, []).append(dst)
-            self.sources_by_first[dst].setdefault(first, []).append(src)
         # Walks toward minus infinity read sofic letters on reversed edges;
         # walks toward plus infinity read first letters on the edges as given.
-        self.leftward = LetterSteps(self.sources_by_sofic, self.targets_by_sofic)
-        self.rightward = LetterSteps(self.targets_by_first, self.sources_by_first)
+        self.leftward = LetterSteps(self.sources_by_sofic)
+        self.rightward = LetterSteps(self.targets_by_first)
 
     def n_vertices(self) -> int:
         return len(self.labels)

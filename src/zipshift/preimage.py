@@ -10,24 +10,23 @@ adds the delay / left-closing / distinguishable metadata on top; enumeration
 never depends on that search resolving.  Only ``preimages`` runs that search:
 iterated pre-images and the orbit tools read the branch letters alone.
 
-Each query trims the viability product once per side (backward for the left
-label, forward for the right tail) and reads it by phase: from any depth on,
-a label is a suffix of its transient or a rotation of its period, so every
-later viability question of the query, for any vertex at any depth, is a
-lookup.  The trim builds no product graph: it reads the letter indexes the
-labeled graph keeps for each direction (out-degrees to seed the live
-counters, reverse lists to find the predecessors of a dying node), so past
-one copy of the degrees per phase its work is the in-edges of the nodes
-that die.  The path search behind the classification stops at its first
-repeated (label phase, path counts) state past the left transient and folds
-deeper depths into that cycle; the classification stops checking depths
-once every search has ended or cycled and one common period of their
+Viability is decided on demand, per side (backward for the left label,
+forward for the right tail): a question about vertex v at depth d runs a
+depth-first search over the (vertex, depth) product from that node only,
+and stops at the first node known alive or met again on its own path.  From
+any depth on, a label is a suffix of its transient or a rotation of its
+period, so the product is finite, and the decided nodes are kept on the
+label: a query pays for the nodes its questions reach, and each product
+edge at most once.  The path search behind the classification stops at its
+first repeated (label phase, path counts) state past the left transient and
+folds deeper depths into that cycle; the classification stops checking
+depths once every search has ended or cycled and one common period of their
 states has been checked.
 
 Across queries, each walk direction of the labeled graph keeps its latest
-label trim (``LetterSteps.last_label``), and a query reads that one instead
-of trimming again when its (transient, period) is the same: the queries
-asked in turn about one point trim each side of it once between them.
+label (``LetterSteps.last_label``), and a query reads that one instead of
+starting afresh when its (transient, period) is the same: the queries asked
+in turn about one point share the decided nodes of each side between them.
 """
 from __future__ import annotations
 
@@ -57,79 +56,68 @@ def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
     return g
 
 
-def _alive_cycle_nodes(walk: LetterSteps, period: Word) -> list[bytearray]:
-    """Nodes of the (vertex, phase) product from which infinite runs exist.
-
-    Node (v, ph) reads ``period[ph]`` along ``walk`` and moves to phase
-    ph + 1 mod m.  Entry ph of the result marks with a 1 the vertices v whose
-    node (v, ph) is alive.  One worklist pass over the graph's prebuilt
-    indexes: the live successor counts start as copies of the letters' degree
-    arrays, the stuck vertices seed the worklist, and the predecessors of a
-    dying node (w, ph) are ``back[w][period[ph - 1]]`` at phase ph - 1.  Past
-    those m copies, work is proportional to the in-edges of the nodes that
-    die.
-    """
-    live: list[list[int]] = []
-    alive: list[bytearray] = []
-    dead: list[tuple[int, int]] = []
-    for ph, c in enumerate(period):
-        degree, moving, stuck = walk.letter(c)
-        live.append(degree[:])
-        alive.append(bytearray(moving))
-        dead += [(ph, v) for v in stuck]
-    m = len(period)
-    back = walk.back
-    while dead:
-        ph, w = dead.pop()
-        ph -= 1  # the predecessors' phase; -1 indexes the last one
-        counts, marks = live[ph], alive[ph]
-        for v in back[w].get(period[ph], ()):
-            if marks[v]:
-                counts[v] -= 1
-                if not counts[v]:
-                    marks[v] = 0
-                    dead.append((ph % m, v))
-    return alive
+# States of a (vertex, depth) node in a label's search; 0 is undecided.
+_ALIVE, _DEAD, _ON_PATH = 1, 2, 3
 
 
 class _Label:
     """Where a one-sided label, transient then period forever, can be spelled.
 
-    ``walk`` steps through the graph one letter outward.  Layer d holds the
-    vertices that can spell the label from its d-th letter on: the period
-    layers come from one trim of the (vertex, phase) product, the transient
-    layers from one pass back over them along the reverse index.  Depths past
-    the transient fold onto phase (d - T) mod m, since from there on the
-    label is a rotation of the period.
+    ``walk`` steps through the graph one letter outward.  Node (v, d) of the
+    (vertex, depth) product reads the label's d-th letter along ``walk.step``;
+    depths past the transient fold onto T + (d - T) mod m, since from there on
+    the label is a rotation of the period.  ``viable(v, d)`` asks whether an
+    infinite run leaves (v, d), by a depth-first search from that node that
+    stops at the first node known alive or met again on its own path (a
+    cycle); a node is dead once all of its successors are.  Every decided
+    node is kept, so later questions about the label reuse the search and
+    each product edge is scanned at most once per label.
     """
 
     def __init__(self, walk: LetterSteps, transient: Word, period: Word):
         self.key = (transient, period)
-        n = len(walk.back)
-        layers = _alive_cycle_nodes(walk, period)
-        ahead = layers[0]
-        for c in reversed(transient):
-            here = bytearray(n)
-            for w in range(n):
-                if ahead[w]:
-                    for v in walk.back[w].get(c, ()):
-                        here[v] = 1
-            layers.append(here)
-            ahead = here
-        m = len(period)
-        self._layers = layers[m:][::-1] + layers[:m]
-        self._t = len(transient)
-        self._m = m
+        t, m = len(transient), len(period)
+        self._t, self._m = t, m
+        self._step = walk.step
+        self._letters = transient + period
+        self._next = list(range(1, t + m)) + [t]
+        self._state = [bytearray(len(walk.step)) for _ in range(t + m)]
 
     def viable(self, v: int, depth: int) -> bool:
         if depth >= self._t:
             depth = self._t + (depth - self._t) % self._m
-        return bool(self._layers[depth][v])
+        state = self._state
+        known = state[depth][v]
+        if known:
+            return known == _ALIVE
+        step, letters, after = self._step, self._letters, self._next
+        state[depth][v] = _ON_PATH
+        path = [(v, depth, iter(step[v].get(letters[depth], ())))]
+        while path:
+            u, d, successors = path[-1]
+            nd = after[d]
+            layer = state[nd]
+            for w in successors:
+                known = layer[w]
+                if not known:
+                    layer[w] = _ON_PATH
+                    path.append((w, nd, iter(step[w].get(letters[nd], ()))))
+                    break
+                if known != _DEAD:
+                    # w is alive or lies on the path, so every node on the
+                    # path reaches an infinite run.
+                    for p, dp, _rest in path:
+                        state[dp][p] = _ALIVE
+                    return True
+            else:
+                state[d][u] = _DEAD
+                path.pop()
+        return False
 
 
 def _label(walk: LetterSteps, transient: Word, period: Word) -> _Label:
-    """The label's trim along ``walk``: the walk's last one when it was built
-    for the same (transient, period), else a new one that takes its place."""
+    """The label along ``walk``: the walk's last one when it was built for the
+    same (transient, period), else a new one that takes its place."""
     label = walk.last_label
     if label is None or label.key != (transient, period):
         label = walk.last_label = _Label(walk, transient, period)
@@ -258,9 +246,10 @@ class _Chain:
     """Backward path sets of one branch letter, tracked per depth.
 
     Counts are capped at 2: the search only distinguishes none / one / many
-    paths, which is all the classification needs.  ``origin`` remembers one
-    position-0 vertex behind each depth-1 vertex so witnesses can be walked
-    back to the start of the path.
+    paths, which is all the classification needs.  Each depth keeps, for
+    every vertex it reaches, the first vertex one depth up that reached it
+    (at depth 1, the position-0 ``origin``), so witnesses can be walked back
+    to the start of the path.
 
     Past the left transient the label is periodic, so the counts at a depth,
     in their order, together with the label's phase there fix every deeper
@@ -280,12 +269,12 @@ class _Chain:
         d_max: int,
     ):
         counts = {u: min(2, c) for u, c in starts.items()}
-        self.origin = origin
-        self.parents: dict[tuple[int, int], int] = {}
+        self.parents: list[dict[int, int]] = [origin]
         self.history: list[dict[int, int]] = [counts]
         self._cycle: tuple[int, int] | None = None
         t, m = len(x.left_transient), len(x.left_period)
         seen: dict[tuple, int] = {}
+        sources = g.sources_by_sofic
         for depth in range(2, d_max + 1):
             here = depth - 1
             if here >= t:
@@ -296,12 +285,17 @@ class _Chain:
                 seen[key] = here
             a = x.letter(-depth)
             new: dict[int, int] = {}
+            parent: dict[int, int] = {}
             for v, cnt in counts.items():
-                for u in g.sources_by_sofic[v].get(a, ()):
-                    new[u] = min(2, new.get(u, 0) + cnt)
-                    self.parents.setdefault((depth, u), v)
+                for u in sources[v].get(a, ()):
+                    if u in new:
+                        new[u] = 2
+                    else:
+                        new[u] = cnt
+                        parent[u] = v
             counts = new
             self.history.append(counts)
+            self.parents.append(parent)
             if not counts:
                 break
 
@@ -340,10 +334,9 @@ class _Chain:
             return ()
         v = min(self.state_at(d))
         path = [v]
-        for dd in range(d, 1, -1):
-            v = self.parents[(self._fold(dd), v)]
+        for dd in range(d, 0, -1):
+            v = self.parents[self._fold(dd) - 1][v]
             path.append(v)
-        path.append(self.origin[v])
         path.reverse()
         return tuple(g.labels[u] for u in path)
 

@@ -7,19 +7,21 @@ a matrix, and so on).  A mixed word -- a block straddling the -1|0 boundary
 """
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidWord, UndefinedWindow, UnknownSymbol
 
 Word = tuple[str, ...]
 
-_FORBIDDEN_CHARS = set("();*")
+# On str patterns, \s matches exactly the characters str.isspace accepts.
+_forbidden_char = re.compile(r"[\s();*]").search
 
 
 def _check_symbol(sym: str) -> None:
     if not isinstance(sym, str) or not sym:
         raise InvalidWord(f"symbol must be a non-empty string, got {sym!r}")
-    if any(ch.isspace() for ch in sym) or _FORBIDDEN_CHARS & set(sym):
+    if _forbidden_char(sym):
         raise InvalidWord(
             f"symbol {sym!r} may not contain whitespace, parentheses, ';' or '*'"
         )

@@ -347,6 +347,18 @@ def test_search_bound_below_one_rejected(specs, capsys):
         assert err == "error: search bound must be >= 1, got 0\n"
 
 
+def test_classify_needs_depth_one(specs, capsys):
+    """--classify describes the depth-1 branches only, so with another depth
+    it is refused as a usage error instead of being dropped."""
+    argv = ["point", "preimages", specs["sigma_f"], "(a)* ; (1)*", "--depth", "2", "--classify"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: --classify needs --depth 1\n")
+
+
 def test_horseshoe_stable_string(capsys):
     rc, out, _ = run(capsys, ["horseshoe", "stable-string", "00"])
     assert rc == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from zipshift import (
@@ -9,6 +11,7 @@ from zipshift import (
     UndefinedWindow,
     UnknownSymbol,
 )
+from zipshift.symbols import _forbidden_char
 
 
 def test_alphabet_order_and_lookup():
@@ -31,6 +34,20 @@ def test_alphabet_rejects_bad_symbols():
         Alphabet(["(x)"])
     with pytest.raises(InvalidWord):
         Alphabet([""])
+
+
+def test_forbidden_chars_are_whitespace_and_grammar_marks():
+    """The symbol check's pattern refuses exactly the code points that
+    str.isspace accepts, plus the point grammar's ( ) ; and *."""
+    mismatches = [
+        cp
+        for cp in range(sys.maxunicode + 1)
+        if bool(_forbidden_char(chr(cp))) != (chr(cp).isspace() or chr(cp) in "();*")
+    ]
+    assert mismatches == []
+    for bad in ("a\u2028b", "x\u00a0", "\u3000"):
+        with pytest.raises(InvalidWord, match="may not contain whitespace"):
+            Alphabet([bad])
 
 
 def test_alphabet_check_word():

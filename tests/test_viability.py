@@ -1,11 +1,12 @@
-"""The linear trims and the folded path search against the loops they
-replaced.
+"""Label viability, the graph trim and the folded path search against the
+loops they replaced.
 
-The trim oracles are the original "drop what has no live successor until
-nothing changes" loops: over (vertex, phase) pairs, with the transient
-walked from the start set first, and over the vertices of a graph.  The
-chain oracle is the path search that visits every depth up to d_max, and
-the classification oracle checks the patterns at every one of those depths.
+The viability and trim oracles are the original "drop what has no live
+successor until nothing changes" loops: over (vertex, phase) pairs, with
+the transient walked from the start set first, and over the vertices of a
+graph.  The chain oracle is the path search that visits every depth up to
+d_max, and the classification oracle checks the patterns at every one of
+those depths.
 Graphs are drawn small and unconstrained: self-loops, parallel edges, dead
 ends and empty edge sets all occur.
 """
@@ -20,7 +21,6 @@ from zipshift.graph import LabeledGraph, _trim
 from zipshift.point import EpPoint
 from zipshift.preimage import (
     LabelClassification,
-    _alive_cycle_nodes,
     _Chain,
     _classify,
     _Label,
@@ -41,21 +41,42 @@ def fixpoint_alive(n: int, m: int, succ) -> set[tuple[int, int]]:
     return alive
 
 
-def oracle_left_viability(g: LabeledGraph, starts, label) -> bool:
+def oracle_viability(g: LabeledGraph, starts, label, steps) -> bool:
+    """Can some start vertex spell the label forever, ``steps(v, a)`` giving
+    the vertices one step on from v reading a?"""
     transient, period = label
     states = set(starts)
     for a in transient:
-        states = {e[0] for v in states for e in g.in_edges(v) if e[3] == a}
+        states = {u for v in states for u in steps(v, a)}
         if not states:
             return False
     m = len(period)
 
     def succ(node):
         v, ph = node
-        return {(e[0], (ph + 1) % m) for e in g.in_edges(v) if e[3] == period[ph]}
+        return {(u, (ph + 1) % m) for u in steps(v, period[ph])}
 
     alive = fixpoint_alive(g.n_vertices(), m, succ)
     return any((v, 0) in alive for v in states)
+
+
+def oracle_left_viability(g: LabeledGraph, starts, label) -> bool:
+    """Backward along in-edges, reading sofic letters."""
+    return oracle_viability(g, starts, label, lambda v, a: [e[0] for e in g.in_edges(v) if e[3] == a])
+
+
+def oracle_right_viability(g: LabeledGraph, starts, label) -> bool:
+    """Forward along out-edges, reading first letters."""
+    return oracle_viability(g, starts, label, lambda v, a: [e[1] for e in g.out_edges(v) if e[2] == a])
+
+
+def label_from(transient, period, depth):
+    """The label read from its depth-th letter on: past the transient, the
+    rotation of the period by (depth - len(transient)) mod len(period)."""
+    if depth <= len(transient):
+        return transient[depth:], period
+    k = (depth - len(transient)) % len(period)
+    return (), period[k:] + period[:k]
 
 
 @st.composite
@@ -88,9 +109,27 @@ def test_linear_trim_matches_fixpoint(data):
         for ph in range(m)
     }
     for walk, succ in ((g.leftward, backward), (g.rightward, forward)):
-        alive = _alive_cycle_nodes(walk, period)
-        got = {(v, ph) for v in range(n) for ph in range(m) if alive[ph][v]}
+        label = _Label(walk, (), period)
+        got = {(v, ph) for v in range(n) for ph in range(m) if label.viable(v, ph)}
         assert got == fixpoint_alive(n, m, succ.__getitem__)
+
+
+@given(st.data())
+def test_viability_on_demand_in_any_order(data):
+    """One label asked about every (vertex, depth) in a drawn order answers
+    as a fresh label and the fixpoint oracle do, on both walks: what one
+    question's search leaves on the label must not change a later answer."""
+    g, letters = data.draw(graphs())
+    transient = data.draw(words(letters, 0, 3))
+    period = data.draw(words(letters, 1, 4))
+    depths = range(len(transient) + 2 * len(period))
+    questions = data.draw(st.permutations([(v, d) for v in range(g.n_vertices()) for d in depths]))
+    for walk, oracle in ((g.leftward, oracle_left_viability), (g.rightward, oracle_right_viability)):
+        shared = _Label(walk, transient, period)
+        for v, depth in questions:
+            got = shared.viable(v, depth)
+            assert got == _Label(walk, transient, period).viable(v, depth)
+            assert got == oracle(g, {v}, label_from(transient, period, depth))
 
 
 @given(st.data())
@@ -104,17 +143,6 @@ def test_left_viability_every_rotation(data):
     for k in range(len(period)):
         label = (transient, period[k:] + period[:k])
         assert left_viability(space, starts, label) == oracle_left_viability(g, starts, label)
-    # One trim, read at every depth: past the transient, depth d is the
-    # rotation of the period by (d - len(transient)) mod len(period).
-    once = _Label(g.leftward, transient, period)
-    for depth in range(len(transient) + 2 * len(period)):
-        if depth <= len(transient):
-            label = (transient[depth:], period)
-        else:
-            k = (depth - len(transient)) % len(period)
-            label = ((), period[k:] + period[:k])
-        for v in range(n):
-            assert once.viable(v, depth) == oracle_left_viability(g, {v}, label)
 
 
 class UnfoldedChain:
