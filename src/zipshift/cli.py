@@ -302,17 +302,16 @@ def _cmd_point_preimages(args: argparse.Namespace) -> int:
     space = space_from_dict(_load_json(args.spec))
     x = _point_arg(space, args.point)
     _check_search_bound(args.dmax)
-    if args.depth == 1:
+    if args.classify:
         result = preimages(space, x, d_max=args.dmax)
         points: set[EpPoint] | tuple[EpPoint, ...] = result.points
-        if args.classify:
-            c = result.classification
-            extras = []
-            for name in ("delay", "length", "multiplicity", "variant", "searched_to"):
-                value = getattr(c, name)
-                if value is not None:
-                    extras.append(f"{name}={value}")
-            print("\t".join([f"# kind={c.kind}"] + extras))
+        c = result.classification
+        extras = []
+        for name in ("delay", "length", "multiplicity", "variant", "searched_to"):
+            value = getattr(c, name)
+            if value is not None:
+                extras.append(f"{name}={value}")
+        print("\t".join([f"# kind={c.kind}"] + extras))
     else:
         points = preimages_k(space, x, args.depth)
     for line in sorted(format_point(y) for y in points):

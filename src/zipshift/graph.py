@@ -29,13 +29,16 @@ class LetterSteps:
     per edge.  ``last_label`` is the pre-image engine's most recent label
     along this walk, or None: one per walk, so the queries asked in turn
     about one point share the viability searches on each of its sides.
+    ``count_states`` is the pre-image path search's table of interned
+    path-count states along this walk, with the steps between them.
     """
 
-    __slots__ = ("step", "last_label")
+    __slots__ = ("step", "last_label", "count_states")
 
     def __init__(self, step: list[dict]):
         self.step = step
         self.last_label = None
+        self.count_states: dict = {}
 
 
 class LabeledGraph:

@@ -58,7 +58,7 @@ def _cycle_point(space: ZipShiftSpace, word: Word) -> PeriodicPoint:
     """The periodic point repeating ``word``, which must be a cycle."""
     u = word * (space.n // len(word) + 2)
     lp = tuple(space.tm(u[i : i + space.n]) for i in range(len(word)))
-    return PeriodicPoint(word, EpPoint(lp, (), (), word))
+    return PeriodicPoint(word, EpPoint._of_symbols(lp, (), (), word))
 
 
 def periodic_points(space: ZipShiftSpace, m: int) -> set[PeriodicPoint]:

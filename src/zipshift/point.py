@@ -59,6 +59,17 @@ class EpPoint:
         for w in (lp, lt, rt, rp):
             for c in w:
                 _check_symbol(c)
+        self._canonicalize(lp, lt, rt, rp)
+
+    @classmethod
+    def _of_symbols(cls, lp: Word, lt: Word, rt: Word, rp: Word) -> EpPoint:
+        """The point with these parts, given as tuples of known symbols with
+        non-empty periods: the canonical form without the letter check."""
+        point = object.__new__(cls)
+        point._canonicalize(lp, lt, rt, rp)
+        return point
+
+    def _canonicalize(self, lp: Word, lt: Word, rt: Word, rp: Word) -> None:
         lp = _primitive(lp)
         rp = _primitive(rp)
         while lt and lt[0] == lp[0]:

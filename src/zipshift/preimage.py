@@ -17,16 +17,22 @@ and stops at the first node known alive or met again on its own path.  From
 any depth on, a label is a suffix of its transient or a rotation of its
 period, so the product is finite, and the decided nodes are kept on the
 label: a query pays for the nodes its questions reach, and each product
-edge at most once.  The path search behind the classification stops at its
-first repeated (label phase, path counts) state past the left transient and
-folds deeper depths into that cycle; the classification stops checking
-depths once every search has ended or cycled and one common period of their
-states has been checked.
+edge at most once.  The path search behind the classification walks states
+of capped path counts outward, one per depth, stops at its first repeated
+(label phase, state) pair past the left transient and folds deeper depths
+into that cycle; the classification stops checking depths once every search
+has ended or cycled and one common period of their states has been checked.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
 starting afresh when its (transient, period) is the same: the queries asked
 in turn about one point share the decided nodes of each side between them.
+The path search's states are interned on the leftward walk
+(``LetterSteps.count_states``) together with the steps between them, the
+subset construction of the backward graph built as it is read: a step taken
+once on a graph is read by every later search on it.  The table is cleared
+before a classification once it holds more than a fixed number of states
+per graph vertex.
 """
 from __future__ import annotations
 
@@ -239,25 +245,61 @@ def _preimage_point(x: EpPoint, t: str) -> EpPoint:
     else:
         lt = ()
         lp = (x.left_period[-1],) + x.left_period[:-1]
-    return EpPoint(lp, lt, (t,) + x.right_transient, x.right_period)
+    return EpPoint._of_symbols(lp, lt, (t,) + x.right_transient, x.right_period)
+
+
+class _Counts:
+    """Capped path counts at one depth of the path search, interned per walk.
+
+    ``verts`` lists the vertices reached, in reach order, and ``counts`` their
+    path counts capped at 2; ``total`` is the capped sum.  ``next[a]`` holds
+    the step along letter a once taken: the state one depth on and, aligned
+    with its vertices, the first vertex of this state that reached each one.
+    """
+
+    __slots__ = ("verts", "counts", "total", "next")
+
+    def __init__(self, verts: tuple[int, ...], counts: tuple[int, ...]):
+        self.verts = verts
+        self.counts = counts
+        self.total = min(2, sum(counts))
+        self.next: dict[str, tuple[_Counts, tuple[int, ...]]] = {}
+
+
+_NO_PATHS = _Counts((), ())
+
+# The path search's table on a graph is cleared before a classification
+# once it holds more states than this many per graph vertex, which bounds
+# its memory; an S(6,2,3) window graph settles at about 1.6 per vertex.
+_STATES_PER_VERTEX = 8
+
+
+def _interned(table: dict, verts: tuple[int, ...], counts: tuple[int, ...]) -> _Counts:
+    state = table.get((verts, counts))
+    if state is None:
+        state = table[verts, counts] = _Counts(verts, counts)
+    return state
 
 
 class _Chain:
     """Backward path sets of one branch letter, tracked per depth.
 
     Counts are capped at 2: the search only distinguishes none / one / many
-    paths, which is all the classification needs.  Each depth keeps, for
-    every vertex it reaches, the first vertex one depth up that reached it
-    (at depth 1, the position-0 ``origin``), so witnesses can be walked back
-    to the start of the path.
+    paths, which is all the classification needs.  Each depth keeps, aligned
+    with the vertices it reaches, the first vertex one depth up that reached
+    each (at depth 1, the position-0 ``origin``), so witnesses can be walked
+    back to the start of the path.  The states are interned on the graph's
+    leftward walk (``LetterSteps.count_states``), keyed by their vertices in
+    reach order and their counts, and each keeps its steps: a step taken once
+    on a graph is read, not recomputed, by every later chain on it.
 
-    Past the left transient the label is periodic, so the counts at a depth,
-    in their order, together with the label's phase there fix every deeper
-    state and every parent recorded below it.  The search therefore stops at
-    the first repeated (phase, counts) pair: first seen at depth d0 and again
-    at d0 + p, every depth past d0 + p folds into (d0, d0 + p].  The fold
-    lands there, not on [d0, d0 + p), because the parents at a depth come
-    from the state one level up, which must itself lie on the cycle.
+    Past the left transient the label is periodic, so the state at a depth
+    together with the label's phase there fixes every deeper state and every
+    parent recorded below it.  The search therefore stops at the first
+    repeated (phase, state) pair: first seen at depth d0 and again at
+    d0 + p, every depth past d0 + p folds into (d0, d0 + p].  The fold lands
+    there, not on [d0, d0 + p), because the parents at a depth come from the
+    state one level up, which must itself lie on the cycle.
     """
 
     def __init__(
@@ -268,35 +310,39 @@ class _Chain:
         origin: dict[int, int],
         d_max: int,
     ):
-        counts = {u: min(2, c) for u, c in starts.items()}
-        self.parents: list[dict[int, int]] = [origin]
-        self.history: list[dict[int, int]] = [counts]
+        table, sources = g.leftward.count_states, g.leftward.step
+        state = _interned(table, tuple(starts), tuple(min(2, c) for c in starts.values()))
+        self.states: list[_Counts] = [state]
+        self.parents: list[tuple[int, ...]] = [tuple(origin[u] for u in state.verts)]
         self._cycle: tuple[int, int] | None = None
         t, m = len(x.left_transient), len(x.left_period)
-        seen: dict[tuple, int] = {}
-        sources = g.sources_by_sofic
+        seen: dict[tuple[int, _Counts], int] = {}
         for depth in range(2, d_max + 1):
             here = depth - 1
             if here >= t:
-                key = ((here - t) % m, tuple(counts.items()))
+                key = ((here - t) % m, state)
                 if key in seen:
                     self._cycle = (seen[key], here - seen[key])
                     break
                 seen[key] = here
             a = x.letter(-depth)
-            new: dict[int, int] = {}
-            parent: dict[int, int] = {}
-            for v, cnt in counts.items():
-                for u in sources[v].get(a, ()):
-                    if u in new:
-                        new[u] = 2
-                    else:
-                        new[u] = cnt
-                        parent[u] = v
-            counts = new
-            self.history.append(counts)
-            self.parents.append(parent)
-            if not counts:
+            step = state.next.get(a)
+            if step is None:
+                new: dict[int, int] = {}
+                parent: dict[int, int] = {}
+                for v, cnt in zip(state.verts, state.counts):
+                    for u in sources[v].get(a, ()):
+                        if u in new:
+                            new[u] = 2
+                        else:
+                            new[u] = cnt
+                            parent[u] = v
+                nxt = _interned(table, tuple(new), tuple(new.values()))
+                step = state.next[a] = (nxt, tuple(parent.values()))
+            state, parents = step
+            self.states.append(state)
+            self.parents.append(parents)
+            if not state.verts:
                 break
 
     def periodic_from(self) -> tuple[int, int] | None:
@@ -306,8 +352,8 @@ class _Chain:
         States repeat from d0 on, one depth before the parents do."""
         if self._cycle is not None:
             return self._cycle
-        if not self.history[-1]:
-            return len(self.history), 1
+        if not self.states[-1].verts:
+            return len(self.states), 1
         return None
 
     def _fold(self, depth: int) -> int:
@@ -317,25 +363,30 @@ class _Chain:
                 return d0 + 1 + (depth - d0 - 1) % p
         return depth
 
-    def state_at(self, depth: int) -> dict[int, int]:
+    def at(self, depth: int) -> _Counts:
         depth = self._fold(depth)
-        if depth - 1 < len(self.history):
-            return self.history[depth - 1]
-        return {}
+        if depth - 1 < len(self.states):
+            return self.states[depth - 1]
+        return _NO_PATHS
+
+    def state_at(self, depth: int) -> dict[int, int]:
+        state = self.at(depth)
+        return dict(zip(state.verts, state.counts))
 
     def paths_at(self, depth: int) -> int:
-        return min(2, sum(self.state_at(depth).values()))
+        return self.at(depth).total
 
     def witness(self, g: LabeledGraph, depth: int) -> tuple[Word, ...]:
         d = depth
-        while d >= 1 and not self.state_at(d):
+        while d >= 1 and not self.at(d).verts:
             d -= 1
         if d < 1:
             return ()
-        v = min(self.state_at(d))
+        v = min(self.at(d).verts)
         path = [v]
         for dd in range(d, 0, -1):
-            v = self.parents[self._fold(dd) - 1][v]
+            i = self._fold(dd) - 1
+            v = self.parents[i][self.states[i].verts.index(v)]
             path.append(v)
         path.reverse()
         return tuple(g.labels[u] for u in path)
@@ -364,6 +415,9 @@ def _classify(
     backward run, the label alone singles it out (variant L).  Everything
     else is branching, stamped with the searched depth.
     """
+    table = g.leftward.count_states
+    if len(table) > _STATES_PER_VERTEX * g.n_vertices():
+        table.clear()
     chains = {t: _Chain(g, x, cands[t], origin[t], d_max) for t in cands}
     sofic = space.kind == "sofic"
     m_points = len(viable)
@@ -389,11 +443,10 @@ def _classify(
         start = max(d for d, _p in shapes)
         last = min(d_max, start + math.lcm(*(p for _d, p in shapes)) - 1)
     for d in range(1, last + 1):
-        alive = [t for t in cands if chains[t].state_at(d)]
+        alive = [state for state in (chains[t].at(d) for t in cands) if state.verts]
         if not alive:
             break
-        total = sum(chains[t].paths_at(d) for t in alive)
-        if total == 1:
+        if sum(state.total for state in alive) == 1:
             if sofic:
                 return LabelClassification(
                     kind="distinguishable",
@@ -405,11 +458,9 @@ def _classify(
             return LabelClassification(
                 kind="delay", delay=d, multiplicity=1, witness_paths=wits(d)
             )
-        union: set[int] = set()
-        for t in alive:
-            union |= set(chains[t].state_at(d))
+        union = set().union(*(state.verts for state in alive))
         if len(union) == 1 and len(alive) >= 2:
-            if sofic and sum(1 for ch in start_chains.values() if ch.state_at(d)) >= 2:
+            if sofic and sum(1 for ch in start_chains.values() if ch.at(d).verts) >= 2:
                 return LabelClassification(
                     kind="sofic_left_closing",
                     length=d,
@@ -522,7 +573,7 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> EpPoint:
             state = (v, (depth - trans_len) % m)
             if state in seen:
                 j = seen[state]
-                return EpPoint(
+                return EpPoint._of_symbols(
                     tuple(reversed(letters[j:])),
                     tuple(reversed(letters[:j])),
                     x.right_transient,

@@ -181,6 +181,24 @@ def test_point_preimages(specs, capsys):
     ]
 
 
+def test_point_preimages_runs_no_classification(specs, capsys, monkeypatch):
+    """Without --classify the command lists the branches and never runs the
+    path-search classification it would not print."""
+
+    def no_classify(*args):
+        raise AssertionError("the pre-image classification ran")
+
+    monkeypatch.setattr("zipshift.preimage._classify", no_classify)
+    rc, out, _ = run(capsys, ["point", "preimages", specs["sigma_g"], "(a)* ; (1)*", "--dmax", "5"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "(a)* ; (1)*",
+        "(a)* ; 2 (1)*",
+        "(a)* ; 3 (1)*",
+        "(a)* ; 4 (1)*",
+    ]
+
+
 def test_point_preimages_classify(specs, capsys):
     rc, out, _ = run(
         capsys, ["point", "preimages", specs["sigma_f"], "(a)* ; (1)*", "--classify"]

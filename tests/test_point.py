@@ -218,3 +218,19 @@ def test_canonical_preserves_sequence(lp, lt, rt, rp):
     assert [x.letter(-j) for j in range(1, 9)] == seq_left
     seq_right = [rt[i] if i < len(rt) else rp[(i - len(rt)) % len(rp)] for i in range(8)]
     assert [x.letter(i) for i in range(8)] == seq_right
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, maybe_words, maybe_words, words)
+def test_unchecked_construction_matches_public(lp, lt, rt, rp):
+    """The constructor for letters already known to be symbols gives the
+    point, fields and hash that the checking constructor gives."""
+    x = EpPoint._of_symbols(lp, lt, rt, rp)
+    y = EpPoint(lp, lt, rt, rp)
+    assert x == y and hash(x) == hash(y)
+    assert (x.left_period, x.left_transient, x.right_transient, x.right_period) == (
+        y.left_period,
+        y.left_transient,
+        y.right_transient,
+        y.right_period,
+    )

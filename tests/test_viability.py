@@ -12,11 +12,16 @@ ends and empty edge sets all occur.
 """
 from __future__ import annotations
 
+import random
 from types import SimpleNamespace
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zipshift import Alphabet, TransitionMap, preimages, random_point, sft_space
+from zipshift import preimage
 from zipshift.graph import LabeledGraph, _trim
 from zipshift.point import EpPoint
 from zipshift.preimage import (
@@ -25,6 +30,7 @@ from zipshift.preimage import (
     _classify,
     _Label,
     _left_label,
+    labeled_graph_for,
     left_viability,
 )
 
@@ -296,6 +302,84 @@ def test_classify_waits_for_a_late_ending_chain():
     got = _classify(*args)
     assert (got.kind, got.delay) == ("delay", 3)
     assert got == full_scan_classify(*args)
+
+
+def assert_chain_matches_unfolded(g, x, starts, origin, d_max):
+    folded = _Chain(g, x, starts, origin, d_max)
+    oracle = UnfoldedChain(g, x, starts, origin, d_max)
+    for depth in range(1, d_max + 1):
+        assert list(folded.state_at(depth).items()) == list(oracle.state_at(depth).items())
+        assert folded.paths_at(depth) == oracle.paths_at(depth)
+        assert folded.witness(g, depth) == oracle.witness(g, depth)
+    shape = folded.periodic_from()
+    if shape is not None:
+        deep = UnfoldedChain(g, x, starts, origin, 2 * d_max + 1)
+        start, p = shape
+        for depth in range(start, d_max + 1):
+            assert deep.state_at(depth + p) == deep.state_at(depth)
+    return folded
+
+
+@pytest.mark.parametrize("cleared", [False, True])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_chains_on_one_graph_share_its_table(cleared, data):
+    """Chains and classifications built in turn on one graph, with different
+    labels, starts, origins and bounds, read and extend one table of count
+    states; each matches the unfolded search.  With the cap at 0, every
+    classification starts from a cleared table."""
+    g, letters = data.draw(graphs())
+    vertex = st.integers(0, g.n_vertices() - 1)
+    cap = 0 if cleared else preimage._STATES_PER_VERTEX
+    with patch.object(preimage, "_STATES_PER_VERTEX", cap):
+        for _ in range(data.draw(st.integers(1, 5))):
+            x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
+            starts = data.draw(st.dictionaries(vertex, st.integers(1, 3)))
+            origin = {u: data.draw(vertex) for u in starts}
+            d_max = data.draw(st.integers(1, 40))
+            folded = assert_chain_matches_unfolded(g, x, starts, origin, d_max)
+            # The same chain again takes every step from the table.
+            size = len(g.leftward.count_states)
+            again = _Chain(g, x, starts, origin, d_max)
+            assert len(g.leftward.count_states) == size
+            assert all(a is b for a, b in zip(again.states, folded.states, strict=True))
+            branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
+            cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
+            origins = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
+            viable = [t for t in cands if data.draw(st.booleans())]
+            space = SimpleNamespace(kind=data.draw(st.sampled_from(["sft", "sofic"])))
+            args = (space, g, x, _left_label(g, x), cands, origins, viable, set(starts), d_max)
+            assert _classify(*args) == full_scan_classify(*args)
+
+
+def scaled_space(rng: random.Random):
+    """A finite-type space with six A'-letters, n = 2 and six forbidden
+    4-words drawn from ``rng``, every window mapped onto a, b or c."""
+    letters = [str(i) for i in range(6)]
+    pairs = [(p, q) for p in letters for q in letters]
+    forbidden = set()
+    while len(forbidden) < 6:
+        forbidden.add(tuple(rng.choice(letters) for _ in range(4)))
+    return sft_space(
+        Alphabet(["a", "b", "c"]),
+        Alphabet(letters),
+        TransitionMap(2, {w: "abc"[i % 3] for i, w in enumerate(pairs)}),
+        forbidden,
+    )
+
+
+def test_count_state_table_stays_under_its_cap():
+    """500 warm pre-image queries on one space never leave the path search's
+    table of count states above its cap, and the table keeps what they read."""
+    rng = random.Random(11)
+    space = scaled_space(rng)
+    g = labeled_graph_for(space)
+    cap = preimage._STATES_PER_VERTEX * g.n_vertices()
+    sizes = []
+    for _ in range(500):
+        preimages(space, random_point(space, rng))
+        sizes.append(len(g.leftward.count_states))
+    assert 0 < max(sizes) <= cap
 
 
 def fixpoint_graph_trim(g: LabeledGraph) -> LabeledGraph:
