@@ -17,11 +17,12 @@ and stops at the first node known alive or met again on its own path.  From
 any depth on, a label is a suffix of its transient or a rotation of its
 period, so the product is finite, and the decided nodes are kept on the
 label: a query pays for the nodes its questions reach, and each product
-edge at most once.  The path search behind the classification walks states
-of capped path counts outward, one per depth, stops at its first repeated
-(label phase, state) pair past the left transient and folds deeper depths
-into that cycle; the classification stops checking depths once every search
-has ended or cycled and one common period of their states has been checked.
+edge at most once.  The path search behind the classification steps one
+chain of capped path-count states per branch letter outward, all together
+and one depth at a time, and checks the patterns at each depth.  It stops
+at the first repeated (label phase, chain states) tuple past the left
+transient, since every deeper depth repeats one already checked, and
+witnesses fold the depths past it into that cycle.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
@@ -36,7 +37,6 @@ per graph vertex.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
@@ -137,24 +137,6 @@ def _left_label(g: LabeledGraph, x: EpPoint) -> _Label:
         tuple(reversed(x.left_transient)),
         tuple(reversed(x.left_period)),
     )
-
-
-def left_viability(
-    space: ZipShiftSpace,
-    start_vertices: set[int],
-    left_label: tuple[Word, Word],
-) -> bool:
-    """Can the backward graph spell the label forever from some start vertex?
-
-    The label is an A-word stream given outward (the entry at depth 1 first)
-    as a transient followed by a repeating period.  Decided exactly on the
-    product of the backward graph with the label's shape.
-    """
-    transient, period = left_label
-    if not period:
-        raise InvalidWord("left label needs a non-empty period")
-    label = _label(labeled_graph_for(space).leftward, tuple(transient), tuple(period))
-    return any(label.viable(v, 0) for v in start_vertices)
 
 
 def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
@@ -266,8 +248,6 @@ class _Counts:
         self.next: dict[str, tuple[_Counts, tuple[int, ...]]] = {}
 
 
-_NO_PATHS = _Counts((), ())
-
 # The path search's table on a graph is cleared before a classification
 # once it holds more states than this many per graph vertex, which bounds
 # its memory; an S(6,2,3) window graph settles at about 1.6 per vertex.
@@ -281,8 +261,20 @@ def _interned(table: dict, verts: tuple[int, ...], counts: tuple[int, ...]) -> _
     return state
 
 
+def _folded(depth: int, cycle: tuple[int, int] | None) -> int:
+    """The walked depth that ``depth`` repeats: with the states at d0 and
+    d0 + p the same, depths past d0 + p fold into (d0, d0 + p], not onto
+    [d0, d0 + p), because the parents at a depth come from the state one
+    depth up, which must itself lie on the cycle."""
+    if cycle is not None:
+        d0, p = cycle
+        if depth > d0 + p:
+            return d0 + 1 + (depth - d0 - 1) % p
+    return depth
+
+
 class _Chain:
-    """Backward path sets of one branch letter, tracked per depth.
+    """Backward path sets of one branch letter, one state per depth walked.
 
     Counts are capped at 2: the search only distinguishes none / one / many
     paths, which is all the classification needs.  Each depth keeps, aligned
@@ -292,101 +284,51 @@ class _Chain:
     leftward walk (``LetterSteps.count_states``), keyed by their vertices in
     reach order and their counts, and each keeps its steps: a step taken once
     on a graph is read, not recomputed, by every later chain on it.
-
-    Past the left transient the label is periodic, so the state at a depth
-    together with the label's phase there fixes every deeper state and every
-    parent recorded below it.  The search therefore stops at the first
-    repeated (phase, state) pair: first seen at depth d0 and again at
-    d0 + p, every depth past d0 + p folds into (d0, d0 + p].  The fold lands
-    there, not on [d0, d0 + p), because the parents at a depth come from the
-    state one level up, which must itself lie on the cycle.
     """
 
-    def __init__(
-        self,
-        g: LabeledGraph,
-        x: EpPoint,
-        starts: dict[int, int],
-        origin: dict[int, int],
-        d_max: int,
-    ):
-        table, sources = g.leftward.count_states, g.leftward.step
-        state = _interned(table, tuple(starts), tuple(min(2, c) for c in starts.values()))
+    def __init__(self, g: LabeledGraph, starts: dict[int, int], origin: dict[int, int]):
+        self._walk = walk = g.leftward
+        state = _interned(walk.count_states, tuple(starts), tuple(min(2, c) for c in starts.values()))
         self.states: list[_Counts] = [state]
         self.parents: list[tuple[int, ...]] = [tuple(origin[u] for u in state.verts)]
-        self._cycle: tuple[int, int] | None = None
-        t, m = len(x.left_transient), len(x.left_period)
-        seen: dict[tuple[int, _Counts], int] = {}
-        for depth in range(2, d_max + 1):
-            here = depth - 1
-            if here >= t:
-                key = ((here - t) % m, state)
-                if key in seen:
-                    self._cycle = (seen[key], here - seen[key])
-                    break
-                seen[key] = here
-            a = x.letter(-depth)
-            step = state.next.get(a)
-            if step is None:
-                new: dict[int, int] = {}
-                parent: dict[int, int] = {}
-                for v, cnt in zip(state.verts, state.counts):
-                    for u in sources[v].get(a, ()):
-                        if u in new:
-                            new[u] = 2
-                        else:
-                            new[u] = cnt
-                            parent[u] = v
-                nxt = _interned(table, tuple(new), tuple(new.values()))
-                step = state.next[a] = (nxt, tuple(parent.values()))
-            state, parents = step
-            self.states.append(state)
-            self.parents.append(parents)
-            if not state.verts:
-                break
 
-    def periodic_from(self) -> tuple[int, int] | None:
-        """(D, p) with state_at(d + p) == state_at(d) for every d >= D, or
-        None when the search reached d_max without repeating or ending.
+    def step(self, a: str) -> None:
+        """Walk one depth further, reading letter a."""
+        state = self.states[-1]
+        step = state.next.get(a)
+        if step is None:
+            sources = self._walk.step
+            new: dict[int, int] = {}
+            parent: dict[int, int] = {}
+            for v, cnt in zip(state.verts, state.counts):
+                for u in sources[v].get(a, ()):
+                    if u in new:
+                        new[u] = 2
+                    else:
+                        new[u] = cnt
+                        parent[u] = v
+            nxt = _interned(self._walk.count_states, tuple(new), tuple(new.values()))
+            step = state.next[a] = (nxt, tuple(parent.values()))
+        self.states.append(step[0])
+        self.parents.append(step[1])
 
-        States repeat from d0 on, one depth before the parents do."""
-        if self._cycle is not None:
-            return self._cycle
-        if not self.states[-1].verts:
-            return len(self.states), 1
-        return None
-
-    def _fold(self, depth: int) -> int:
-        if self._cycle is not None:
-            d0, p = self._cycle
-            if depth > d0 + p:
-                return d0 + 1 + (depth - d0 - 1) % p
-        return depth
-
-    def at(self, depth: int) -> _Counts:
-        depth = self._fold(depth)
-        if depth - 1 < len(self.states):
-            return self.states[depth - 1]
-        return _NO_PATHS
-
-    def state_at(self, depth: int) -> dict[int, int]:
-        state = self.at(depth)
-        return dict(zip(state.verts, state.counts))
-
-    def paths_at(self, depth: int) -> int:
-        return self.at(depth).total
-
-    def witness(self, g: LabeledGraph, depth: int) -> tuple[Word, ...]:
+    def witness(
+        self, g: LabeledGraph, depth: int, cycle: tuple[int, int] | None = None
+    ) -> tuple[Word, ...]:
+        """The labels of one path from the position-0 vertex out to the
+        deepest depth up to ``depth`` that still carries one; depths past
+        the walked ones fold onto ``cycle`` (see ``_folded``)."""
+        states, parents = self.states, self.parents
         d = depth
-        while d >= 1 and not self.at(d).verts:
+        while d >= 1 and not states[_folded(d, cycle) - 1].verts:
             d -= 1
         if d < 1:
             return ()
-        v = min(self.at(d).verts)
+        v = min(states[_folded(d, cycle) - 1].verts)
         path = [v]
         for dd in range(d, 0, -1):
-            i = self._fold(dd) - 1
-            v = self.parents[i][self.states[i].verts.index(v)]
+            i = _folded(dd, cycle) - 1
+            v = parents[i][states[i].verts.index(v)]
             path.append(v)
         path.reverse()
         return tuple(g.labels[u] for u in path)
@@ -414,37 +356,44 @@ def _classify(
     exhausts d_max and exactly one position-0 vertex admits an infinite
     backward run, the label alone singles it out (variant L).  Everything
     else is branching, stamped with the searched depth.
+
+    The chains step together, one depth at a time.  Past the left transient,
+    the label's phase and the branch chains' states at a depth fix every
+    deeper state, parent and pattern, so the walk stops at the first repeated
+    (phase, states) tuple, and witnesses past it fold onto that cycle.
     """
     table = g.leftward.count_states
     if len(table) > _STATES_PER_VERTEX * g.n_vertices():
         table.clear()
-    chains = {t: _Chain(g, x, cands[t], origin[t], d_max) for t in cands}
+    chains = {t: _Chain(g, cands[t], origin[t]) for t in cands}
     sofic = space.kind == "sofic"
-    m_points = len(viable)
-
-    def wits(depth: int):
-        return tuple((t, chains[t].witness(g, depth)) for t in viable)
-
-    start_chains: dict[int, _Chain] = {}
+    start_chains: list[_Chain] = []
     if sofic and len(v0) >= 2:
         for v in sorted(v0):
             sv: dict[int, int] = {}
             for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
                 sv[u] = min(2, sv.get(u, 0) + 1)
             if sv:
-                start_chains[v] = _Chain(g, x, sv, dict.fromkeys(sv, v), d_max)
+                start_chains.append(_Chain(g, sv, dict.fromkeys(sv, v)))
 
-    # The patterns at depth d read only the chains' states there.  Once every
-    # chain is periodic from depth D, the states repeat with the lcm of the
-    # periods, so a pattern that has not matched by then never will.
-    last = d_max
-    shapes = [ch.periodic_from() for ch in (*chains.values(), *start_chains.values())]
-    if shapes and None not in shapes:
-        start = max(d for d, _p in shapes)
-        last = min(d_max, start + math.lcm(*(p for _d, p in shapes)) - 1)
-    for d in range(1, last + 1):
-        alive = [state for state in (chains[t].at(d) for t in cands) if state.verts]
+    def wits(depth: int, cycle: tuple[int, int] | None = None):
+        return tuple((t, chains[t].witness(g, depth, cycle)) for t in viable)
+
+    # The key leaves the start chains out: they only choose between the two
+    # left-closing kinds, and the single-vertex union pattern returns at the
+    # first depth it holds whichever kind they select, so they can never make
+    # a later depth match where an earlier one with the same key did not.
+    t0, m = len(x.left_transient), len(x.left_period)
+    seen: dict[tuple, int] = {}
+    cycle = None
+    for d in range(1, d_max + 1):
+        if d > 1:
+            a = x.letter(-d)
+            for ch in (*chains.values(), *start_chains):
+                ch.step(a)
+        alive = [state for state in (ch.states[-1] for ch in chains.values()) if state.verts]
         if not alive:
+            cycle = (d - 1, 1)  # every chain has ended: each deeper depth repeats d
             break
         if sum(state.total for state in alive) == 1:
             if sofic:
@@ -460,7 +409,7 @@ def _classify(
             )
         union = set().union(*(state.verts for state in alive))
         if len(union) == 1 and len(alive) >= 2:
-            if sofic and sum(1 for ch in start_chains.values() if ch.at(d).verts) >= 2:
+            if sofic and sum(1 for ch in start_chains if ch.states[-1].verts) >= 2:
                 return LabelClassification(
                     kind="sofic_left_closing",
                     length=d,
@@ -473,20 +422,25 @@ def _classify(
                 multiplicity=len(alive),
                 witness_paths=wits(d),
             )
-    if sofic:
-        if sum(1 for v in v0 if left.viable(v, 0)) == 1:
-            return LabelClassification(
-                kind="distinguishable",
-                variant="L",
-                multiplicity=m_points,
-                searched_to=d_max,
-                witness_paths=wits(d_max),
-            )
+        if d >= t0:
+            key = ((d - t0) % m, *(ch.states[-1] for ch in chains.values()))
+            if key in seen:
+                cycle = (seen[key], d - seen[key])
+                break
+            seen[key] = d
+    if sofic and sum(1 for v in v0 if left.viable(v, 0)) == 1:
+        return LabelClassification(
+            kind="distinguishable",
+            variant="L",
+            multiplicity=len(viable),
+            searched_to=d_max,
+            witness_paths=wits(d_max, cycle),
+        )
     return LabelClassification(
         kind="branching",
-        multiplicity=m_points,
+        multiplicity=len(viable),
         searched_to=d_max,
-        witness_paths=wits(d_max),
+        witness_paths=wits(d_max, cycle),
     )
 
 

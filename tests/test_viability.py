@@ -6,7 +6,9 @@ successor until nothing changes" loops: over (vertex, phase) pairs, with
 the transient walked from the start set first, and over the vertices of a
 graph.  The chain oracle is the path search that visits every depth up to
 d_max, and the classification oracle checks the patterns at every one of
-those depths.
+those depths, where the classification stops at its first repeated joint
+state and folds the witnesses onto that cycle.  Two sofic kinds that few
+draws reach are pinned by value.
 Graphs are drawn small and unconstrained: self-loops, parallel edges, dead
 ends and empty edge sets all occur.
 """
@@ -20,7 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipshift import Alphabet, TransitionMap, preimages, random_point, sft_space
+from zipshift import (
+    Alphabet,
+    TransitionMap,
+    format_point,
+    parse_point,
+    preimages,
+    random_point,
+    sft_space,
+    sofic_space,
+)
 from zipshift import preimage
 from zipshift.graph import LabeledGraph, _trim
 from zipshift.point import EpPoint
@@ -29,9 +40,9 @@ from zipshift.preimage import (
     _Chain,
     _classify,
     _Label,
+    _branches,
     _left_label,
     labeled_graph_for,
-    left_viability,
 )
 
 
@@ -145,10 +156,11 @@ def test_left_viability_every_rotation(data):
     period = data.draw(words(letters, 1, 4))
     n = g.n_vertices()
     starts = data.draw(st.sets(st.integers(0, n - 1)))
-    space = SimpleNamespace(_labeled_graph=g)
     for k in range(len(period)):
-        label = (transient, period[k:] + period[:k])
-        assert left_viability(space, starts, label) == oracle_left_viability(g, starts, label)
+        rotation = period[k:] + period[:k]
+        label = _Label(g.leftward, transient, rotation)
+        got = any(label.viable(v, 0) for v in starts)
+        assert got == oracle_left_viability(g, starts, (transient, rotation))
 
 
 class UnfoldedChain:
@@ -195,33 +207,39 @@ class UnfoldedChain:
         return tuple(g.labels[u] for u in path)
 
 
-# A fold onto the wrong depths, an order-blind state key or a key taken
-# inside the transient each fails on only a few draws in a thousand.
+def walked_chain(g, x, starts, origin, d_max):
+    """A ``_Chain`` stepped along x's left label out to depth d_max."""
+    chain = _Chain(g, starts, origin)
+    for depth in range(2, d_max + 1):
+        chain.step(x.letter(-depth))
+    return chain
+
+
+def assert_chain_matches_unfolded(g, x, starts, origin, d_max):
+    chain = walked_chain(g, x, starts, origin, d_max)
+    oracle = UnfoldedChain(g, x, starts, origin, d_max)
+    for depth in range(1, d_max + 1):
+        state = chain.states[depth - 1]
+        # Items in order: the order of the counts decides which parent a
+        # deeper vertex records, and so the witness paths.
+        assert list(zip(state.verts, state.counts)) == list(oracle.state_at(depth).items())
+        assert state.total == oracle.paths_at(depth)
+        assert chain.witness(g, depth) == oracle.witness(g, depth)
+    return chain
+
+
 @settings(max_examples=1000)
 @given(st.data())
 def test_chain_fold_matches_unfolded_search(data):
+    """A chain stepped to d_max without folding matches the unfolded search
+    at every depth: states, totals and witnesses.  The fold itself is the
+    classification's, checked against the full scan below."""
     g, letters = data.draw(graphs())
     n = g.n_vertices()
     x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
     starts = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3)))
     origin = {u: data.draw(st.integers(0, n - 1)) for u in starts}
-    d_max = data.draw(st.integers(1, 40))
-    folded = _Chain(g, x, starts, origin, d_max)
-    oracle = UnfoldedChain(g, x, starts, origin, d_max)
-    for depth in range(1, d_max + 1):
-        # Items in order: the order of the counts decides which parent a
-        # deeper vertex records, and so the witness paths.
-        assert list(folded.state_at(depth).items()) == list(oracle.state_at(depth).items())
-        assert folded.paths_at(depth) == oracle.paths_at(depth)
-        assert folded.witness(g, depth) == oracle.witness(g, depth)
-    # The periodicity the classification stops on holds in the unfolded search
-    # (the folded period is found within d_max, so 2 * d_max is deep enough).
-    shape = folded.periodic_from()
-    if shape is not None:
-        deep = UnfoldedChain(g, x, starts, origin, 2 * d_max + 1)
-        start, p = shape
-        for depth in range(start, d_max + 1):
-            assert deep.state_at(depth + p) == deep.state_at(depth)
+    assert_chain_matches_unfolded(g, x, starts, origin, data.draw(st.integers(1, 40)))
 
 
 def full_scan_classify(space, g, x, left, cands, origin, viable, v0, d_max):
@@ -272,6 +290,9 @@ def full_scan_classify(space, g, x, left, cands, origin, viable, v0, d_max):
     )
 
 
+# A witness folded onto [d0, d0 + p), a key taken one depth inside the
+# transient or a key without the label's phase each fails on only a few
+# draws in a thousand.
 @settings(max_examples=1000)
 @given(st.data())
 def test_classify_early_stop_matches_full_scan(data):
@@ -304,22 +325,6 @@ def test_classify_waits_for_a_late_ending_chain():
     assert got == full_scan_classify(*args)
 
 
-def assert_chain_matches_unfolded(g, x, starts, origin, d_max):
-    folded = _Chain(g, x, starts, origin, d_max)
-    oracle = UnfoldedChain(g, x, starts, origin, d_max)
-    for depth in range(1, d_max + 1):
-        assert list(folded.state_at(depth).items()) == list(oracle.state_at(depth).items())
-        assert folded.paths_at(depth) == oracle.paths_at(depth)
-        assert folded.witness(g, depth) == oracle.witness(g, depth)
-    shape = folded.periodic_from()
-    if shape is not None:
-        deep = UnfoldedChain(g, x, starts, origin, 2 * d_max + 1)
-        start, p = shape
-        for depth in range(start, d_max + 1):
-            assert deep.state_at(depth + p) == deep.state_at(depth)
-    return folded
-
-
 @pytest.mark.parametrize("cleared", [False, True])
 @settings(max_examples=300)
 @given(data=st.data())
@@ -337,12 +342,12 @@ def test_chains_on_one_graph_share_its_table(cleared, data):
             starts = data.draw(st.dictionaries(vertex, st.integers(1, 3)))
             origin = {u: data.draw(vertex) for u in starts}
             d_max = data.draw(st.integers(1, 40))
-            folded = assert_chain_matches_unfolded(g, x, starts, origin, d_max)
+            chain = assert_chain_matches_unfolded(g, x, starts, origin, d_max)
             # The same chain again takes every step from the table.
             size = len(g.leftward.count_states)
-            again = _Chain(g, x, starts, origin, d_max)
+            again = walked_chain(g, x, starts, origin, d_max)
             assert len(g.leftward.count_states) == size
-            assert all(a is b for a, b in zip(again.states, folded.states, strict=True))
+            assert all(a is b for a, b in zip(again.states, chain.states, strict=True))
             branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
             cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
             origins = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
@@ -380,6 +385,76 @@ def test_count_state_table_stays_under_its_cap():
         preimages(space, random_point(space, rng))
         sizes.append(len(g.leftward.count_states))
     assert 0 < max(sizes) <= cap
+
+
+@pytest.mark.parametrize(
+    "name", ["ex21", "f3", "classical", "sigma_f", "sigma_g", "even", "five", "coding1", "coding2",
+             "scaled-1", "scaled-2"]
+)
+def test_classify_folds_far_past_the_cycle(name, request):
+    """At d_max = 2,000 a branching answer's witnesses fold round the joint
+    cycle many times over, far past the depths the drawn graphs reach."""
+    if name.startswith("scaled-"):
+        space = scaled_space(random.Random(int(name[-1])))
+    else:
+        space = request.getfixturevalue(name)
+    rng = random.Random(3)
+    for _ in range(20):
+        x = random_point(space, rng)
+        viable, g, v0, left, cands, origin = _branches(space, x)
+        args = (space, g, x, left, cands, origin, viable, v0, 2000)
+        assert _classify(*args) == full_scan_classify(*args)
+
+
+def pinned_sofic(letters, phi, edges):
+    """A sofic space over A = {a, b, c} with vertices v0, v1, ... and edges
+    given as "src dst letter" triples."""
+    edges = [tuple(e.split()) for e in edges.split(", ")]
+    vertices = sorted({e[0] for e in edges} | {e[1] for e in edges})
+    return sofic_space(Alphabet(["a", "b", "c"]), Alphabet(list(letters)), TransitionMap(2, phi), vertices, edges)
+
+
+def test_sofic_left_closing_by_value():
+    pairs = [(p, q) for p in "0123" for q in "0123" if (p, q) != ("2", "3")]
+    space = pinned_sofic(
+        "0123",
+        {w: "abc"[i % 3] for i, w in enumerate(pairs)},
+        "v0 v1 2, v0 v2 3, v0 v1 1, v1 v2 0, v1 v3 0, v1 v0 1, v1 v1 0, v1 v1 2, v2 v3 3, "
+        "v2 v1 3, v2 v1 1, v3 v4 1, v4 v5 0, v4 v1 0, v4 v4 3, v5 v0 1, v5 v1 3",
+    )
+    tail = (("0", "1"), ("1", "0"), ("0", "1"), ("1", "0"), ("0", "1"))
+    for d_max in (32, 200):
+        r = preimages(space, parse_point("(b)* c c ; 0 3 (2)*"), d_max)
+        assert r.classification == LabelClassification(
+            kind="sofic_left_closing",
+            length=8,
+            multiplicity=2,
+            witness_paths=(
+                ("2", (("0", "3"), ("2", "0"), ("0", "2"), ("1", "0")) + tail),
+                ("3", (("0", "3"), ("3", "0"), ("3", "3"), ("1", "3")) + tail),
+            ),
+        )
+        assert [format_point(y) for y in r.points] == ["(b)* c ; 2 0 3 (2)*", "(b)* c ; 3 0 3 (2)*"]
+
+
+def test_distinguishable_by_the_label_by_value():
+    space = pinned_sofic(
+        "012",
+        {("0", "1"): "a", ("0", "2"): "b", ("1", "0"): "c", ("1", "1"): "a", ("1", "2"): "b",
+         ("2", "1"): "c", ("2", "2"): "a"},
+        "v0 v1 0, v1 v2 2, v1 v2 1, v2 v0 1, v2 v2 2, v2 v0 1",
+    )
+    cycle = (("1", "0"), ("2", "1"), ("1", "2"), ("0", "1"))
+    for d_max in (32, 200):
+        r = preimages(space, parse_point("(a b c c)* ; (0 1 1)*"), d_max)
+        assert r.classification == LabelClassification(
+            kind="distinguishable",
+            variant="L",
+            multiplicity=1,
+            searched_to=d_max,
+            witness_paths=(("1", (("0", "1"),) + cycle * (d_max // 4)),),
+        )
+        assert [format_point(y) for y in r.points] == ["(c a b c)* ; (1 0 1)*"]
 
 
 def fixpoint_graph_trim(g: LabeledGraph) -> LabeledGraph:
