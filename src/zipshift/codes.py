@@ -8,6 +8,9 @@ letter.  The constructor checks that the two tables cohere, derives the
 target's own transition map from them, and builds the image space as a
 relabeled walk graph of the source; the image space's validation then
 re-checks the derived map against the actual image language.
+
+Every image of a point here -- under a code, a block presentation or a
+power -- is one sliding rule, turned into a point by ``EpPoint._sliding``.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
 from .graph import _default_width, build_labeled_graph
 from .orbits import periodic_points
-from .point import EpPoint, random_point, shift
+from .point import EpPoint, point_from_lift, random_point, shift
 from .preimage import canonical_lift
 from .space import ZipShiftSpace, _minimal_forbidden, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word
@@ -108,52 +111,42 @@ class BlockCodeSpec:
                     f"image block {' '.join(y)} forces both seam letters "
                     f"{prev!r} and {seam!r}; the tables do not commute with the shift"
                 )
-        self.derived = derived
 
-        g = build_labeled_graph(source, max(window - 1, _default_width(source)))
-        names = [f"q{i}" for i in range(g.n_vertices())]
-        edges = [
-            (names[src], names[dst], self.psi_plus[(g.labels[src] + (first,))[:window]])
-            for src, dst, first, _ in g.edges
-        ]
         try:
-            self.target = sofic_space(
-                target_a, target_aprime, TransitionMap(m, derived), names, edges
+            self.target = _image_space(
+                source, window - 1, lambda u: self.psi_plus[u[:window]],
+                target_a, target_aprime, TransitionMap(m, derived),
             )
         except (InvalidWord, UnknownSymbol) as e:
             raise InvalidCode(f"derived image space is inconsistent: {e}") from e
 
 
+def _image_space(
+    source: ZipShiftSpace, width: int, letter, target_a: Alphabet, target_aprime: Alphabet,
+    tm: TransitionMap,
+) -> ZipShiftSpace:
+    """The image of a sliding rule as a sofic space: the source's window graph
+    at ``width`` (at least the default width), each edge relabeled by
+    ``letter`` of its source vertex's label followed by its first letter."""
+    g = build_labeled_graph(source, max(width, _default_width(source)))
+    names = [f"q{i}" for i in range(g.n_vertices())]
+    edges = [
+        (names[src], names[dst], letter(g.labels[src] + (first,)))
+        for src, dst, first, _ in g.edges
+    ]
+    return sofic_space(target_a, target_aprime, tm, names, edges)
+
+
 def apply_code(spec: BlockCodeSpec, x: EpPoint) -> EpPoint:
     """The image of x under the code, as a point of spec.target.
 
-    The positive side reads the table over the point's own letters; the
-    negative side reads it over the canonical backward branch, then applies
-    the derived transition map.  Coherence of the tables makes the result
-    independent of which backward branch is taken.
+    The positive table slides over the canonical lift of x, and the image is
+    the target's point of that image lift.  Coherence of the tables makes the
+    result independent of which backward branch the lift takes.
     """
     lift = canonical_lift(spec.source, x)
-    w = spec.window
-
-    def z(i: int) -> str:
-        return spec.psi_plus[lift.window(i, w)]
-
-    rt = tuple(z(i) for i in range(len(x.right_transient)))
-    rp = tuple(z(len(x.right_transient) + j) for j in range(len(x.right_period)))
-
-    def y_neg(j: int) -> str:
-        key = tuple(z(-j + t) for t in range(spec.m))
-        try:
-            return spec.derived[key]
-        except KeyError:
-            raise InvalidCode(
-                f"image block {' '.join(key)} has no derived seam letter"
-            ) from None
-
-    depth = len(lift.left_transient) + spec.m + w
-    out = [y_neg(j) for j in range(1, depth + 1)]
-    cyc = [y_neg(depth + 1 + t) for t in range(len(lift.left_period))]
-    return EpPoint(tuple(reversed(cyc)), tuple(reversed(out)), rt, rp)
+    image = lift._sliding(lambda i: spec.psi_plus[lift.window(i, spec.window)], spec.window - 1)
+    return point_from_lift(spec.target, image)
 
 
 @dataclass(frozen=True)
@@ -304,24 +297,24 @@ def _joiner(space: ZipShiftSpace) -> str:
     return "" if single else "."
 
 
-def _split(sep: str, letter: str) -> tuple[str, ...]:
-    return tuple(letter.split(sep)) if sep else tuple(letter)
-
-
 def higher_block(space: ZipShiftSpace, N: int):
     """The sliding N-block presentation of the space.
 
     Returns (block space, forward map, inverse map).  Each letter of the
     block space names an admissible length-N word; consecutive letters
     overlap in N-1 positions, so the forward map is a conjugacy and the
-    inverse just reads off first coordinates.
+    inverse just reads off first coordinates.  Each map is one sliding rule:
+    forward reads N-blocks, with transition images left of the seam, and
+    inverse the first letter of the word each block letter names.
     """
     if N < 1:
         raise InvalidWord(f"block length must be >= 1, got {N}")
     sep = _joiner(space)
     n = space.n
-    new_ap = Alphabet([sep.join(w) for w in space.language(N)])
-    new_a = Alphabet([sep.join(w) for w in space.language(N, "a")])
+    aprime_words = space.language(N)
+    a_words = space.language(N, "a")
+    new_ap = Alphabet([sep.join(w) for w in aprime_words])
+    new_a = Alphabet([sep.join(w) for w in a_words])
     table: dict[Word, str] = {}
     for u in space.language(N + n - 1):
         key = tuple(sep.join(u[j : j + N]) for j in range(n))
@@ -329,44 +322,27 @@ def higher_block(space: ZipShiftSpace, N: int):
     tm = TransitionMap(n, table)
 
     if space.kind == "sofic":
-        g = build_labeled_graph(space, max(N, _default_width(space)))
-        names = [f"q{i}" for i in range(g.n_vertices())]
-        edges = [
-            (names[src], names[dst], sep.join((g.labels[src] + (first,))[:N]))
-            for src, dst, first, _ in g.edges
-        ]
-        new_space = sofic_space(new_a, new_ap, tm, names, edges)
+        new_space = _image_space(space, N, lambda u: sep.join(u[:N]), new_a, new_ap, tm)
     else:
         K = space.step_k + 1 if space.step_k else 0
         forbidden = _block_forbidden(space, sep, N, 1, max(2, K - N + 1))
         new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
-        rt = tuple(sep.join(x.window(i, N)) for i in range(len(x.right_transient)))
-        rp = tuple(
-            sep.join(x.window(len(x.right_transient) + j, N))
-            for j in range(len(x.right_period))
-        )
-
         def bar(p: int) -> str:
             return x.letter(p) if p < 0 else space.tm(x.window(p, n))
 
-        def y_neg(j: int) -> str:
-            return sep.join(bar(-j + t) for t in range(N))
+        def block(i: int) -> str:
+            return sep.join(x.window(i, N) if i >= 0 else map(bar, range(i, i + N)))
 
-        depth = len(x.left_transient) + N
-        out = [y_neg(j) for j in range(1, depth + 1)]
-        cyc = [y_neg(depth + 1 + t) for t in range(len(x.left_period))]
-        return EpPoint(tuple(reversed(cyc)), tuple(reversed(out)), rt, rp)
+        return x._sliding(block, N + n - 2)
 
     def inverse(y: EpPoint) -> EpPoint:
-        first = lambda c: _split(sep, c)[0]
-        return EpPoint(
-            tuple(first(c) for c in y.left_period),
-            tuple(first(c) for c in y.left_transient),
-            tuple(first(c) for c in y.right_transient),
-            tuple(first(c) for c in y.right_period),
-        )
+        def first(i: int) -> str:
+            words, alphabet = (aprime_words, new_ap) if i >= 0 else (a_words, new_a)
+            return words[alphabet.index(y.letter(i))][0]
+
+        return y._sliding(first, 0)
 
     return new_space, forward, inverse
 
@@ -376,7 +352,8 @@ def higher_power(space: ZipShiftSpace, N: int):
     step of the new shift is N steps of the old one.
 
     Returns (power space, forward map).  The new transition map's arity is
-    the least that lets N-blocks cover an old transition window.
+    the least that lets N-blocks cover an old transition window.  The
+    forward map is one sliding rule of stride N over aligned N-blocks.
     """
     if N < 1:
         raise InvalidWord(f"power must be >= 1, got {N}")
@@ -414,18 +391,6 @@ def higher_power(space: ZipShiftSpace, N: int):
         new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
-        rt_len = math.ceil(len(x.right_transient) / N)
-        rp_len = len(x.right_period) // math.gcd(N, len(x.right_period))
-        rt = tuple(sep.join(x.window(i * N, N)) for i in range(rt_len))
-        rp = tuple(sep.join(x.window((rt_len + j) * N, N)) for j in range(rp_len))
-        lt_len = math.ceil(len(x.left_transient) / N)
-        lp_len = len(x.left_period) // math.gcd(N, len(x.left_period))
-
-        def y_neg(j: int) -> str:
-            return sep.join(x.letter(-j * N + t) for t in range(N))
-
-        out = [y_neg(j) for j in range(1, lt_len + 1)]
-        cyc = [y_neg(lt_len + 1 + t) for t in range(lp_len)]
-        return EpPoint(tuple(reversed(cyc)), tuple(reversed(out)), rt, rp)
+        return x._sliding(lambda i: sep.join(x.window(i * N, N)), N - 1, N)
 
     return new_space, forward

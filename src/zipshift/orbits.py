@@ -140,16 +140,17 @@ def _right_merge(t: EpPoint, r: EpPoint) -> int | None:
     return d
 
 
-def _left_merge(t: EpPoint, r: EpPoint) -> int | None:
-    """Least d0 >= 0 with t_{-d} = r_{-d} for all depths d > d0, or None."""
-    start = max(len(t.left_transient), len(r.left_transient)) + 1
-    span = math.lcm(len(t.left_period), len(r.left_period))
-    if any(t.letter(-d) != r.letter(-d) for d in range(start, start + span)):
-        return None
-    d = start
-    while d > 1 and t.letter(-(d - 1)) == r.letter(-(d - 1)):
-        d -= 1
-    return d - 1
+def _right_flags(t: EpPoint, orbit: tuple[EpPoint, ...]) -> tuple[TailFlag, TailFlag]:
+    """The global and special right-tail flags of t against an orbit that
+    starts at the periodic point itself."""
+    glob = TailFlag(False)
+    for k, r in enumerate(orbit):
+        d = _right_merge(t, r)
+        if d is not None:
+            glob = TailFlag(True, d, k)
+            break
+    special = TailFlag(True, 0, 0) if _right_merge(t, orbit[0]) == 0 else TailFlag(False)
+    return glob, special
 
 
 def stable_unstable_membership(
@@ -158,25 +159,13 @@ def stable_unstable_membership(
     """Tail-equality tests of t against the orbit of p.
 
     The global sets allow any orbit phase; the special variants compare
-    against p itself and require agreement on the whole half line.
+    against p itself and require agreement on the whole half line.  Left
+    tails are compared as the right tails of the mirrored points, where
+    index i is depth i + 1.
     """
     orb = orbit_points(space, p)
-    s_global = TailFlag(False)
-    for k, r in enumerate(orb):
-        d = _right_merge(t, r)
-        if d is not None:
-            s_global = TailFlag(True, d, k)
-            break
-    u_global = TailFlag(False)
-    for k, r in enumerate(orb):
-        d = _left_merge(t, r)
-        if d is not None:
-            u_global = TailFlag(True, d, k)
-            break
-    d = _right_merge(t, p.point)
-    s_special = TailFlag(d == 0, 0 if d == 0 else None, 0 if d == 0 else None)
-    d = _left_merge(t, p.point)
-    u_special = TailFlag(d == 0, 0 if d == 0 else None, 0 if d == 0 else None)
+    s_global, s_special = _right_flags(t, orb)
+    u_global, u_special = _right_flags(t._mirrored(), tuple(r._mirrored() for r in orb))
     return StableUnstableReport(s_global, s_special, u_global, u_special)
 
 

@@ -98,6 +98,24 @@ class EpPoint:
     def window(self, i: int, length: int) -> Word:
         return tuple(self.letter(i + j) for j in range(length))
 
+    def _sliding(self, rule, reach: int, stride: int = 1) -> EpPoint:
+        """The point whose letter at i is ``rule(i)``, for a rule that reads only
+        this point's letters at indices i*stride through i*stride + reach.  The
+        left side is evaluated first, from index -1 outward, so that an error
+        names the failing window nearest the seam."""
+        lt_len = -(-(len(self.left_transient) + reach) // stride)
+        rt_len = -(-len(self.right_transient) // stride)
+        lp_len = len(self.left_period) // math.gcd(stride, len(self.left_period))
+        rp_len = len(self.right_period) // math.gcd(stride, len(self.right_period))
+        left = [rule(-j) for j in range(1, lt_len + lp_len + 1)][::-1]
+        right = [rule(i) for i in range(rt_len + rp_len)]
+        return EpPoint(left[:lp_len], left[lp_len:], right[:rt_len], right[rt_len:])
+
+    def _mirrored(self) -> EpPoint:
+        """The point whose letter at i is this point's letter at -1 - i."""
+        return EpPoint._of_symbols(self.right_period[::-1], self.right_transient[::-1],
+                                   self.left_transient[::-1], self.left_period[::-1])
+
     def __str__(self) -> str:
         return format_point(self)
 
@@ -177,26 +195,17 @@ def _right_difference(s: EpPoint, t: EpPoint) -> int | None:
     return None
 
 
-def _left_difference(s: EpPoint, t: EpPoint) -> int | None:
-    """Smallest depth n >= 1 with s_{-n} != t_{-n}, or None when equal."""
-    bound = max(len(s.left_transient), len(t.left_transient)) + math.lcm(
-        len(s.left_period), len(t.left_period)
-    )
-    for n in range(1, bound + 1):
-        if s.letter(-n) != t.letter(-n):
-            return n
-    return None
-
-
 def metrics(s: EpPoint, t: EpPoint) -> MetricReport:
     """Exact values of d, d+, d- and their average.
 
     d halves with the absolute position of the first difference over all
     indices; d+ looks only right of the seam, d- only left, with the depth-1
-    difference already giving d- = 1.
+    difference already giving d- = 1.  The left side is compared as the
+    right side of the mirrored points, index i there being depth i + 1.
     """
     i_plus = _right_difference(s, t)
-    n_minus = _left_difference(s, t)
+    i_mirror = _right_difference(s._mirrored(), t._mirrored())
+    n_minus = None if i_mirror is None else i_mirror + 1
     d_plus = Fraction(0) if i_plus is None else Fraction(1, 2**i_plus)
     d_minus = Fraction(0) if n_minus is None else Fraction(1, 2 ** (n_minus - 1))
     sides = [v for v in (i_plus, n_minus) if v is not None]
@@ -236,19 +245,11 @@ def is_admissible(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport:
 
 
 def point_from_lift(space: ZipShiftSpace, lift: EpPoint) -> EpPoint:
-    """The point whose left tail is the transition image of the given lift,
-    a two-sided A'-sequence."""
+    """The point of a lift, a two-sided A'-sequence, as one sliding rule: the
+    lift's own letters from index 0 on, and left of the seam the transition
+    image of the n-window starting at each index."""
     n = space.n
-    depth = len(lift.left_transient) + n - 1
-    outward = [space.tm(lift.window(-j, n)) for j in range(1, depth + 1)]
-    m = len(lift.left_period)
-    cycle = [space.tm(lift.window(-(depth + i), n)) for i in range(1, m + 1)]
-    return EpPoint(
-        tuple(reversed(cycle)),
-        tuple(reversed(outward)),
-        lift.right_transient,
-        lift.right_period,
-    )
+    return lift._sliding(lambda i: lift.letter(i) if i >= 0 else space.tm(lift.window(i, n)), n - 1)
 
 
 def random_point(space: ZipShiftSpace, rng: random.Random) -> EpPoint:
