@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
-from .graph import _default_width, build_labeled_graph
 from .orbits import periodic_points
 from .point import EpPoint, point_from_lift, random_point, shift
 from .preimage import canonical_lift
@@ -32,7 +31,8 @@ class BlockCodeSpec:
     """A validated sliding block code from one zip shift space to another.
 
     ``psi_plus`` maps every admissible ``window``-word of positive letters
-    to a letter of ``target_aprime``; ``psi_minus`` maps every admissible
+    to a letter of ``target_aprime`` (``window`` defaults to its longest key,
+    or the source's n when it has none); ``psi_minus`` maps every admissible
     seam block (one negative-side letter, then a window) to a letter of
     ``target_a``.  ``m`` is the arity of the image space's transition map,
     which is derived from the tables: each source stretch long enough to
@@ -56,7 +56,9 @@ class BlockCodeSpec:
     ):
         if m < 1:
             raise InvalidCode(f"target map arity must be >= 1, got {m}")
-        window = source.n if window is None else window
+        self.psi_plus = {tuple(k): v for k, v in psi_plus.items()}
+        self.psi_minus = {tuple(k): v for k, v in psi_minus.items()}
+        window = max(map(len, self.psi_plus), default=source.n) if window is None else window
         if window < 1:
             raise InvalidCode(f"window must be >= 1, got {window}")
         self.source = source
@@ -64,8 +66,6 @@ class BlockCodeSpec:
         self.target_aprime = target_aprime
         self.m = m
         self.window = window
-        self.psi_plus = {tuple(k): v for k, v in psi_plus.items()}
-        self.psi_minus = {tuple(k): v for k, v in psi_minus.items()}
 
         dom = set(self.psi_plus)
         want = set(source.language(window))
@@ -125,10 +125,10 @@ def _image_space(
     source: ZipShiftSpace, width: int, letter, target_a: Alphabet, target_aprime: Alphabet,
     tm: TransitionMap,
 ) -> ZipShiftSpace:
-    """The image of a sliding rule as a sofic space: the source's window graph
-    at ``width`` (at least the default width), each edge relabeled by
+    """The image of a sliding rule as a sofic space: the source's kept window
+    graph at ``width`` (at least the default width), each edge relabeled by
     ``letter`` of its source vertex's label followed by its first letter."""
-    g = build_labeled_graph(source, max(width, _default_width(source)))
+    g = source._graph(max(width, source._default_width()))
     names = [f"q{i}" for i in range(g.n_vertices())]
     edges = [
         (names[src], names[dst], letter(g.labels[src] + (first,)))
@@ -202,22 +202,15 @@ def invert_code(
     For each candidate window the inverse tables are forced: all source
     stretches with the same image window must start with the same letter,
     and likewise for seam blocks.  A forced candidate is accepted once it
-    round-trips on sampled points in both directions.  Injectivity on
-    short periodic points is screened first, since a non-injective code
-    can never invert.
+    round-trips on sampled points in both directions.  A code that maps two
+    periodic points to one gets no forced candidate: they differ at some
+    index i >= 0, and their stretches from i on share every image window
+    but not their first letter.
     """
     if max_window < 1:
         raise InvalidWord(f"window bound must be >= 1, got {max_window}")
     rng = rng or random.Random(0)
     src = spec.source
-    images: dict[EpPoint, EpPoint] = {}
-    for mm in range(1, max_window + 1):
-        for p in periodic_points(src, mm):
-            y = apply_code(spec, p.point)
-            prev = images.setdefault(y, p.point)
-            if prev != p.point:
-                return NotFound(max_window)
-
     for w in range(1, max_window + 1):
         stretches = src.language(w + spec.window - 1)
         zwords: dict[Word, Word] = {
@@ -244,13 +237,7 @@ def invert_code(
 
         try:
             inv = BlockCodeSpec(
-                spec.target,
-                src.alphabet_a,
-                src.alphabet_aprime,
-                src.tm.n,
-                plus_inv,
-                minus_inv,
-                window=w,
+                spec.target, src.alphabet_a, src.alphabet_aprime, src.tm.n, plus_inv, minus_inv, window=w
             )
         except InvalidCode:
             continue
@@ -289,12 +276,16 @@ def _block_forbidden(space: ZipShiftSpace, sep: str, N: int, stride: int, top: i
     return _minimal_forbidden([sep.join(w) for w in space.language(N)], admissible, top)
 
 
-def _joiner(space: ZipShiftSpace) -> str:
-    single = all(
-        len(c) == 1
-        for c in tuple(space.alphabet_a.symbols) + tuple(space.alphabet_aprime.symbols)
-    )
-    return "" if single else "."
+def _joiner(space: ZipShiftSpace, aprime_words: list[Word], a_words: list[Word]) -> str:
+    """What joins a block's symbols into its name: "" when every symbol is one
+    character, else "."; when that names two blocks of one side alike, the
+    first of ``: | / + _ ~ # @`` that occurs in no symbol of either alphabet."""
+    symbols = space.alphabet_a.symbols + space.alphabet_aprime.symbols
+    free = [c for c in ":|/+_~#@" if not any(c in s for s in symbols)]
+    for sep in ["" if all(len(c) == 1 for c in symbols) else ".", *free]:
+        if all(len({sep.join(w) for w in words}) == len(words) for words in (aprime_words, a_words)):
+            return sep
+    raise InvalidWord("every separator names two blocks alike")
 
 
 def higher_block(space: ZipShiftSpace, N: int):
@@ -309,10 +300,10 @@ def higher_block(space: ZipShiftSpace, N: int):
     """
     if N < 1:
         raise InvalidWord(f"block length must be >= 1, got {N}")
-    sep = _joiner(space)
     n = space.n
     aprime_words = space.language(N)
     a_words = space.language(N, "a")
+    sep = _joiner(space, aprime_words, a_words)
     new_ap = Alphabet([sep.join(w) for w in aprime_words])
     new_a = Alphabet([sep.join(w) for w in a_words])
     table: dict[Word, str] = {}
@@ -357,11 +348,12 @@ def higher_power(space: ZipShiftSpace, N: int):
     """
     if N < 1:
         raise InvalidWord(f"power must be >= 1, got {N}")
-    sep = _joiner(space)
     n = space.n
     n2 = 1 + math.ceil((n - 1) / N)
-    new_ap = Alphabet([sep.join(w) for w in space.language(N)])
-    new_a = Alphabet([sep.join(w) for w in space.language(N, "a")])
+    aprime_words, a_words = space.language(N), space.language(N, "a")
+    sep = _joiner(space, aprime_words, a_words)
+    new_ap = Alphabet([sep.join(w) for w in aprime_words])
+    new_a = Alphabet([sep.join(w) for w in a_words])
     table: dict[Word, str] = {}
     for u in space.language(n2 * N):
         key = tuple(sep.join(u[j * N : (j + 1) * N]) for j in range(n2))

@@ -202,13 +202,6 @@ def spelled_language(g: LabeledGraph, k: int) -> set[Word]:
     return words
 
 
-def _default_width(space: ZipShiftSpace) -> int:
-    """The width the pre-image engine works at: the least width, or the
-    derived memory of a finite-type space when that is longer."""
-    least = space._least_width()
-    return least if space.kind == "sofic" else max(least, space.memory())
-
-
 def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> LabeledGraph:
     """The labeled window graph of width ``ell``: for every space kind, a
     higher edge graph of the space's trimmed A'-graph.
@@ -222,12 +215,13 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
     that unit's last letter c and carries the A-letter tm((label + c)[:n]).
     Vertices come in lexicographic order of their units, which for
     finite-type spaces is alphabet order of their labels.  ``ell`` defaults
-    to ``_default_width`` and may not be below the least width; sofic graphs
-    are cross-checked against the space's language on short words.
+    to the space's ``_default_width`` and may not be below the least width;
+    sofic graphs are cross-checked against the space's language on short
+    words.  Spaces keep theirs per width (``ZipShiftSpace._graph``).
     """
     least = space._least_width()
     if ell is None:
-        ell = _default_width(space)
+        ell = space._default_width()
     elif ell < least:
         raise InvalidWord(f"window width {ell} is below the least width {least}")
     if space.kind == "sofic":

@@ -11,8 +11,10 @@ kept.  Pre-periodic points are the extra backward branches
 that fall onto such an orbit after finitely many steps.  Homoclinic orbits
 are enumerated by choosing a backward branch letter at each depth before
 the point's left tail has merged with the orbit; deeper letters are forced
-by the orbit's own two-sided lift.  Both read only the pre-image branch
-letters; the path-search classification runs in ``preimages`` alone.
+by the two-sided lift of the first orbit point sharing that tail that the
+branch can follow forever, one viability search per point tried.  Both read
+only the pre-image branch letters; the path-search classification runs in
+``preimages`` alone.
 """
 from __future__ import annotations
 
@@ -20,8 +22,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
+from .graph import LetterSteps
 from .point import EpPoint, shift, shift_k
-from .preimage import _branches, _preimage_point, labeled_graph_for, preimages_k
+from .preimage import (
+    _Label, _branches, _position_zero_vertices, _preimage_point, labeled_graph_for, preimages_k,
+)
 from .space import ZipShiftSpace
 from .symbols import Word
 
@@ -219,8 +224,10 @@ class HomoclinicOrbit:
     """One backward branch history through a homoclinic point.
 
     ``choices`` lists the branch letters picked at depths 1..n_back-1; all
-    deeper letters are forced by the orbit's two-sided lift.  Two orbits are
-    the same exactly when their choice words agree.
+    deeper letters follow the lift of the first orbit point the branch can
+    follow forever (``_forced_period``), so a choice word stands for that
+    phase too, and two orbits are the same exactly when their choice words
+    agree.
     """
 
     datum: HomoclinicDatum
@@ -230,86 +237,74 @@ class HomoclinicOrbit:
         """The orbit entry at index i (index 0 is the datum's point)."""
         if i >= 0:
             return shift_k(space, self.datum.point, i)
-        letters = self.choices[:-i]
-        if -i > len(self.choices):
-            forced, _phase_mod = _forced_letters(space, self.datum)
-            letters += tuple(forced(depth) for depth in range(len(self.choices) + 1, -i + 1))
         cur = self.datum.point
-        for t in letters:
+        for t in self.choices[:-i]:
             cur = _preimage_point(cur, t)
+        if -i > len(self.choices):
+            w = _forced_period(space, self.datum)(cur)
+            if w is None:
+                raise NotInSpace("the branch follows the lift of no orbit point")
+            for depth in range(len(self.choices) + 1, -i + 1):
+                cur = _preimage_point(cur, w[-depth % len(w)])
         return cur
 
 
-def _forced_letters(space: ZipShiftSpace, datum: HomoclinicDatum):
-    """The letter forced at each depth from ``n_back`` on, as a function of
-    the depth, and the period after which those letters and the anchor's
-    left side repeat together.
+def _forced_period(space: ZipShiftSpace, datum: HomoclinicDatum):
+    """A function from a branch's point at depth n_back - 1 to the right
+    period w of the first orbit point, in orbit order, whose two-sided lift
+    the branch can follow forever (letter w[-s mod len(w)] at each depth
+    s >= n_back), or None.  The points tried are those whose left side the
+    datum's point takes on from depth n_back (mirrored merge below n_back).
 
-    The anchor is the orbit point that the left tail merges with; the
-    forced letters are its right period read backward.
-    """
-    anchor = orbit_points(space, datum.periodic)[datum.k_back]
-    w = anchor.right_period
-
-    def forced(depth: int) -> str:
-        return w[(-depth) % len(w)]
-
-    return forced, math.lcm(len(w), len(anchor.left_period))
-
-
-def _forced_tail_ok(
-    space: ZipShiftSpace,
-    datum: HomoclinicDatum,
-    leaf: EpPoint,
-    forced,
-    phase_mod: int,
-) -> bool:
-    """Can the branch keep following the forced lift letters forever?
-
-    Each step is decided exactly by the pre-image engine; the loop stops
-    once the (depth phase, seam window) state repeats, since from then on
-    the answers cycle.
+    Each try is one viability search on the backward graph along the branch
+    point's A-label, stepping only to vertices whose label starts with the
+    forced letter.  The product is finite, so an infinite run exists exactly
+    when every finite number of forced steps is a pre-image.
     """
     g = labeled_graph_for(space)
-    width = len(g.labels[0]) + max(space.n, space.step_k, 1)
-    seen: set[tuple[int, Word]] = set()
-    cur = leaf
-    s = datum.n_back
-    while True:
-        state = (s % phase_mod, cur.window(0, width))
-        if state in seen:
-            return True
-        seen.add(state)
-        t = forced(s)
-        if t not in _branches(space, cur)[0]:
-            return False
-        cur = _preimage_point(cur, t)
-        s += 1
+    steps: list[dict[tuple[str, str], list[int]]] = [{} for _ in g.labels]
+    for v, by_letter in enumerate(g.sources_by_sofic):
+        for a, sources in by_letter.items():
+            for u in sources:
+                steps[v].setdefault((a, g.labels[u][0]), []).append(u)
+    walk = LetterSteps(steps)
+    back = datum.point._mirrored()
+    periods = [
+        r.right_period
+        for r in orbit_points(space, datum.periodic)
+        if (merge := _right_merge(back, r._mirrored())) is not None and merge < datum.n_back
+    ]
+
+    def period_for(leaf: EpPoint) -> Word | None:
+        starts = _position_zero_vertices(g, leaf)
+        t = len(leaf.left_transient)
+        for w in periods:
+            span = t + math.lcm(len(leaf.left_period), len(w))
+            pairs = tuple((leaf.letter(-1 - d), w[(-datum.n_back - d) % len(w)]) for d in range(span))
+            label = _Label(walk, pairs[:t], pairs[t:])
+            if any(label.viable(v, 0) for v in starts):
+                return w
+        return None
+
+    return period_for
 
 
 def homoclinic_orbits(space: ZipShiftSpace, datum: HomoclinicDatum) -> tuple[HomoclinicOrbit, ...]:
     """All backward branch histories through the datum's point.
 
     Depths 1..n_back-1 branch over every viable pre-image letter; from depth
-    n_back on the letters are forced by the two-sided lift of the orbit
-    anchor, and branches whose forced continuation dies are dropped.
+    n_back on the letters are forced by the two-sided lift of an orbit point
+    (see ``_forced_period``), and branches that can follow none are dropped.
     Returned in alphabet order of the choice words.
     """
-    forced, phase_mod = _forced_letters(space, datum)
+    period_for = _forced_period(space, datum)
     leaves: list[tuple[Word, EpPoint]] = [((), datum.point)]
     for _ in range(1, datum.n_back):
-        grown: list[tuple[Word, EpPoint]] = []
-        for choices, cur in leaves:
-            for t in _branches(space, cur)[0]:
-                grown.append((choices + (t,), _preimage_point(cur, t)))
-        leaves = grown
-    out = [
-        HomoclinicOrbit(datum, choices)
-        for choices, leaf in leaves
-        if _forced_tail_ok(space, datum, leaf, forced, phase_mod)
-    ]
-    out.sort(key=lambda o: space.alphabet_aprime.key(o.choices))
-    return tuple(out)
+        leaves = [
+            (cs + (t,), _preimage_point(cur, t)) for cs, cur in leaves for t in _branches(space, cur)[0]
+        ]
+    out = [HomoclinicOrbit(datum, choices) for choices, leaf in leaves if period_for(leaf) is not None]
+    return tuple(sorted(out, key=lambda o: space.alphabet_aprime.key(o.choices)))
 
 
 def letter_preimage_sum(space: ZipShiftSpace, datum: HomoclinicDatum) -> int:

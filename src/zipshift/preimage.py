@@ -40,26 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
-from .graph import LabeledGraph, LetterSteps, _default_width, build_labeled_graph
+from .graph import LabeledGraph, LetterSteps
 from .point import AdmissibilityReport, EpPoint, _letter_failure
 from .space import ZipShiftSpace
 from .symbols import Word
 
 
 def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
-    """The space's labeled graph, built on first use and kept on the space.
-
-    It is the graph the space reads its A-side on, at the least width,
-    unless the derived A-side of a finite-type space has the longer memory.
-    """
-    g = space._labeled_graph
-    if g is None:
-        space._a_walk()  # builds space._window_graph
-        g = space._window_graph
-        if _default_width(space) != space._least_width():
-            g = build_labeled_graph(space)
-        space._labeled_graph = g
-    return g
+    """The labeled graph the pre-image engine runs on: the space's kept
+    window graph at its default width (see ``ZipShiftSpace._graph``)."""
+    return space._graph()
 
 
 # States of a (vertex, depth) node in a label's search; 0 is undecided.

@@ -30,8 +30,9 @@ the edges' A'-labels.  The same walk lists the A-side and mixed languages
 in alphabet order and derives the minimal forbidden A-words.
 
 Every language is generated on a subset walk each time it is asked for
-and never kept: a space holds its graphs and the walks' move tables
-between queries, no word lists.
+and never kept: a space holds its A'-graph, one labeled window graph per
+width some layer asked for (``_graph``, the only place they are built) and
+the walks' move tables between queries, no word lists.
 """
 from __future__ import annotations
 
@@ -238,11 +239,10 @@ class ZipShiftSpace:
         self.tm = tm
         self.kind = kind
         self.n = tm.n
-        self._window_graph = None  # the graph the A-side is read on, see _a_walk
+        self._graphs: dict = {}  # labeled window graphs by width, see _graph
         self._walk: _SubsetWalk | None = None
         self._seams: dict[tuple[int, Word], bool] = {}
         self._a_forb: frozenset[Word] | None = None
-        self._labeled_graph = None  # built by preimage.labeled_graph_for
         self.forbidden: frozenset[Word] = frozenset()
         self.step_k = 0
         self.presentation_vertices: tuple[str, ...] | None = None
@@ -393,22 +393,35 @@ class ZipShiftSpace:
         max(n - 1, step_k, 1) for full and finite-type spaces, n for sofic."""
         return self.n if self.kind == "sofic" else max(self.n - 1, self.step_k, 1)
 
-    def _a_walk(self) -> _SubsetWalk:
-        """The subset walk reading A-words on the labeled window graph.
+    def _default_width(self) -> int:
+        """The width the pre-image engine works at: the least width, or the
+        derived memory of a finite-type space when that is longer."""
+        least = self._least_width()
+        return least if self.kind == "sofic" else max(least, self.memory())
 
-        The graph is ``build_labeled_graph`` at the least width, built on
-        first use and kept as ``_window_graph``; the pre-image engine reuses
-        it whenever its own width comes out the same.  A walk of L edges
-        spells an admissible A'-word, and its edges' A-labels are the
-        phi-images of that word's first L windows; every admissible A'-word
-        of length L + n - 1 extends to such a walk, so an A-word is
-        admissible exactly when its state is non-empty.
-        """
-        if self._walk is None:
+    def _graph(self, width: int | None = None):
+        """The labeled window graph of ``width``, by default the pre-image
+        engine's (``_default_width``): ``graph.build_labeled_graph`` on first
+        use, then kept, so every layer reads one graph per width."""
+        g = self._graphs.get(width)
+        if g is None:
             from . import graph
 
-            g = graph.build_labeled_graph(self, ell=self._least_width())
-            self._window_graph = g
+            ell = self._default_width() if width is None else width
+            g = self._graphs.get(ell) or graph.build_labeled_graph(self, ell)
+            self._graphs[width] = self._graphs[ell] = g
+        return g
+
+    def _a_walk(self) -> _SubsetWalk:
+        """The subset walk reading A-words on the window graph of least width.
+
+        A walk of L edges spells an admissible A'-word, and its edges'
+        A-labels are the phi-images of that word's first L windows; every
+        admissible A'-word of length L + n - 1 extends to such a walk, so an
+        A-word is admissible exactly when its state is non-empty.
+        """
+        if self._walk is None:
+            g = self._graph(self._least_width())
             self._walk = _SubsetWalk(g.targets_by_sofic, self.alphabet_a.symbols)
         return self._walk
 
@@ -421,7 +434,7 @@ class ZipShiftSpace:
         key = (state, u)
         ok = self._seams.get(key)
         if ok is None:
-            g = self._window_graph
+            g = self._graph(self._least_width())
             ell = len(g.labels[0])
             head, tail = u[:ell], u[ell:]
             here = {v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head}

@@ -284,6 +284,19 @@ def test_code_apply(specs, capsys):
     assert out == "(a b)* ; 1 (1 2)*\n"
 
 
+def test_code_window_defaults_to_the_longest_key(specs, capsys, tmp_path):
+    """A code spec without ``window`` reads its windows as long as its
+    longest positive-table key, here 2 while the source's n is 1."""
+    data = block2_code_dict()
+    del data["window"]
+    path = tmp_path / "block2_no_window.json"
+    path.write_text(json.dumps(data))
+    point = "(b)* a ; 2 (2 3)*"
+    rc, out, err = run(capsys, ["code", "apply", str(path), point])
+    assert rc == 0 and err == ""
+    assert (rc, out) == run(capsys, ["code", "apply", specs["block2"], point])[:2]
+
+
 def test_code_invert_not_found(specs, capsys):
     rc, out, err = run(capsys, ["code", "invert", specs["proj"], "--max-window", "2"])
     assert rc == 1 and out == ""

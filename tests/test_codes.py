@@ -18,6 +18,8 @@ from zipshift import (
     is_admissible,
     parse_point,
     random_point,
+    TransitionMap,
+    full_space,
     shift,
     shift_k,
 )
@@ -169,3 +171,19 @@ def test_higher_power(coding1, ex21):
             y = pfwd(x)
             assert is_admissible(pspace, y)
             assert pfwd(shift_k(src, x, N)) == shift(pspace, y)
+
+
+def test_block_names_stay_distinct_when_symbols_hold_the_joiner():
+    """With A' = {a, a.b, b.a}, joining by "." names both a + b.a and a.b + a
+    "a.b.a"; the recodings then join by a character no symbol holds."""
+    letters = ["a", "a.b", "b.a"]
+    space = full_space(Alphabet(["p"]), Alphabet(letters), TransitionMap(1, {(c,): "p" for c in letters}))
+    rng = random.Random(5)
+    for N in (2, 3):
+        block, fwd, inv = higher_block(space, N)
+        power, pfwd = higher_power(space, N)
+        assert len(block.alphabet_aprime) == len(power.alphabet_aprime) == 3**N
+        for _ in range(20):
+            x = random_point(space, rng)
+            assert inv(fwd(x)) == x
+            assert is_admissible(power, pfwd(x))

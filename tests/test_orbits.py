@@ -5,21 +5,27 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_a_side import spaces
 
 from zipshift import (
     Alphabet,
+    HomoclinicOrbit,
     InvalidWord,
+    NotInSpace,
     TransitionMap,
     format_point,
     heteroclinic_check,
     homoclinic_datum,
     homoclinic_orbits,
+    is_admissible,
     letter_preimage_sum,
     orbit_points,
     parse_point,
     periodic_point,
     periodic_points,
     pre_periodic_points,
+    preimages,
     preimages_k,
     shift,
     sofic_space,
@@ -223,6 +229,76 @@ def test_homoclinic_shift_consistency(coding2):
     o = homoclinic_orbits(coding2, datum)[0]
     for i in range(-5, 3):
         assert shift(coding2, o.point(coding2, i)) == o.point(coding2, i + 1)
+
+
+def test_homoclinic_orbit_follows_another_phase(ex21):
+    """The datum anchors the left tail at (b)* ; (2 3)*, whose lift forces
+    3 at depth 1 and so the forbidden 3 3; the orbit follows the lift of
+    (b)* ; (3 2)*, which shares that left tail, instead."""
+    p = periodic_point(ex21, ("2", "3"))
+    datum = homoclinic_datum(ex21, p, parse_point("(b)* ; 3 2 (2 3)*"))
+    assert (datum.k_back, datum.n_back) == (0, 1)
+    (o,) = homoclinic_orbits(ex21, datum)
+    assert o.choices == ()
+    assert format_point(o.point(ex21, -1)) == "(b)* ; 2 3 2 (2 3)*"
+    for i in range(-6, 1):
+        assert shift(ex21, o.point(ex21, i - 1)) == o.point(ex21, i)
+
+
+def test_homoclinic_forced_tail_that_dies(five):
+    """(c b)* ; 5 (3 4)* shares its left tail with (c b)* ; (4 3)*, whose
+    lift puts 3 before the 5, and five forbids 3 5: no orbit goes through
+    the point, and asking a hand-built one for that entry says so."""
+    p = periodic_point(five, ("3", "4"))
+    datum = homoclinic_datum(five, p, parse_point("(c b)* ; 5 (3 4)*"))
+    assert homoclinic_orbits(five, datum) == ()
+    with pytest.raises(NotInSpace):
+        HomoclinicOrbit(datum, ()).point(five, -1)
+
+
+def _takes_forced(space, leaf, depth, w, steps=40):
+    """Can leaf take ``steps`` letters of w's lift (w[-s mod len(w)] at
+    depth s, from ``depth`` on) as pre-images, asked through ``preimages``?"""
+    for s in range(depth, depth + steps):
+        wanted = [y for y in preimages(space, leaf, d_max=1).points if y.letter(0) == w[-s % len(w)]]
+        if not wanted:
+            return False
+        (leaf,) = wanted
+    return True
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces())
+def test_homoclinic_orbits_match_forced_prefixes(space):
+    """On finite-type and sofic spaces, where a forced tail can die, the
+    orbits returned are exactly the choice words whose branch takes 40
+    forced letters of some orbit point sharing the datum's left tail from
+    depth n_back on; each orbit's entries are admissible and shift onto
+    each other."""
+    for m in (1, 2):
+        for p in sorted(periodic_points(space, m), key=lambda q: q.word)[:3]:
+            orbit = orbit_points(space, p)
+            for h in sorted(pre_periodic_points(space, p, 1), key=format_point)[:3]:
+                try:
+                    datum = homoclinic_datum(space, p, h)
+                except NotInSpace:
+                    continue
+                deep = range(datum.n_back, datum.n_back + 40)
+                words = [r.right_period for r in orbit if all(r.letter(-s) == h.letter(-s) for s in deep)]
+                leaves = [((), h)]
+                for _ in range(1, datum.n_back):
+                    leaves = [
+                        (cs + (y.letter(0),), y) for cs, x in leaves for y in preimages(space, x, d_max=1).points
+                    ]
+                want = {
+                    cs for cs, leaf in leaves if any(_takes_forced(space, leaf, datum.n_back, w) for w in words)
+                }
+                orbits = homoclinic_orbits(space, datum)
+                assert {o.choices for o in orbits} == want
+                for o in orbits:
+                    for i in range(-6, 1):
+                        assert is_admissible(space, o.point(space, i))
+                        assert shift(space, o.point(space, i - 1)) == o.point(space, i)
 
 
 def test_homoclinic_full_branching(sigma_f):
