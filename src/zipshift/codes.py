@@ -14,7 +14,6 @@ power -- is one sliding rule, turned into a point by ``EpPoint._sliding``.
 """
 from __future__ import annotations
 
-import math
 import random
 
 from dataclasses import dataclass
@@ -262,20 +261,6 @@ def invert_code(
 # -- block and power presentations -----------------------------------------
 
 
-def _block_forbidden(space: ZipShiftSpace, sep: str, N: int, stride: int, top: int) -> set[Word]:
-    """The minimal forbidden words, up to length ``top``, over N-block
-    letters whose blocks start ``stride`` letters apart.  A block word is
-    admissible when it holds the windows of an admissible word."""
-
-    def admissible(r: int) -> set[Word]:
-        return {
-            tuple(sep.join(u[j * stride : j * stride + N]) for j in range(r))
-            for u in space.language(N + (r - 1) * stride)
-        }
-
-    return _minimal_forbidden([sep.join(w) for w in space.language(N)], admissible, top)
-
-
 def _joiner(space: ZipShiftSpace, aprime_words: list[Word], a_words: list[Word]) -> str:
     """What joins a block's symbols into its name: "" when every symbol is one
     character, else "."; when that names two blocks of one side alike, the
@@ -288,35 +273,41 @@ def _joiner(space: ZipShiftSpace, aprime_words: list[Word], a_words: list[Word])
     raise InvalidWord("every separator names two blocks alike")
 
 
-def higher_block(space: ZipShiftSpace, N: int):
-    """The sliding N-block presentation of the space.
+def _strided(space: ZipShiftSpace, N: int, s: int, sofic):
+    """The recoding of the space by N-blocks that start s letters apart: the
+    block presentation at s = 1 and the N-th power at s = N.
 
-    Returns (block space, forward map, inverse map).  Each letter of the
-    block space names an admissible length-N word; consecutive letters
-    overlap in N-1 positions, so the forward map is a conjugacy and the
-    inverse just reads off first coordinates.  Each map is one sliding rule:
-    forward reads N-blocks, with transition images left of the seam, and
-    inverse the first letter of the word each block letter names.
+    Returns (recoded space, forward map, A'-blocks, A-blocks), the blocks in
+    the order of the new alphabets; ``sofic(sep, alphabet_a, alphabet_aprime,
+    tm)`` presents the recoding of a sofic space.  The new transition map
+    reads the fewest blocks that cover an old window.  A finite-type space's
+    forbidden words have at most K = step_k + 1 letters, and r blocks cover
+    such a word at every offset once N + (r - 1)s >= K + s - 1; overlapping
+    blocks also constrain every pair, and aligned blocks of a space with no
+    forbidden words constrain nothing.  Left of the seam the forward map
+    reads transition images, at s = N only A-letters.
     """
-    if N < 1:
-        raise InvalidWord(f"block length must be >= 1, got {N}")
     n = space.n
-    aprime_words = space.language(N)
-    a_words = space.language(N, "a")
+    aprime_words, a_words = space.language(N), space.language(N, "a")
     sep = _joiner(space, aprime_words, a_words)
     new_ap = Alphabet([sep.join(w) for w in aprime_words])
     new_a = Alphabet([sep.join(w) for w in a_words])
-    table: dict[Word, str] = {}
-    for u in space.language(N + n - 1):
-        key = tuple(sep.join(u[j : j + N]) for j in range(n))
-        table[key] = sep.join(space.tm.phi_extend(u))
-    tm = TransitionMap(n, table)
 
+    def blocks(u: Word, r: int) -> Word:
+        return tuple(sep.join(u[j * s : j * s + N]) for j in range(r))
+
+    arity = 1 + -(-(n - 1) // s)
+    tm = TransitionMap(arity, {
+        blocks(u, arity): sep.join(space.tm.phi_extend(u[: N + n - 1]))
+        for u in space.language(N + (arity - 1) * s)
+    })
     if space.kind == "sofic":
-        new_space = _image_space(space, N, lambda u: sep.join(u[:N]), new_a, new_ap, tm)
+        new_space = sofic(sep, new_a, new_ap, tm)
     else:
-        K = space.step_k + 1 if space.step_k else 0
-        forbidden = _block_forbidden(space, sep, N, 1, max(2, K - N + 1))
+        top = max(2, 2 - (N - space.step_k) // s) if space.step_k or s < N else 0  # the least such r
+        forbidden = _minimal_forbidden(
+            new_ap.symbols, lambda r: {blocks(u, r) for u in space.language(N + (r - 1) * s)}, top
+        )
         new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
@@ -324,43 +315,49 @@ def higher_block(space: ZipShiftSpace, N: int):
             return x.letter(p) if p < 0 else space.tm(x.window(p, n))
 
         def block(i: int) -> str:
-            return sep.join(x.window(i, N) if i >= 0 else map(bar, range(i, i + N)))
+            return sep.join(x.window(i * s, N) if i >= 0 else map(bar, range(i * s, i * s + N)))
 
-        return x._sliding(block, N + n - 2)
+        return x._sliding(block, N + n - 2, s)
+
+    return new_space, forward, aprime_words, a_words
+
+
+def higher_block(space: ZipShiftSpace, N: int):
+    """The sliding N-block presentation of the space.
+
+    Returns (block space, forward map, inverse map).  Each letter of the
+    block space names an admissible length-N word; consecutive letters
+    overlap in N-1 positions, so the forward map is a conjugacy and the
+    inverse just reads off first coordinates.  A sofic space's blocks label
+    the edges of its window graph at width N.
+    """
+    if N < 1:
+        raise InvalidWord(f"block length must be >= 1, got {N}")
+    block, forward, aprime_words, a_words = _strided(
+        space, N, 1, lambda sep, *rest: _image_space(space, N, lambda u: sep.join(u[:N]), *rest)
+    )
 
     def inverse(y: EpPoint) -> EpPoint:
         def first(i: int) -> str:
-            words, alphabet = (aprime_words, new_ap) if i >= 0 else (a_words, new_a)
+            words, alphabet = (aprime_words, block.alphabet_aprime) if i >= 0 else (a_words, block.alphabet_a)
             return words[alphabet.index(y.letter(i))][0]
 
         return y._sliding(first, 0)
 
-    return new_space, forward, inverse
+    return block, forward, inverse
 
 
 def higher_power(space: ZipShiftSpace, N: int):
     """The N-step power of the space: letters are aligned N-blocks and one
     step of the new shift is N steps of the old one.
 
-    Returns (power space, forward map).  The new transition map's arity is
-    the least that lets N-blocks cover an old transition window.  The
-    forward map is one sliding rule of stride N over aligned N-blocks.
+    Returns (power space, forward map).  A sofic space's power is presented
+    by the N-edge paths of its presentation.
     """
     if N < 1:
         raise InvalidWord(f"power must be >= 1, got {N}")
-    n = space.n
-    n2 = 1 + math.ceil((n - 1) / N)
-    aprime_words, a_words = space.language(N), space.language(N, "a")
-    sep = _joiner(space, aprime_words, a_words)
-    new_ap = Alphabet([sep.join(w) for w in aprime_words])
-    new_a = Alphabet([sep.join(w) for w in a_words])
-    table: dict[Word, str] = {}
-    for u in space.language(n2 * N):
-        key = tuple(sep.join(u[j * N : (j + 1) * N]) for j in range(n2))
-        table[key] = sep.join(space.tm.phi_extend(u[: N + n - 1]))
-    tm = TransitionMap(n2, table)
 
-    if space.kind == "sofic":
+    def paths(sep: str, new_a: Alphabet, new_ap: Alphabet, tm: TransitionMap) -> ZipShiftSpace:
         frontier: list[tuple[str, str, Word]] = [
             (v, v, ()) for v in space.presentation_vertices
         ]
@@ -374,15 +371,6 @@ def higher_power(space: ZipShiftSpace, N: int):
         edges = sorted(
             {(v0, v1, sep.join(w)) for v0, v1, w in frontier}
         )
-        new_space = sofic_space(
-            new_a, new_ap, tm, list(space.presentation_vertices), edges
-        )
-    else:
-        K = space.step_k + 1 if space.step_k else 0
-        forbidden = _block_forbidden(space, sep, N, N, max(2, (K + N - 2) // N + 1) if K else 0)
-        new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
+        return sofic_space(new_a, new_ap, tm, list(space.presentation_vertices), edges)
 
-    def forward(x: EpPoint) -> EpPoint:
-        return x._sliding(lambda i: sep.join(x.window(i * N, N)), N - 1, N)
-
-    return new_space, forward
+    return _strided(space, N, N, paths)[:2]

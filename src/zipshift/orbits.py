@@ -19,6 +19,7 @@ only the pre-image branch letters; the path-search classification runs in
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidWord, NotInSpace
@@ -314,9 +315,7 @@ def letter_preimage_sum(space: ZipShiftSpace, datum: HomoclinicDatum) -> int:
     orbit count from homoclinic_orbits can exceed it, since independent
     choices multiply rather than add.
     """
-    fiber = {a: 0 for a in space.alphabet_a}
-    for u in space.language(space.n):
-        fiber[space.tm(u)] += 1
+    fiber = Counter(space.tm.table.values())
     return sum(
         fiber[datum.point.letter(-s)] for s in range(1, datum.n_back)
     )

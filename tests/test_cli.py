@@ -40,6 +40,14 @@ EVEN = {
         "edges": [["P", "P", "1"], ["P", "Q", "0"], ["Q", "P", "0"]],
     },
 }
+REDUCIBLE = {
+    "alphabet_a": ["a"],
+    "alphabet_a_prime": ["1", "2"],
+    "n": 1,
+    "phi": {"1": "a", "2": "a"},
+    "kind": "sft",
+    "forbidden": ["2 1"],
+}
 PROJ_CODE = {
     "source": SIGMA_F,
     "target_a": ["a", "b"],
@@ -84,6 +92,7 @@ def specs(tmp_path_factory):
         "proj": PROJ_CODE,
         "block2": block2_code_dict(),
         "bogus": dict(EX21, bogus=1),
+        "reducible": REDUCIBLE,
     }
     for name, payload in data.items():
         path = root / f"{name}.json"
@@ -143,6 +152,9 @@ def test_space_irreducible(specs, capsys):
     rc, out, _ = run(capsys, ["space", "irreducible", specs["ex21"]])
     assert rc == 0
     assert out == "irreducible\tyes\n"
+    rc, out, _ = run(capsys, ["space", "irreducible", specs["reducible"]])
+    assert rc == 0
+    assert out == "irreducible\tno\t2\t1\n"
 
 
 def test_graph_build(specs, capsys, tmp_path):
@@ -157,6 +169,19 @@ def test_graph_build(specs, capsys, tmp_path):
     rc, out, _ = run(capsys, ["graph", "build", specs["ex21"], "--dot", "-"])
     assert rc == 0
     assert out == dot
+    # --backward reverses every edge: the reducible space's edge 1 -> 2 prints as 2 -> 1
+    rc, out, _ = run(capsys, ["graph", "build", specs["reducible"], "--backward", "--dot", "-"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "digraph zipshift {",
+        "  rankdir=LR;",
+        "  v0_1;",
+        "  v1_2;",
+        '  v0_1 -> v0_1 [label="1/a"];',
+        '  v1_2 -> v0_1 [label="2/a"];',
+        '  v1_2 -> v1_2 [label="2/a"];',
+        "}",
+    ]
 
 
 def test_point_shift(specs, capsys):
@@ -426,22 +451,70 @@ def test_unknown_spec_key(specs, capsys):
         ),
         ("space", dict(EX21, forbidden=[["0", "0"]]), "forbidden must be a list of strings"),
         ("code", dict(PROJ_CODE, target_a=5), "target_a must be a list of strings"),
+        ("space", dict(SIGMA_G, phi={" ": "a"}), "empty word in spec: ' '"),
+        ("space", None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+        ("space", "x", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("space", [], "space spec must be a JSON object"),
+        ("space", {k: v for k, v in EX21.items() if k not in ("n", "kind")}, "missing space spec keys: kind, n"),
+        ("space", dict(EX21, kind="tree"), "kind must be full, sft or sofic, not 'tree'"),
+        ("space", dict(EX21, n=True), "n must be a positive integer, not True"),
+        ("space", dict(EX21, phi=["1"]), "phi must map words to letters"),
+        ("space", dict(EX21, phi={"1 2": "a"}), "phi key '1 2' is not a word of 1 letters"),
+        ("space", dict(SIGMA_F, forbidden=["1 1"]), "forbidden is only valid for sft spaces"),
+        ("space", dict(EX21, graph=EVEN["graph"]), "graph is only valid for sofic spaces"),
+        ("space", {k: v for k, v in EX21.items() if k != "forbidden"}, "sft specs need a forbidden word list"),
+        ("space", dict(EVEN, graph={"vertices": ["P"]}), "sofic specs need a graph object with vertices and edges"),
+        (
+            "space",
+            dict(EVEN, graph=dict(EVEN["graph"], edges=[["P", "P"]])),
+            "graph edges must be [src, dst, label] triples, not ['P', 'P']",
+        ),
+        ("code", [], "code spec must be a JSON object"),
+        ("code", dict(PROJ_CODE, extra=1), "unknown code spec keys: extra"),
+        (
+            "code",
+            {k: v for k, v in PROJ_CODE.items() if k not in ("m", "psi_minus")},
+            "missing code spec keys: m, psi_minus",
+        ),
+        ("code", dict(PROJ_CODE, m=0), "m must be a positive integer, not 0"),
+        ("code", dict(PROJ_CODE, psi_minus=[]), "psi_plus and psi_minus must be objects"),
+        ("code", dict(PROJ_CODE, psi_minus={"a 1": "a"}), "psi_minus keys look like 'a ; w1 w2', not 'a 1'"),
+        (
+            "code",
+            dict(PROJ_CODE, psi_minus={"a b ; 1": "a"}),
+            "psi_minus key 'a b ; 1' needs a single letter before ';'",
+        ),
+        ("code", dict(PROJ_CODE, window="2"), "window must be a positive integer, not '2'"),
     ],
-    ids=["vertices-int", "vertices-string", "edges-int", "forbidden-nested", "target-a-int"],
+    ids=[
+        "vertices-int", "vertices-string", "edges-int", "forbidden-nested", "target-a-int",
+        "empty-word", "unreadable", "invalid-json", "space-not-object", "space-missing-keys", "kind", "n", "phi",
+        "phi-key", "forbidden-not-sft", "graph-not-sofic", "no-forbidden", "graph-keys", "edge-triples",
+        "code-not-object", "code-unknown-keys", "code-missing-keys", "m", "table-types", "seam-key-shape",
+        "seam-key-letter", "window",
+    ],
 )
 def test_spec_schema_drift_is_an_error_line(tmp_path, capsys, command, payload, message):
+    """A spec file off the schema is one error line and exit status 1.  A
+    payload of None names a file that does not exist; a string is written as
+    it stands, anything else as JSON."""
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(payload))
+    if payload is not None:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     verb = "validate" if command == "space" else "check"
     rc, out, err = run(capsys, [command, verb, str(path)])
     assert rc == 1 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == "error: " + message.format(path=path) + "\n"
 
 
 def test_inadmissible_point_rejected(specs, capsys):
     rc, _, err = run(capsys, ["point", "preimages", specs["ex21"], "(b)* ; (3 3)*"])
     assert rc == 1
     assert err == "error: window 3 3 at index 0 is not admissible\n"
+    # every width-2 window of this point is admissible; no walk reads its right tail
+    rc, _, err = run(capsys, ["point", "preimages", specs["even"], "(a)* ; (1 0)*"])
+    assert rc == 1
+    assert err == "error: right tail is not realizable by any walk\n"
 
 
 def test_loose_shift_still_checks_alphabets(specs, capsys):

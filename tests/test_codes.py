@@ -23,6 +23,7 @@ from zipshift import (
     shift,
     shift_k,
 )
+from zipshift.cli import space_to_dict
 
 
 def two_block_tables(space):
@@ -42,13 +43,12 @@ def two_block_spec(space):
     return BlockCodeSpec(space, target_a, target_aprime, 1, plus, minus, window=2)
 
 
+PROJ_PLUS = {("1",): "1", ("2",): "2", ("3",): "1", ("4",): "2"}
+PROJ_MINUS = {(a, w): a for a in ("a", "b") for w in ("1", "2", "3", "4")}
+
+
 def projection_spec(sigma_f):
-    target = Alphabet(["1", "2"])
-    plus = {("1",): "1", ("2",): "2", ("3",): "1", ("4",): "2"}
-    minus = {
-        (a, w): a for a in ("a", "b") for w in ("1", "2", "3", "4")
-    }
-    return BlockCodeSpec(sigma_f, Alphabet(["a", "b"]), target, 1, plus, minus)
+    return BlockCodeSpec(sigma_f, Alphabet(["a", "b"]), Alphabet(["1", "2"]), 1, PROJ_PLUS, PROJ_MINUS)
 
 
 def test_two_block_spec_shape(ex21):
@@ -64,6 +64,35 @@ def test_apply_code(ex21):
     y = apply_code(spec, x)
     assert format_point(y) == "(bb)* ; (23 32)*"
     assert is_admissible(spec.target, y)
+
+
+@pytest.mark.parametrize(
+    "target_a, target_aprime, m, plus, minus, window, message",
+    [
+        ("ab", "12", 0, PROJ_PLUS, PROJ_MINUS, None, "target map arity must be >= 1, got 0"),
+        ("ab", "12", 1, PROJ_PLUS, PROJ_MINUS, 0, "window must be >= 1, got 0"),
+        (
+            "ab", "12", 1, {k: v for k, v in PROJ_PLUS.items() if k != ("4",)}, PROJ_MINUS, None,
+            "positive table domain mismatch: missing [('4',)], extra []",
+        ),
+        ("ab", "12", 1, {**PROJ_PLUS, ("4",): "9"}, PROJ_MINUS, None, "positive table emits unknown letters ['9']"),
+        ("ab", "123", 1, PROJ_PLUS, PROJ_MINUS, None, "positive table never emits ['3']"),
+        (
+            "ab", "12", 1, PROJ_PLUS, {k: v for k, v in PROJ_MINUS.items() if k != ("b", "4")}, None,
+            "seam table domain mismatch: missing [('b', '4')], extra []",
+        ),
+        ("ab", "12", 1, PROJ_PLUS, {**PROJ_MINUS, ("b", "4"): "c"}, None, "seam table emits unknown letters ['c']"),
+        (
+            "abc", "12", 1, PROJ_PLUS, PROJ_MINUS, None,
+            "derived image space is inconsistent: transition map is not onto: ['c'] never occur as values",
+        ),
+    ],
+    ids=["m", "window", "plus-domain", "plus-unknown", "plus-never", "minus-domain", "minus-unknown", "image"],
+)
+def test_code_spec_refusals(sigma_f, target_a, target_aprime, m, plus, minus, window, message):
+    with pytest.raises(InvalidCode) as exc:
+        BlockCodeSpec(sigma_f, Alphabet(target_a), Alphabet(target_aprime), m, plus, minus, window=window)
+    assert str(exc.value) == message
 
 
 def test_check_commutation(ex21, sigma_f):
@@ -171,6 +200,84 @@ def test_higher_power(coding1, ex21):
             y = pfwd(x)
             assert is_admissible(pspace, y)
             assert pfwd(shift_k(src, x, N)) == shift(pspace, y)
+
+
+def recoded_spec(alphabet_a, alphabet_aprime, n, phi, kind, forbidden=None, vertices=None, edges=None):
+    """A space spec, with its alphabets, forbidden words and edges written as
+    one string each: symbols apart by spaces, words and edges by commas."""
+    data = {"alphabet_a": alphabet_a.split(), "alphabet_a_prime": alphabet_aprime.split(), "n": n, "phi": phi}
+    data["kind"] = kind
+    if forbidden is not None:
+        data["forbidden"] = sorted(forbidden.split(", "))
+    if vertices is not None:
+        data["graph"] = {"vertices": vertices.split(), "edges": [e.split() for e in edges.split(", ")]}
+    return data
+
+
+EX21_PHI = {"12": "ab", "22": "bb", "23": "bb", "31": "ba", "32": "bb"}
+CODING1_PHI = {"00": "aa", "01": "ab", "10": "ba", "11": "bb"}
+EVEN_A = "aa ab ba bb bc cb cc"
+
+# (fixture, point, 2-block space, its image of the point, second power, its image)
+RECODINGS = [
+    (
+        "ex21", "(b)* a ; 2 3 1 2 (3 2)*",
+        recoded_spec(
+            "ab ba bb", "12 22 23 31 32", 1, EX21_PHI, "sft",
+            forbidden="12 12, 12 31, 12 32, 22 12, 22 31, 22 32, 23 12, 23 22, 23 23, 31 22, 31 23, 31 31, "
+            "31 32, 32 12, 32 31, 32 32",
+        ),
+        "(bb)* ba ab ; 23 31 12 (23 32)*",
+        recoded_spec(
+            "ab ba bb", "12 22 23 31 32", 1, EX21_PHI, "sft",
+            forbidden="12 12, 22 12, 23 31, 23 32, 31 12, 31 31, 31 32, 32 12",
+        ),
+        "(bb)* ba ; 23 12 (32)*",
+    ),
+    (
+        "even", "(c)* b ; 1 1 0 0 (1 1 0 0)*",
+        recoded_spec(
+            EVEN_A, "00 01 10 11", 2,
+            {"00 00": "cc", "00 01": "cb", "01 10": "bb", "01 11": "ba", "10 00": "bc", "11 10": "ab", "11 11": "aa"},
+            "sofic", vertices="q0 q1 q2 q3 q4",
+            edges="q0 q0 11, q0 q1 11, q1 q2 10, q2 q3 00, q2 q4 00, q3 q0 01, q3 q1 01, q4 q2 00",
+        ),
+        "(cc)* cb ba ; (11 10 00 01)*",
+        recoded_spec(
+            EVEN_A, "00 01 10 11", 2,
+            {
+                "00 00": "cc", "00 01": "cc", "00 10": "cb", "00 11": "cb", "01 00": "bb", "01 10": "ba",
+                "01 11": "ba", "10 00": "bc", "10 01": "bc", "11 00": "ab", "11 10": "aa", "11 11": "aa",
+            },
+            "sofic", vertices="P Q", edges="P P 00, P P 11, P Q 10, Q P 01, Q Q 00",
+        ),
+        "(cc)* cb ; (11 00)*",
+    ),
+    (
+        "coding1", "(a b)* b ; 0 0 1 (1)*",
+        recoded_spec(
+            "aa ab ba bb", "00 01 10 11", 1, CODING1_PHI, "sft",
+            forbidden="00 10, 00 11, 01 00, 01 01, 10 10, 10 11, 11 00, 11 01",
+        ),
+        "(ba ab)* bb ba ; 00 01 (11)*",
+        recoded_spec("aa ab ba bb", "00 01 10 11", 1, CODING1_PHI, "full"),
+        "(ba)* bb ; 00 (11)*",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, point, block_spec, block_image, power_spec, power_image", RECODINGS)
+def test_block_and_power_recodings_by_value(request, name, point, block_spec, block_image, power_spec, power_image):
+    """The 2-block and second-power recodings, pinned whole: the spec and
+    transition table of each, and its image of one point with a seam
+    transient."""
+    space = request.getfixturevalue(name)
+    x = parse_point(point)
+    (block, fwd, _inv), (power, pfwd) = higher_block(space, 2), higher_power(space, 2)
+    for recoded, spec in ((block, block_spec), (power, power_spec)):
+        assert space_to_dict(recoded) == spec
+        assert sorted(recoded.tm.table.items()) == sorted((tuple(k.split()), v) for k, v in spec["phi"].items())
+    assert (format_point(fwd(x)), format_point(pfwd(x))) == (block_image, power_image)
 
 
 def test_block_names_stay_distinct_when_symbols_hold_the_joiner():

@@ -143,6 +143,9 @@ def test_is_admissible_even(even):
     assert not is_admissible(even, parse_point("(c)* ; 1 0 (1)*"))
     # c a forces a zero pair overlapping a one pair in any lift
     assert not is_admissible(even, parse_point("(b c)* c a ; (1)*"))
+    # every width-2 window is admissible; only the walk check refuses it
+    rep = is_admissible(even, parse_point("(a)* ; (1 0)*"))
+    assert (rep.ok, rep.reason) == (False, "right tail is not realizable by any walk")
 
 
 def test_random_point_deterministic(ex21, even, sigma_g):

@@ -15,13 +15,15 @@ from zipshift import (
     InvalidWord,
     NotFiniteType,
     TransitionMap,
+    UnknownSymbol,
     full_space,
     is_admissible,
     point_from_lift,
     sft_space,
+    sofic_space,
 )
 from zipshift.cli import space_to_dict
-from zipshift.space import _prune_superwords
+from zipshift.space import ZipShiftSpace, _prune_superwords
 
 
 def words(space, k, side="aprime"):
@@ -56,6 +58,54 @@ def test_construction_rejections():
     with pytest.raises(InvalidWord):
         sft_space(a2, p2, TransitionMap(1, {("1",): "a", ("2",): "b"}), set())
 
+
+
+A2, P2 = Alphabet(["a", "b"]), Alphabet(["1", "2"])
+TM2 = TransitionMap(1, {("1",): "a", ("2",): "b"})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ZipShiftSpace(A2, P2, TM2, "tree"), InvalidWord, "unknown space kind 'tree'"),
+        (lambda: ZipShiftSpace(A2, P2, TM2, "sofic"), InvalidWord, "sofic spaces need a presentation graph"),
+        (
+            lambda: sft_space(A2, P2, TM2, {("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")}),
+            InvalidWord,
+            "the space has an empty language",
+        ),
+        (
+            lambda: sft_space(A2, P2, TransitionMap(2, {("1", "1"): "a", ("2", "2"): "b"}), {("2", "1")}),
+            InvalidWord,
+            "transition domain mismatch: missing ['1 2']",
+        ),
+        (
+            lambda: sft_space(A2, P2, TM2, {(("a",), "1")}),
+            InvalidWord,
+            "forbidden words must be pure A'-words; mixed entries are unsupported",
+        ),
+        (lambda: sft_space(A2, P2, TM2, {("1",)}), InvalidWord, "forbidden word '1' is shorter than 2"),
+        (
+            lambda: sofic_space(A2, P2, TM2, ["P", "P"], [("P", "P", "1")]),
+            InvalidWord,
+            "presentation vertex names must be distinct",
+        ),
+        (lambda: sofic_space(A2, P2, TM2, ["P"], [("P", "Q", "1")]), InvalidWord, "edge P->Q uses an unknown vertex"),
+        (
+            lambda: sofic_space(A2, P2, TM2, ["P"], [("P", "P", "3")]),
+            UnknownSymbol,
+            "edge label '3' is not an A' symbol",
+        ),
+    ],
+    ids=[
+        "kind", "no-presentation", "empty-language", "missing-window", "mixed-forbidden", "short-forbidden",
+        "duplicate-vertex", "unknown-vertex", "unknown-label",
+    ],
+)
+def test_constructor_refusals(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 def test_language_ex21(ex21):
     assert words(ex21, 1) == {"1", "2", "3"}
