@@ -10,7 +10,8 @@ geometrically by a multi-fold planar horseshoe.
 
 The names below load on first use (PEP 562): ``import zipshift`` imports no
 submodule, and ``zipshift.X`` or ``from zipshift import X`` imports only the
-module that defines X and the modules it needs.
+module that defines X and the modules it needs.  Each name is resolved once
+and then kept in the package namespace, so later reads are plain lookups.
 """
 
 import importlib
@@ -61,7 +62,8 @@ def __getattr__(name: str):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    return value
 
 
 def __dir__() -> list[str]:

@@ -29,16 +29,25 @@ class LetterSteps:
     per edge.  ``last_label`` is the pre-image engine's most recent label
     along this walk, or None: one per walk, so the queries asked in turn
     about one point share the viability searches on each of its sides.
-    ``count_states`` is the pre-image path search's table of interned
-    path-count states along this walk, with the steps between them.
+
+    The pre-image path search interns its states along this walk, each with
+    the steps taken from it: ``count_states`` holds one branch chain's capped
+    path counts at a depth, and ``joint_states`` the tuples of those that the
+    chains of one classification reach together, with the facts the patterns
+    read off them.  The search clears both before a classification once
+    either holds more than a fixed number of states per vertex.
+    ``ranked_sources`` is ``step`` with each list in the canonical lift's
+    (label, id) order, built on the first lift along this walk, or None.
     """
 
-    __slots__ = ("step", "last_label", "count_states")
+    __slots__ = ("step", "last_label", "count_states", "joint_states", "ranked_sources")
 
     def __init__(self, step: list[dict]):
         self.step = step
         self.last_label = None
         self.count_states: dict = {}
+        self.joint_states: dict = {}
+        self.ranked_sources: list[dict] | None = None
 
 
 class LabeledGraph:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidWord, NotInSpace
 from .graph import LetterSteps
@@ -228,11 +228,14 @@ class HomoclinicOrbit:
     deeper letters follow the lift of the first orbit point the branch can
     follow forever (``_forced_period``), so a choice word stands for that
     phase too, and two orbits are the same exactly when their choice words
-    agree.
+    agree.  ``period`` is that orbit point's right period, left out of
+    comparisons: ``homoclinic_orbits`` passes the one it found, and an orbit
+    built without one finds it on its first entry past the choices.
     """
 
     datum: HomoclinicDatum
     choices: Word
+    period: Word | None = field(default=None, compare=False, repr=False)
 
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
         """The orbit entry at index i (index 0 is the datum's point)."""
@@ -242,9 +245,12 @@ class HomoclinicOrbit:
         for t in self.choices[:-i]:
             cur = _preimage_point(cur, t)
         if -i > len(self.choices):
-            w = _forced_period(space, self.datum)(cur)
+            w = self.period
             if w is None:
-                raise NotInSpace("the branch follows the lift of no orbit point")
+                w = _forced_period(space, self.datum)(cur)
+                if w is None:
+                    raise NotInSpace("the branch follows the lift of no orbit point")
+                object.__setattr__(self, "period", w)
             for depth in range(len(self.choices) + 1, -i + 1):
                 cur = _preimage_point(cur, w[-depth % len(w)])
         return cur
@@ -304,7 +310,9 @@ def homoclinic_orbits(space: ZipShiftSpace, datum: HomoclinicDatum) -> tuple[Hom
         leaves = [
             (cs + (t,), _preimage_point(cur, t)) for cs, cur in leaves for t in _branches(space, cur)[0]
         ]
-    out = [HomoclinicOrbit(datum, choices) for choices, leaf in leaves if period_for(leaf) is not None]
+    out = [
+        HomoclinicOrbit(datum, choices, w) for choices, leaf in leaves if (w := period_for(leaf)) is not None
+    ]
     return tuple(sorted(out, key=lambda o: space.alphabet_aprime.key(o.choices)))
 
 

@@ -17,23 +17,29 @@ and stops at the first node known alive or met again on its own path.  From
 any depth on, a label is a suffix of its transient or a rotation of its
 period, so the product is finite, and the decided nodes are kept on the
 label: a query pays for the nodes its questions reach, and each product
-edge at most once.  The path search behind the classification steps one
-chain of capped path-count states per branch letter outward, all together
-and one depth at a time, and checks the patterns at each depth.  It stops
-at the first repeated (label phase, chain states) tuple past the left
-transient, since every deeper depth repeats one already checked, and
-witnesses fold the depths past it into that cycle.
+edge at most once.
+
+The path search behind the classification follows one chain of capped
+path-count states per branch letter outward, and steps the chains together
+as one joint state: the tuple of their count states.  A joint state computes
+once what the patterns read at a depth (how many chains are alive, their
+capped path total, whether the alive chains end at one vertex), so a depth
+costs one step lookup, those three facts and a cycle key.  The search stops
+at the first repeated (label phase, joint state) pair past the left
+transient, since every deeper depth repeats one already checked.  Witnesses
+replay each viable branch's chain along the depths walked, reading the steps
+its count states keep, and fold the depths past the cycle into it.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
 starting afresh when its (transient, period) is the same: the queries asked
 in turn about one point share the decided nodes of each side between them.
-The path search's states are interned on the leftward walk
-(``LetterSteps.count_states``) together with the steps between them, the
+The count states and the joint states are interned on the leftward walk
+(``LetterSteps.count_states`` and ``joint_states``), each with its steps, the
 subset construction of the backward graph built as it is read: a step taken
-once on a graph is read by every later search on it.  The table is cleared
-before a classification once it holds more than a fixed number of states
-per graph vertex.
+once on a graph is read by every later search on it.  Both tables are
+cleared together before a classification once either holds more than
+``_STATES_PER_VERTEX`` states per graph vertex.
 """
 from __future__ import annotations
 
@@ -225,8 +231,7 @@ class _Counts:
 
     ``verts`` lists the vertices reached, in reach order, and ``counts`` their
     path counts capped at 2; ``total`` is the capped sum.  ``next[a]`` holds
-    the step along letter a once taken: the state one depth on and, aligned
-    with its vertices, the first vertex of this state that reached each one.
+    the step along letter a once taken (see ``step``).
     """
 
     __slots__ = ("verts", "counts", "total", "next")
@@ -237,10 +242,61 @@ class _Counts:
         self.total = min(2, sum(counts))
         self.next: dict[str, tuple[_Counts, tuple[int, ...]]] = {}
 
+    def step(self, walk: LetterSteps, a: str) -> tuple[_Counts, tuple[int, ...]]:
+        """The state one depth on along letter a and, aligned with its
+        vertices, the first vertex of this state that reached each one;
+        computed on the first call and read from ``next`` after it."""
+        step = self.next.get(a)
+        if step is None:
+            sources = walk.step
+            new: dict[int, int] = {}
+            parent: dict[int, int] = {}
+            for v, cnt in zip(self.verts, self.counts):
+                for u in sources[v].get(a, ()):
+                    if u in new:
+                        new[u] = 2
+                    else:
+                        new[u] = cnt
+                        parent[u] = v
+            nxt = _interned(walk.count_states, tuple(new), tuple(new.values()))
+            step = self.next[a] = (nxt, tuple(parent.values()))
+        return step
 
-# The path search's table on a graph is cleared before a classification
-# once it holds more states than this many per graph vertex, which bounds
-# its memory; an S(6,2,3) window graph settles at about 1.6 per vertex.
+
+class _Joint:
+    """The count states of several chains at one depth, stepped together.
+
+    Interned per walk (``LetterSteps.joint_states``), keyed by the tuple of
+    ``states``.  Made once, it keeps what the classification reads at a
+    depth: ``alive``, how many chains still carry a path; ``total``, their
+    path counts summed and capped at 2; and ``shared``, whether every path of
+    the alive chains ends at one vertex.  ``next[a]`` holds the joint state
+    one depth on along letter a once taken, each chain stepped by
+    ``_Counts.step``.
+    """
+
+    __slots__ = ("states", "alive", "total", "shared", "next")
+
+    def __init__(self, states: tuple[_Counts, ...]):
+        self.states = states
+        alive = [state for state in states if state.verts]
+        self.alive = len(alive)
+        self.total = min(2, sum(state.total for state in alive))
+        self.shared = len(set().union(*(state.verts for state in alive))) == 1
+        self.next: dict[str, _Joint] = {}
+
+    def step(self, walk: LetterSteps, a: str) -> _Joint:
+        """The joint state one depth on along letter a."""
+        nxt = self.next.get(a)
+        if nxt is None:
+            nxt = self.next[a] = _joint(walk, tuple(state.step(walk, a)[0] for state in self.states))
+        return nxt
+
+
+# The path search's tables on a graph are cleared before a classification
+# once either holds more states than this many per graph vertex, which bounds
+# their memory; an S(6,2,3) window graph settles at about 1.6 count states
+# and 1.3 joint states per vertex.
 _STATES_PER_VERTEX = 8
 
 
@@ -251,16 +307,16 @@ def _interned(table: dict, verts: tuple[int, ...], counts: tuple[int, ...]) -> _
     return state
 
 
-def _folded(depth: int, cycle: tuple[int, int] | None) -> int:
-    """The walked depth that ``depth`` repeats: with the states at d0 and
-    d0 + p the same, depths past d0 + p fold into (d0, d0 + p], not onto
-    [d0, d0 + p), because the parents at a depth come from the state one
-    depth up, which must itself lie on the cycle."""
-    if cycle is not None:
-        d0, p = cycle
-        if depth > d0 + p:
-            return d0 + 1 + (depth - d0 - 1) % p
-    return depth
+def _start(walk: LetterSteps, starts: dict[int, int]) -> _Counts:
+    """The interned state of a chain's first depth, counts capped at 2."""
+    return _interned(walk.count_states, tuple(starts), tuple(min(2, c) for c in starts.values()))
+
+
+def _joint(walk: LetterSteps, states: tuple[_Counts, ...]) -> _Joint:
+    joint = walk.joint_states.get(states)
+    if joint is None:
+        joint = walk.joint_states[states] = _Joint(states)
+    return joint
 
 
 class _Chain:
@@ -271,57 +327,53 @@ class _Chain:
     with the vertices it reaches, the first vertex one depth up that reached
     each (at depth 1, the position-0 ``origin``), so witnesses can be walked
     back to the start of the path.  The states are interned on the graph's
-    leftward walk (``LetterSteps.count_states``), keyed by their vertices in
-    reach order and their counts, and each keeps its steps: a step taken once
-    on a graph is read, not recomputed, by every later chain on it.
+    leftward walk (``LetterSteps.count_states``) and step by ``_Counts.step``,
+    as the classification's joint states do: a chain replayed along depths
+    a joint walk has taken reads every step from the table.
     """
 
     def __init__(self, g: LabeledGraph, starts: dict[int, int], origin: dict[int, int]):
-        self._walk = walk = g.leftward
-        state = _interned(walk.count_states, tuple(starts), tuple(min(2, c) for c in starts.values()))
+        self._walk = g.leftward
+        state = _start(self._walk, starts)
         self.states: list[_Counts] = [state]
         self.parents: list[tuple[int, ...]] = [tuple(origin[u] for u in state.verts)]
 
     def step(self, a: str) -> None:
         """Walk one depth further, reading letter a."""
-        state = self.states[-1]
-        step = state.next.get(a)
-        if step is None:
-            sources = self._walk.step
-            new: dict[int, int] = {}
-            parent: dict[int, int] = {}
-            for v, cnt in zip(state.verts, state.counts):
-                for u in sources[v].get(a, ()):
-                    if u in new:
-                        new[u] = 2
-                    else:
-                        new[u] = cnt
-                        parent[u] = v
-            nxt = _interned(self._walk.count_states, tuple(new), tuple(new.values()))
-            step = state.next[a] = (nxt, tuple(parent.values()))
-        self.states.append(step[0])
-        self.parents.append(step[1])
+        state, parents = self.states[-1].step(self._walk, a)
+        self.states.append(state)
+        self.parents.append(parents)
 
     def witness(
         self, g: LabeledGraph, depth: int, cycle: tuple[int, int] | None = None
     ) -> tuple[Word, ...]:
         """The labels of one path from the position-0 vertex out to the
-        deepest depth up to ``depth`` that still carries one; depths past
-        the walked ones fold onto ``cycle`` (see ``_folded``)."""
+        deepest depth up to ``depth`` that still carries one.
+
+        Depths past the walked ones repeat them: with the states at d0 and
+        d0 + p the same (``cycle``), depths past d0 + p fold into
+        (d0, d0 + p], not onto [d0, d0 + p), because the parents at a depth
+        come from the state one depth up, which must itself lie on the cycle.
+        """
         states, parents = self.states, self.parents
+        if cycle is None:
+            fold = range(depth)
+        else:
+            d0, p = cycle
+            fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
         d = depth
-        while d >= 1 and not states[_folded(d, cycle) - 1].verts:
+        while d and not states[fold[d - 1]].verts:
             d -= 1
-        if d < 1:
+        if not d:
             return ()
-        v = min(states[_folded(d, cycle) - 1].verts)
-        path = [v]
-        for dd in range(d, 0, -1):
-            i = _folded(dd, cycle) - 1
+        labels = g.labels
+        v = min(states[fold[d - 1]].verts)
+        path = [labels[v]]
+        for i in reversed(fold[:d]):
             v = parents[i][states[i].verts.index(v)]
-            path.append(v)
+            path.append(labels[v])
         path.reverse()
-        return tuple(g.labels[u] for u in path)
+        return tuple(path)
 
 
 def _classify(
@@ -347,73 +399,87 @@ def _classify(
     backward run, the label alone singles it out (variant L).  Everything
     else is branching, stamped with the searched depth.
 
-    The chains step together, one depth at a time.  Past the left transient,
-    the label's phase and the branch chains' states at a depth fix every
-    deeper state, parent and pattern, so the walk stops at the first repeated
-    (phase, states) tuple, and witnesses past it fold onto that cycle.
+    The branch chains step together as one joint state, one depth at a time.
+    Past the left transient, the label's phase and the joint state at a depth
+    fix every deeper state, parent and pattern, so the walk stops at the
+    first repeated (phase, joint state) pair.  Witnesses replay each viable
+    branch's chain along the depths walked, every step read from the table,
+    and fold the depths past the cycle onto it.
     """
-    table = g.leftward.count_states
-    if len(table) > _STATES_PER_VERTEX * g.n_vertices():
-        table.clear()
-    chains = {t: _Chain(g, cands[t], origin[t]) for t in cands}
+    walk = g.leftward
+    if max(len(walk.count_states), len(walk.joint_states)) > _STATES_PER_VERTEX * g.n_vertices():
+        walk.count_states.clear()
+        walk.joint_states.clear()
+    joint = _joint(walk, tuple(_start(walk, branch) for branch in cands.values()))
     sofic = space.kind == "sofic"
-    start_chains: list[_Chain] = []
+    # The position-0 start chains as one more joint state, stepped alongside:
+    # only how many of them are alive is read.
+    starts: _Joint | None = None
     if sofic and len(v0) >= 2:
+        start_states = []
         for v in sorted(v0):
             sv: dict[int, int] = {}
             for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
-                sv[u] = min(2, sv.get(u, 0) + 1)
+                sv[u] = sv.get(u, 0) + 1
             if sv:
-                start_chains.append(_Chain(g, sv, dict.fromkeys(sv, v)))
+                start_states.append(_start(walk, sv))
+        starts = _joint(walk, tuple(start_states))
 
-    def wits(depth: int, cycle: tuple[int, int] | None = None):
-        return tuple((t, chains[t].witness(g, depth, cycle)) for t in viable)
+    def wits(walked: int, depth: int, cycle: tuple[int, int] | None = None):
+        # Each viable branch's chain, replayed along the ``walked`` depths.
+        letters = [x.letter(-d) for d in range(2, walked + 1)]
+        out = []
+        for t in viable:
+            chain = _Chain(g, cands[t], origin[t])
+            for a in letters:
+                chain.step(a)
+            out.append((t, chain.witness(g, depth, cycle)))
+        return tuple(out)
 
     # The key leaves the start chains out: they only choose between the two
     # left-closing kinds, and the single-vertex union pattern returns at the
     # first depth it holds whichever kind they select, so they can never make
     # a later depth match where an earlier one with the same key did not.
     t0, m = len(x.left_transient), len(x.left_period)
-    seen: dict[tuple, int] = {}
+    seen: dict[tuple[int, _Joint], int] = {}
     cycle = None
     for d in range(1, d_max + 1):
         if d > 1:
             a = x.letter(-d)
-            for ch in (*chains.values(), *start_chains):
-                ch.step(a)
-        alive = [state for state in (ch.states[-1] for ch in chains.values()) if state.verts]
-        if not alive:
+            joint = joint.next.get(a) or joint.step(walk, a)
+            if starts is not None:
+                starts = starts.next.get(a) or starts.step(walk, a)
+        if not joint.alive:
             cycle = (d - 1, 1)  # every chain has ended: each deeper depth repeats d
             break
-        if sum(state.total for state in alive) == 1:
+        if joint.total == 1:
             if sofic:
                 return LabelClassification(
                     kind="distinguishable",
                     variant="dL",
                     delay=d,
                     multiplicity=1,
-                    witness_paths=wits(d),
+                    witness_paths=wits(d, d),
                 )
             return LabelClassification(
-                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d)
+                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d, d)
             )
-        union = set().union(*(state.verts for state in alive))
-        if len(union) == 1 and len(alive) >= 2:
-            if sofic and sum(1 for ch in start_chains if ch.states[-1].verts) >= 2:
+        if joint.shared and joint.alive >= 2:
+            if starts is not None and starts.alive >= 2:
                 return LabelClassification(
                     kind="sofic_left_closing",
                     length=d,
-                    multiplicity=len(alive),
-                    witness_paths=wits(d),
+                    multiplicity=joint.alive,
+                    witness_paths=wits(d, d),
                 )
             return LabelClassification(
                 kind="left_closing",
                 length=d,
-                multiplicity=len(alive),
-                witness_paths=wits(d),
+                multiplicity=joint.alive,
+                witness_paths=wits(d, d),
             )
         if d >= t0:
-            key = ((d - t0) % m, *(ch.states[-1] for ch in chains.values()))
+            key = ((d - t0) % m, joint)
             if key in seen:
                 cycle = (seen[key], d - seen[key])
                 break
@@ -424,13 +490,13 @@ def _classify(
             variant="L",
             multiplicity=len(viable),
             searched_to=d_max,
-            witness_paths=wits(d_max, cycle),
+            witness_paths=wits(d, d_max, cycle),
         )
     return LabelClassification(
         kind="branching",
         multiplicity=len(viable),
         searched_to=d_max,
-        witness_paths=wits(d_max, cycle),
+        witness_paths=wits(d, d_max, cycle),
     )
 
 
@@ -498,15 +564,30 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> EpPoint:
     vertex is least in (label, id) order among vertices that stay viable for
     the rest of the label.  The choices repeat once the (vertex, label phase)
     pair repeats, so the lift is eventually periodic.
+
+    The graph's vertices are ranked in that order once, on its first lift,
+    and each vertex's sources kept in rank order (``ranked_sources``), so a
+    step takes the first viable one.  The position-0 vertices all carry the
+    label x_0 .. x_{ell-1}, so the least of them is the one of least id.
     """
     g = labeled_graph_for(space)
-    key = space.alphabet_aprime.key
+    walk = g.leftward
+    ranked = walk.ranked_sources
+    if ranked is None:
+        key = space.alphabet_aprime.key
+        rank = [0] * g.n_vertices()
+        for r, v in enumerate(sorted(range(g.n_vertices()), key=lambda i: (key(g.labels[i]), i))):
+            rank[v] = r
+        ranked = walk.ranked_sources = [
+            {a: sorted(sources, key=rank.__getitem__) for a, sources in by_letter.items()}
+            for by_letter in walk.step
+        ]
     starts = _position_zero_vertices(g, x)
     left = _left_label(g, x)
     viable0 = [v for v in starts if left.viable(v, 0)]
     if not viable0:
         raise NotInSpace("point has no backward lift")
-    v = min(viable0, key=lambda i: (key(g.labels[i]), i))
+    v = min(viable0)
     trans_len = len(x.left_transient)
     m = len(x.left_period)
     seen: dict[tuple[int, int], int] = {}
@@ -525,9 +606,10 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> EpPoint:
                 )
             seen[state] = depth
         depth += 1
-        options = [u for u in g.sources_by_sofic[v].get(x.letter(-depth), ()) if left.viable(u, depth)]
-        if not options:
+        for u in ranked[v].get(x.letter(-depth), ()):
+            if left.viable(u, depth):
+                break
+        else:
             raise NotInSpace("left label is not liftable")
-        chosen = min(options, key=lambda i: (key(g.labels[i]), i))
-        letters.append(g.labels[chosen][0])
-        v = chosen
+        v = u
+        letters.append(g.labels[v][0])

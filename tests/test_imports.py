@@ -86,3 +86,24 @@ def test_dir_and_unknown_names():
         zipshift.no_such_name
     with pytest.raises(ImportError):
         exec("from zipshift import no_such_name", {})
+
+
+def test_public_name_resolves_once(monkeypatch):
+    """The first read of a public name goes through the package's
+    ``__getattr__`` and keeps what it found; the second read is a plain
+    lookup of the same object, and ``dir`` and ``__all__`` do not change."""
+    names, listed = dir(zipshift), list(zipshift.__all__)
+    monkeypatch.delitem(zipshift.__dict__, "canonical_lift", raising=False)
+    calls = []
+    resolve = zipshift.__getattr__
+
+    def counted(name):
+        calls.append(name)
+        return resolve(name)
+
+    monkeypatch.setattr(zipshift, "__getattr__", counted)
+    first = zipshift.canonical_lift
+    second = zipshift.canonical_lift
+    assert calls == ["canonical_lift"]
+    assert first is second is importlib.import_module("zipshift.preimage").canonical_lift
+    assert dir(zipshift) == names and zipshift.__all__ == listed

@@ -256,6 +256,32 @@ def test_homoclinic_forced_tail_that_dies(five):
         HomoclinicOrbit(datum, ()).point(five, -1)
 
 
+def test_forced_period_is_built_once_per_orbit(coding2, monkeypatch):
+    """Seven entries past the choices build the forced-period search once for
+    an orbit made by hand, and not at all for a listed orbit, which keeps the
+    period ``homoclinic_orbits`` found; both give the same entries."""
+    from zipshift import orbits
+
+    built = []
+    real = orbits._forced_period
+
+    def counted(space, datum):
+        built.append(datum)
+        return real(space, datum)
+
+    p = periodic_point(coding2, ("0", "1'"))
+    datum = homoclinic_datum(coding2, p, parse_point("(a b)* b a ; 1 (0 1')*"))
+    listed = homoclinic_orbits(coding2, datum)[0]
+    monkeypatch.setattr(orbits, "_forced_period", counted)
+    by_hand = HomoclinicOrbit(datum, listed.choices)
+    assert by_hand == listed and len(listed.choices) == 2
+    entries = range(-3, -10, -1)
+    got = [by_hand.point(coding2, i) for i in entries]
+    assert len(built) == 1
+    assert [listed.point(coding2, i) for i in entries] == got
+    assert len(built) == 1
+
+
 def _takes_forced(space, leaf, depth, w, steps=40):
     """Can leaf take ``steps`` letters of w's lift (w[-s mod len(w)] at
     depth s, from ``depth`` on) as pre-images, asked through ``preimages``?"""

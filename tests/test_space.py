@@ -45,7 +45,8 @@ def test_construction_rejections():
         # not onto: b never occurs as a value
         full_space(a2, p2, TransitionMap(1, {("1",): "a", ("2",): "a"}))
     with pytest.raises(InvalidWord):
-        # table misses an admissible window
+        # a table with one window never emits b, so it is not onto (the
+        # missing-window refusal is test_constructor_refusals[missing-window])
         full_space(a2, p2, TransitionMap(1, {("1",): "a"}))
     with pytest.raises(InvalidWord):
         # table covers a word the forbidden set kills

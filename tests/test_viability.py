@@ -8,7 +8,9 @@ graph.  The chain oracle is the path search that visits every depth up to
 d_max, and the classification oracle checks the patterns at every one of
 those depths, where the classification stops at its first repeated joint
 state and folds the witnesses onto that cycle.  Two sofic kinds that few
-draws reach are pinned by value.
+draws reach are pinned by value.  The canonical lift is checked against its
+choice rule spelled out: the least viable source by (label key, id) at
+every step.
 Graphs are drawn small and unconstrained: self-loops, parallel edges, dead
 ends and empty edge sets all occur.
 """
@@ -19,12 +21,15 @@ from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_a_side import spaces
 from zipshift import (
     Alphabet,
+    NotInSpace,
     TransitionMap,
+    canonical_lift,
     format_point,
     parse_point,
     preimages,
@@ -37,6 +42,7 @@ from zipshift.graph import LabeledGraph, _trim
 from zipshift.point import EpPoint
 from zipshift.preimage import (
     LabelClassification,
+    _position_zero_vertices,
     _Chain,
     _classify,
     _Label,
@@ -387,6 +393,21 @@ def test_count_state_table_stays_under_its_cap():
     assert 0 < max(sizes) <= cap
 
 
+def test_joint_table_stays_under_its_cap():
+    """500 warm pre-image queries on one space keep the path search's table
+    of joint states non-empty and never leave it above its cap."""
+    rng = random.Random(11)
+    space = scaled_space(rng)
+    g = labeled_graph_for(space)
+    cap = preimage._STATES_PER_VERTEX * g.n_vertices()
+    preimages(space, random_point(space, rng))
+    sizes = []
+    for _ in range(500):
+        preimages(space, random_point(space, rng))
+        sizes.append(len(g.leftward.joint_states))
+    assert 0 < min(sizes) and max(sizes) <= cap
+
+
 @pytest.mark.parametrize(
     "name", ["ex21", "f3", "classical", "sigma_f", "sigma_g", "even", "five", "coding1", "coding2",
              "scaled-1", "scaled-2"]
@@ -480,3 +501,72 @@ def test_graph_trim_matches_fixpoint(data):
     g, _letters = data.draw(graphs())
     got, want = _trim(g), fixpoint_graph_trim(g)
     assert (got.labels, got.edges) == (want.labels, want.edges)
+
+
+def keyed_lift_letters(space, x, depth):
+    """Letters -1 .. -depth of x's canonical lift, each step taking the least
+    viable source by (alphabet_aprime.key(label), id), or None when no
+    position-0 vertex lifts x."""
+    g = labeled_graph_for(space)
+    left = _Label(g.leftward, tuple(reversed(x.left_transient)), tuple(reversed(x.left_period)))
+
+    def key(v):
+        return (space.alphabet_aprime.key(g.labels[v]), v)
+
+    viable0 = [v for v in _position_zero_vertices(g, x) if left.viable(v, 0)]
+    if not viable0:
+        return None
+    v = min(viable0, key=key)
+    letters = []
+    for d in range(1, depth + 1):
+        v = min((u for u in g.sources_by_sofic[v].get(x.letter(-d), ()) if left.viable(u, d)), key=key)
+        letters.append(g.labels[v][0])
+    return letters
+
+
+def assert_lift_matches_keyed_rule(space, x):
+    g = labeled_graph_for(space)
+    depth = len(x.left_transient) + len(x.left_period) * (g.n_vertices() + 2)
+    want = keyed_lift_letters(space, x, depth)
+    if want is None:
+        with pytest.raises(NotInSpace):
+            canonical_lift(space, x)
+        return
+    lift = canonical_lift(space, x)
+    assert [lift.letter(-d) for d in range(1, depth + 1)] == want
+    assert (lift.right_transient, lift.right_period) == (x.right_transient, x.right_period)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.integers(0, 2**32 - 1), st.data())
+def test_canonical_lift_takes_the_least_viable_source(space, seed, data):
+    """On drawn spaces, sofic ones with repeated labels among them, the lift
+    is the one its choice rule gives, letter by letter past its cycle, for
+    points of the space and points with one left letter changed."""
+    rng = random.Random(seed)
+    a = space.alphabet_a.symbols
+    for _ in range(3):
+        x = random_point(space, rng)
+        assert_lift_matches_keyed_rule(space, x)
+        lt = x.left_transient + (data.draw(st.sampled_from(a)),)
+        assert_lift_matches_keyed_rule(space, EpPoint(x.left_period, lt, x.right_transient, x.right_period))
+
+
+def test_canonical_lift_breaks_label_ties_by_id():
+    """Two presentation edges read 0, so two window-graph vertices share the
+    label 0; only the one with the lower id has a 0 before it, and the lift
+    of (a)* ; (0 0 1)* starts there."""
+    space = sofic_space(
+        Alphabet(["a"]),
+        Alphabet(["0", "1"]),
+        TransitionMap(1, {("0",): "a", ("1",): "a"}),
+        ["q0", "q1"],
+        [("q0", "q0", "0"), ("q0", "q1", "1"), ("q1", "q0", "0")],
+    )
+    assert labeled_graph_for(space).labels == (("0",), ("1",), ("0",))
+    x = parse_point("(a)* ; (0 0 1)*")
+    assert format_point(canonical_lift(space, x)) == "(0)* ; (0 0 1)*"
+    assert_lift_matches_keyed_rule(space, x)
+    rng = random.Random(4)
+    for _ in range(20):
+        assert_lift_matches_keyed_rule(space, random_point(space, rng))
