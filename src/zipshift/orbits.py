@@ -228,14 +228,14 @@ class HomoclinicOrbit:
     deeper letters follow the lift of the first orbit point the branch can
     follow forever (``_forced_period``), so a choice word stands for that
     phase too, and two orbits are the same exactly when their choice words
-    agree.  ``period`` is that orbit point's right period, left out of
-    comparisons: ``homoclinic_orbits`` passes the one it found, and an orbit
-    built without one finds it on its first entry past the choices.
+    agree.  ``_period`` keeps that orbit point's right period once known,
+    left out of comparisons: ``homoclinic_orbits`` stores the one it found,
+    and an orbit built by hand finds it on its first entry past the choices.
     """
 
     datum: HomoclinicDatum
     choices: Word
-    period: Word | None = field(default=None, compare=False, repr=False)
+    _period: Word | None = field(default=None, init=False, compare=False, repr=False)
 
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
         """The orbit entry at index i (index 0 is the datum's point)."""
@@ -245,12 +245,12 @@ class HomoclinicOrbit:
         for t in self.choices[:-i]:
             cur = _preimage_point(cur, t)
         if -i > len(self.choices):
-            w = self.period
+            w = self._period
             if w is None:
                 w = _forced_period(space, self.datum)(cur)
                 if w is None:
                     raise NotInSpace("the branch follows the lift of no orbit point")
-                object.__setattr__(self, "period", w)
+                object.__setattr__(self, "_period", w)
             for depth in range(len(self.choices) + 1, -i + 1):
                 cur = _preimage_point(cur, w[-depth % len(w)])
         return cur
@@ -310,9 +310,13 @@ def homoclinic_orbits(space: ZipShiftSpace, datum: HomoclinicDatum) -> tuple[Hom
         leaves = [
             (cs + (t,), _preimage_point(cur, t)) for cs, cur in leaves for t in _branches(space, cur)[0]
         ]
-    out = [
-        HomoclinicOrbit(datum, choices, w) for choices, leaf in leaves if (w := period_for(leaf)) is not None
-    ]
+    out = []
+    for choices, leaf in leaves:
+        w = period_for(leaf)
+        if w is not None:
+            orbit = HomoclinicOrbit(datum, choices)
+            object.__setattr__(orbit, "_period", w)
+            out.append(orbit)
     return tuple(sorted(out, key=lambda o: space.alphabet_aprime.key(o.choices)))
 
 

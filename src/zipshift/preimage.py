@@ -446,9 +446,9 @@ def _classify(
     for d in range(1, d_max + 1):
         if d > 1:
             a = x.letter(-d)
-            joint = joint.next.get(a) or joint.step(walk, a)
+            joint = joint.step(walk, a)
             if starts is not None:
-                starts = starts.next.get(a) or starts.step(walk, a)
+                starts = starts.step(walk, a)
         if not joint.alive:
             cycle = (d - 1, 1)  # every chain has ended: each deeper depth repeats d
             break
