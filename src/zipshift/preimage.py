@@ -26,14 +26,20 @@ once what the patterns read at a depth (how many chains are alive, their
 capped path total, whether the alive chains end at one vertex), so a depth
 costs one step lookup, those three facts and a cycle key.  The search stops
 at the first repeated (label phase, joint state) pair past the left
-transient, since every deeper depth repeats one already checked.  Witnesses
-replay each viable branch's chain along the depths walked, reading the steps
-its count states keep, and fold the depths past the cycle into it.
+transient, since every deeper depth repeats one already checked, and says
+in ``exact`` whether it stopped so (or on a pattern, or with every chain
+ended) rather than at the search bound.  Witnesses are not built then: the
+classification keeps what their replay needs, and the first read of
+``witness_paths`` replays each viable branch's chain along the depths walked
+and walks its path back as a lasso, copying the steps past the first
+repeated (folded depth, vertex) pair instead of taking each one.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
 starting afresh when its (transient, period) is the same: the queries asked
-in turn about one point share the decided nodes of each side between them.
+in turn about one point share the decided nodes of each side between them,
+and the position-0 vertices, kept on the right label, since they depend on
+the right tail alone.
 The count states and the joint states are interned on the leftward walk
 (``LetterSteps.count_states`` and ``joint_states``), each with its steps, the
 subset construction of the backward graph built as it is read: a step taken
@@ -43,7 +49,9 @@ cleared together before a classification once either holds more than
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidWord, NotInSpace
 from .graph import LabeledGraph, LetterSteps
@@ -74,6 +82,10 @@ class _Label:
     cycle); a node is dead once all of its successors are.  Every decided
     node is kept, so later questions about the label reuse the search and
     each product edge is scanned at most once per label.
+
+    On a rightward label, ``zero`` keeps the position-0 vertices of the
+    points with that right tail once computed (see
+    ``_position_zero_vertices``), and is None before.
     """
 
     def __init__(self, walk: LetterSteps, transient: Word, period: Word):
@@ -84,6 +96,13 @@ class _Label:
         self._letters = transient + period
         self._next = list(range(1, t + m)) + [t]
         self._state = [bytearray(len(walk.step)) for _ in range(t + m)]
+        self.zero: frozenset[int] | None = None
+
+    def letter(self, depth: int) -> str:
+        """The label's letter at ``depth``."""
+        if depth >= self._t:
+            depth = self._t + (depth - self._t) % self._m
+        return self._letters[depth]
 
     def viable(self, v: int, depth: int) -> bool:
         if depth >= self._t:
@@ -135,19 +154,22 @@ def _left_label(g: LabeledGraph, x: EpPoint) -> _Label:
     )
 
 
-def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> set[int]:
-    """Graph vertices that can sit at index 0 of x's lift."""
-    ell = len(g.labels[0])
-    ids = g.ids_with_label(x.window(0, ell))
-    if not ids:
-        return set()
+def _position_zero_vertices(g: LabeledGraph, x: EpPoint) -> frozenset[int]:
+    """Graph vertices that can sit at index 0 of x's lift.
+
+    They are read off x's right tail alone, so they are kept on its right
+    label: the queries asked in turn about one point compute them once.
+    """
     right = _label(g.rightward, x.right_transient, x.right_period)
-    return {v for v in ids if right.viable(v, ell)}
+    if right.zero is None:
+        ell = len(g.labels[0])
+        right.zero = frozenset(v for v in g.ids_with_label(x.window(0, ell)) if right.viable(v, ell))
+    return right.zero
 
 
 def _admissibility(
     space: ZipShiftSpace, x: EpPoint
-) -> tuple[AdmissibilityReport, set[int], _Label | None]:
+) -> tuple[AdmissibilityReport, frozenset[int], _Label | None]:
     """The report, with the position-0 vertices and the left label that
     liftability was decided on (empty and None where a letter or window
     fails, and None where no vertex carries the right tail)."""
@@ -158,7 +180,7 @@ def _admissibility(
         return AdmissibilityReport(True, None), starts, left
     failure = _window_failure(space, x)
     if failure is not None:
-        return failure, set(), None
+        return failure, frozenset(), None
     if not starts:
         return AdmissibilityReport(False, "right tail is not realizable by any walk"), starts, None
     return AdmissibilityReport(False, "left label is not liftable"), starts, left
@@ -190,6 +212,22 @@ def _window_failure(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport | N
     return None
 
 
+class _WitnessPaths:
+    """``LabelClassification.witness_paths``: the paths as given, or, given a
+    ``_Witnesses`` replay, the paths it expands on the first read, then kept."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()
+        paths = obj.__dict__["_witness_paths"]
+        if isinstance(paths, _Witnesses):
+            paths = obj.__dict__["_witness_paths"] = paths.expand()
+        return paths
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["_witness_paths"] = value
+
+
 @dataclass(frozen=True)
 class LabelClassification:
     """Bounded-depth search metadata over the pre-image branches.
@@ -198,7 +236,13 @@ class LabelClassification:
     or branching; ``searched_to`` reports the exhausted depth when the search
     did not resolve (branching is an answer, never an error).  Witness paths
     list, per branch letter, the vertex labels of one backward walk from the
-    position-0 vertex outward.
+    position-0 vertex outward; ``preimages`` builds them on their first read.
+
+    ``exact`` is True when the search decided the answer within its bound: a
+    pattern matched, or the walk met a repeated state, after which every
+    deeper depth repeats, or every path ended.  It is False when the answer
+    is only known up to ``searched_to``.  It is left out of equality, hash
+    and repr.
     """
 
     kind: str
@@ -207,7 +251,13 @@ class LabelClassification:
     multiplicity: int | None = None
     variant: str | None = None
     searched_to: int | None = None
-    witness_paths: tuple[tuple[str, tuple[Word, ...]], ...] = ()
+    witness_paths: tuple[tuple[str, tuple[Word, ...]], ...] = _WitnessPaths()
+    exact: bool = field(default=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # A pickled or copied answer carries its paths, not the graph their
+        # replay holds.
+        return {**self.__dict__, "_witness_paths": self.witness_paths}
 
 
 @dataclass(frozen=True)
@@ -351,29 +401,80 @@ class _Chain:
         deepest depth up to ``depth`` that still carries one.
 
         Depths past the walked ones repeat them: with the states at d0 and
-        d0 + p the same (``cycle``), depths past d0 + p fold into
-        (d0, d0 + p], not onto [d0, d0 + p), because the parents at a depth
-        come from the state one depth up, which must itself lie on the cycle.
+        d0 + p the same (``cycle``, walked to d0 + p), depths past d0 + p fold
+        into (d0, d0 + p], not onto [d0, d0 + p), because the parents at a
+        depth come from the state one depth up, which must itself lie on the
+        cycle.  Walked back through the folded depths, each step is fixed by
+        its (folded depth, vertex) pair, so once a pair repeats the path is a
+        lasso: the steps between the two are copied out to the end of the
+        fold rather than taken.
         """
         states, parents = self.states, self.parents
-        if cycle is None:
-            fold = range(depth)
+        # A chain that ends stays ended: its alive depths are a prefix, and
+        # all of them, folded ones too, when its last state is alive.
+        if states[-1].verts:
+            d = depth
         else:
-            d0, p = cycle
-            fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
-        d = depth
-        while d and not states[fold[d - 1]].verts:
-            d -= 1
-        if not d:
-            return ()
+            d = min(depth, len(states))
+            while d and not states[d - 1].verts:
+                d -= 1
+            if not d:
+                return ()
+        d0, p = cycle if cycle is not None else (d, 1)  # without a cycle nothing folds
+        folded = d0 + p  # state indices from here on fold into [d0, d0 + p)
+        i = d - 1
+        v = min(states[i if i < folded else d0 + (i - d0) % p].verts)
+        path = [v]
+        seen: dict[tuple[int, int], int] = {}
+        while i >= 0:
+            f = i
+            if i >= folded:
+                f = d0 + (i - d0) % p
+                first = seen.setdefault((f, v), len(path) - 1)
+                if first < len(path) - 1:
+                    loop = path[first:-1]
+                    n = i - folded + 2  # the vertices of indices i down to folded - 1
+                    path[-1:] = (loop * (n // len(loop) + 1))[:n]
+                    i = folded - 1
+                    v = path[-1]
+                    continue
+            v = parents[f][states[f].verts.index(v)]
+            path.append(v)
+            i -= 1
         labels = g.labels
-        v = min(states[fold[d - 1]].verts)
-        path = [labels[v]]
-        for i in reversed(fold[:d]):
-            v = parents[i][states[i].verts.index(v)]
-            path.append(labels[v])
-        path.reverse()
-        return tuple(path)
+        return tuple(labels[u] for u in reversed(path))
+
+
+class _Witnesses(NamedTuple):
+    """What the witness paths of one classification are replayed from: the
+    graph, the left label as (transient, period), the viable branch letters
+    with their candidates and origins, the depths the joint walk took, the
+    depth the paths reach out to and its cycle.  Nothing of the space is
+    kept, and no state of the path search, whose tables may be cleared
+    before the paths are read.
+    """
+
+    g: LabeledGraph
+    label: tuple[Word, Word]
+    viable: list[str]
+    cands: dict[str, dict[int, int]]
+    origin: dict[str, dict[int, int]]
+    walked: int
+    depth: int
+    cycle: tuple[int, int] | None
+
+    def expand(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
+        """Each viable branch's chain, stepped along the walked depths, and
+        its witness out to ``depth``."""
+        transient, period = self.label
+        letters = list(itertools.islice(itertools.chain(transient, itertools.cycle(period)), 1, self.walked))
+        out = []
+        for t in self.viable:
+            chain = _Chain(self.g, self.cands[t], self.origin[t])
+            for a in letters:
+                chain.step(a)
+            out.append((t, chain.witness(self.g, self.depth, self.cycle)))
+        return tuple(out)
 
 
 def _classify(
@@ -384,7 +485,7 @@ def _classify(
     cands: dict[str, dict[int, int]],
     origin: dict[str, dict[int, int]],
     viable: list[str],
-    v0: set[int],
+    v0: frozenset[int],
     d_max: int,
 ) -> LabelClassification:
     """Match the backward path picture against the named patterns.
@@ -402,9 +503,10 @@ def _classify(
     The branch chains step together as one joint state, one depth at a time.
     Past the left transient, the label's phase and the joint state at a depth
     fix every deeper state, parent and pattern, so the walk stops at the
-    first repeated (phase, joint state) pair.  Witnesses replay each viable
-    branch's chain along the depths walked, every step read from the table,
-    and fold the depths past the cycle onto it.
+    first repeated (phase, joint state) pair, and the answer is ``exact``.
+    The witness paths are left to their first read: the answer keeps a
+    ``_Witnesses`` replay of the depths walked, out to the depth the paths
+    reach, folded onto the cycle.
     """
     walk = g.leftward
     if max(len(walk.count_states), len(walk.joint_states)) > _STATES_PER_VERTEX * g.n_vertices():
@@ -425,16 +527,8 @@ def _classify(
                 start_states.append(_start(walk, sv))
         starts = _joint(walk, tuple(start_states))
 
-    def wits(walked: int, depth: int, cycle: tuple[int, int] | None = None):
-        # Each viable branch's chain, replayed along the ``walked`` depths.
-        letters = [x.letter(-d) for d in range(2, walked + 1)]
-        out = []
-        for t in viable:
-            chain = _Chain(g, cands[t], origin[t])
-            for a in letters:
-                chain.step(a)
-            out.append((t, chain.witness(g, depth, cycle)))
-        return tuple(out)
+    def wits(walked: int, depth: int, cycle: tuple[int, int] | None = None) -> _Witnesses:
+        return _Witnesses(g, left.key, viable, cands, origin, walked, depth, cycle)
 
     # The key leaves the start chains out: they only choose between the two
     # left-closing kinds, and the single-vertex union pattern returns at the
@@ -445,7 +539,7 @@ def _classify(
     cycle = None
     for d in range(1, d_max + 1):
         if d > 1:
-            a = x.letter(-d)
+            a = left.letter(d - 1)
             joint = joint.step(walk, a)
             if starts is not None:
                 starts = starts.step(walk, a)
@@ -460,9 +554,10 @@ def _classify(
                     delay=d,
                     multiplicity=1,
                     witness_paths=wits(d, d),
+                    exact=True,
                 )
             return LabelClassification(
-                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d, d)
+                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d, d), exact=True
             )
         if joint.shared and joint.alive >= 2:
             if starts is not None and starts.alive >= 2:
@@ -471,12 +566,14 @@ def _classify(
                     length=d,
                     multiplicity=joint.alive,
                     witness_paths=wits(d, d),
+                    exact=True,
                 )
             return LabelClassification(
                 kind="left_closing",
                 length=d,
                 multiplicity=joint.alive,
                 witness_paths=wits(d, d),
+                exact=True,
             )
         if d >= t0:
             key = ((d - t0) % m, joint)
@@ -491,12 +588,14 @@ def _classify(
             multiplicity=len(viable),
             searched_to=d_max,
             witness_paths=wits(d, d_max, cycle),
+            exact=cycle is not None,
         )
     return LabelClassification(
         kind="branching",
         multiplicity=len(viable),
         searched_to=d_max,
         witness_paths=wits(d, d_max, cycle),
+        exact=cycle is not None,
     )
 
 
@@ -509,7 +608,7 @@ def _check_search_bound(d_max: int) -> None:
 def _branches(
     space: ZipShiftSpace, x: EpPoint
 ) -> tuple[
-    list[str], LabeledGraph, set[int], _Label, dict[str, dict[int, int]], dict[str, dict[int, int]]
+    list[str], LabeledGraph, frozenset[int], _Label, dict[str, dict[int, int]], dict[str, dict[int, int]]
 ]:
     """The letters t, in A' order, whose ``_preimage_point(x, t)`` is a
     pre-image of x, with what ``_classify`` reads: the labeled graph, the
@@ -606,7 +705,7 @@ def canonical_lift(space: ZipShiftSpace, x: EpPoint) -> EpPoint:
                 )
             seen[state] = depth
         depth += 1
-        for u in ranked[v].get(x.letter(-depth), ()):
+        for u in ranked[v].get(left.letter(depth - 1), ()):
             if left.viable(u, depth):
                 break
         else:

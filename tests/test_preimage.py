@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -28,7 +30,9 @@ from zipshift import (
     random_point,
     shift,
 )
+from zipshift import preimage
 from zipshift.cli import space_from_dict, space_to_dict
+from zipshift.graph import LabeledGraph
 from zipshift.preimage import _Label, _window_failure, labeled_graph_for
 
 
@@ -94,6 +98,20 @@ def test_classify_left_closing_f3(f3):
     )
 
 
+def test_exact_says_whether_the_walk_decided_within_the_bound(even):
+    """The walk at (c)* ; (0)* meets a repeated state at depth 3, so the
+    branching answer holds at every depth; with the bound at 1 it does not
+    get there.  The flag is neither compared nor printed."""
+    x = parse_point("(c)* ; (0)*")
+    decided = preimages(even, x, d_max=32).classification
+    cut = preimages(even, x, d_max=1).classification
+    assert (decided.kind, decided.exact) == ("branching", True)
+    assert (cut.kind, cut.exact) == ("branching", False)
+    assert "exact" not in repr(decided)
+    assert decided == preimages(even, x, d_max=32).classification
+    assert preimages(even, parse_point("(a)* ; (1)*")).classification.exact
+
+
 def test_classify_even(even):
     r = preimages(even, parse_point("(c)* ; (0)*"))
     assert r.classification.multiplicity == 1
@@ -154,16 +172,55 @@ def test_canonical_lift(ex21, even):
 
 
 def test_graph_cache_does_not_keep_spaces():
-    space = full_space(
-        Alphabet(["a", "b"]),
-        Alphabet(["1", "2"]),
-        TransitionMap(1, {("1",): "a", ("2",): "b"}),
-    )
-    assert preimages(space, parse_point("(a)* ; (1)*")).points
+    def make():
+        return full_space(
+            Alphabet(["a", "b"]),
+            Alphabet(["1", "2"]),
+            TransitionMap(1, {("1",): "a", ("2",): "b"}),
+        )
+
+    space = make()
+    x = parse_point("(a)* ; (1)*")
+    assert preimages(space, x).points
+    # A result kept with its witness paths unread holds their replay, which
+    # must not hold the space.
+    kept = preimages(space, x)
+    assert isinstance(vars(kept.classification)["_witness_paths"], preimage._Witnesses)
     ref = weakref.ref(space)
     del space
     gc.collect()
     assert ref() is None
+    assert kept.classification.witness_paths == preimages(make(), x).classification.witness_paths
+
+
+def test_pickled_answer_carries_its_paths_not_their_replay(f3):
+    for clone in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy):
+        c = preimages(f3, parse_point("(a b)* ; (1)*")).classification
+        got = clone(c)
+        assert not isinstance(vars(got)["_witness_paths"], preimage._Witnesses)
+        assert (got, got.exact) == (c, c.exact)
+        assert got.witness_paths == (("2", (("1",), ("2",), ("1",))), ("3", (("1",), ("3",), ("1",))))
+
+
+@pytest.mark.parametrize("name", ["ex21", "even", "five", "f3", "coding2"])
+def test_one_position_zero_scan_per_right_tail(name, request, monkeypatch):
+    """Membership, pre-images and the lift of one point look up its
+    position-0 window once between them: the vertices are kept on the right
+    label the three queries share."""
+    space = space_from_dict(space_to_dict(request.getfixturevalue(name)))
+    x = random_point(space, random.Random(5))
+    calls = []
+    lookup = LabeledGraph.ids_with_label
+
+    def counted(g, label):
+        calls.append(label)
+        return lookup(g, label)
+
+    monkeypatch.setattr(LabeledGraph, "ids_with_label", counted)
+    assert is_admissible(space, x).ok
+    assert preimages(space, x).points
+    canonical_lift(space, x)
+    assert len(calls) == 1
 
 
 def window_first_admissibility(space, x) -> AdmissibilityReport:

@@ -408,6 +408,40 @@ def test_joint_table_stays_under_its_cap():
     assert 0 < min(sizes) and max(sizes) <= cap
 
 
+def test_witnesses_read_after_the_tables_are_cleared():
+    """Witness paths left unread while 500 more classifications on the graph
+    clear its tables (the cap at 0 clears them before each) replay to the
+    full scan's paths, and the answers match it whole."""
+    rng = random.Random(11)
+    space = scaled_space(rng)
+    g = labeled_graph_for(space)
+    kept = [(x, preimages(space, x).classification) for x in (random_point(space, rng) for _ in range(20))]
+    walk = g.leftward
+    stale = list(walk.count_states.values()) + list(walk.joint_states.values())
+    with patch.object(preimage, "_STATES_PER_VERTEX", 0):
+        for _ in range(500):
+            preimages(space, random_point(space, rng))
+    live = [state for table in (walk.count_states, walk.joint_states) for state in table.values()]
+    assert not {id(state) for state in live} & {id(state) for state in stale}
+    for x, got in kept:
+        assert isinstance(vars(got)["_witness_paths"], preimage._Witnesses)
+        viable, g, v0, left, cands, origin = _branches(space, x)
+        want = full_scan_classify(space, g, x, left, cands, origin, viable, v0, 32)
+        assert got.witness_paths == want.witness_paths
+        assert got == want
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.integers(0, 2**32 - 1))
+def test_label_letter_reads_the_left_side(space, seed):
+    """The left label's letter at depth d is x's letter at -1 - d, through
+    three rounds of transient and period."""
+    x = random_point(space, random.Random(seed))
+    left = _left_label(labeled_graph_for(space), x)
+    t, m = len(x.left_transient), len(x.left_period)
+    assert [left.letter(d) for d in range(3 * (t + m))] == [x.letter(-1 - d) for d in range(3 * (t + m))]
+
+
 @pytest.mark.parametrize(
     "name", ["ex21", "f3", "classical", "sigma_f", "sigma_g", "even", "five", "coding1", "coding2",
              "scaled-1", "scaled-2"]
