@@ -31,8 +31,8 @@ in ``exact`` whether it stopped so (or on a pattern, or with every chain
 ended) rather than at the search bound.  Witnesses are not built then: the
 classification keeps what their replay needs, and the first read of
 ``witness_paths`` replays each viable branch's chain along the depths walked
-and walks its path back as a lasso, copying the steps past the first
-repeated (folded depth, vertex) pair instead of taking each one.
+and walks one path back from the deepest depth, folding the depths past the
+cycle onto it.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
@@ -49,7 +49,6 @@ cleared together before a classification once either holds more than
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -237,6 +236,9 @@ class LabelClassification:
     did not resolve (branching is an answer, never an error).  Witness paths
     list, per branch letter, the vertex labels of one backward walk from the
     position-0 vertex outward; ``preimages`` builds them on their first read.
+    Until then the answer holds their replay, and with it the labeled graph of
+    its space and the left label (not the space itself); reading, pickling
+    or copying the answer expands the paths and lets both go.
 
     ``exact`` is True when the search decided the answer within its bound: a
     pattern matched, or the walk met a repeated state, after which every
@@ -401,61 +403,42 @@ class _Chain:
         deepest depth up to ``depth`` that still carries one.
 
         Depths past the walked ones repeat them: with the states at d0 and
-        d0 + p the same (``cycle``, walked to d0 + p), depths past d0 + p fold
-        into (d0, d0 + p], not onto [d0, d0 + p), because the parents at a
-        depth come from the state one depth up, which must itself lie on the
-        cycle.  Walked back through the folded depths, each step is fixed by
-        its (folded depth, vertex) pair, so once a pair repeats the path is a
-        lasso: the steps between the two are copied out to the end of the
-        fold rather than taken.
+        d0 + p the same (``cycle``), depths past d0 + p fold into
+        (d0, d0 + p], not onto [d0, d0 + p), because the parents at a depth
+        come from the state one depth up, which must itself lie on the cycle.
         """
         states, parents = self.states, self.parents
-        # A chain that ends stays ended: its alive depths are a prefix, and
-        # all of them, folded ones too, when its last state is alive.
-        if states[-1].verts:
-            d = depth
+        if cycle is None:
+            fold = range(depth)
         else:
-            d = min(depth, len(states))
-            while d and not states[d - 1].verts:
-                d -= 1
-            if not d:
-                return ()
-        d0, p = cycle if cycle is not None else (d, 1)  # without a cycle nothing folds
-        folded = d0 + p  # state indices from here on fold into [d0, d0 + p)
-        i = d - 1
-        v = min(states[i if i < folded else d0 + (i - d0) % p].verts)
-        path = [v]
-        seen: dict[tuple[int, int], int] = {}
-        while i >= 0:
-            f = i
-            if i >= folded:
-                f = d0 + (i - d0) % p
-                first = seen.setdefault((f, v), len(path) - 1)
-                if first < len(path) - 1:
-                    loop = path[first:-1]
-                    n = i - folded + 2  # the vertices of indices i down to folded - 1
-                    path[-1:] = (loop * (n // len(loop) + 1))[:n]
-                    i = folded - 1
-                    v = path[-1]
-                    continue
-            v = parents[f][states[f].verts.index(v)]
-            path.append(v)
-            i -= 1
+            d0, p = cycle
+            fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
+        d = depth
+        while d and not states[fold[d - 1]].verts:
+            d -= 1
+        if not d:
+            return ()
         labels = g.labels
-        return tuple(labels[u] for u in reversed(path))
+        v = min(states[fold[d - 1]].verts)
+        path = [labels[v]]
+        for i in reversed(fold[:d]):
+            v = parents[i][states[i].verts.index(v)]
+            path.append(labels[v])
+        path.reverse()
+        return tuple(path)
 
 
 class _Witnesses(NamedTuple):
     """What the witness paths of one classification are replayed from: the
-    graph, the left label as (transient, period), the viable branch letters
-    with their candidates and origins, the depths the joint walk took, the
-    depth the paths reach out to and its cycle.  Nothing of the space is
-    kept, and no state of the path search, whose tables may be cleared
-    before the paths are read.
+    graph, the left label the chains read their letters from, the viable
+    branch letters with their candidates and origins, the depths the joint
+    walk took, the depth the paths reach out to and its cycle.  Nothing of
+    the space is kept, and no state of the path search, whose tables may be
+    cleared before the paths are read.
     """
 
     g: LabeledGraph
-    label: tuple[Word, Word]
+    left: _Label
     viable: list[str]
     cands: dict[str, dict[int, int]]
     origin: dict[str, dict[int, int]]
@@ -466,8 +449,7 @@ class _Witnesses(NamedTuple):
     def expand(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
         """Each viable branch's chain, stepped along the walked depths, and
         its witness out to ``depth``."""
-        transient, period = self.label
-        letters = list(itertools.islice(itertools.chain(transient, itertools.cycle(period)), 1, self.walked))
+        letters = [self.left.letter(d) for d in range(1, self.walked)]
         out = []
         for t in self.viable:
             chain = _Chain(self.g, self.cands[t], self.origin[t])
@@ -528,7 +510,7 @@ def _classify(
         starts = _joint(walk, tuple(start_states))
 
     def wits(walked: int, depth: int, cycle: tuple[int, int] | None = None) -> _Witnesses:
-        return _Witnesses(g, left.key, viable, cands, origin, walked, depth, cycle)
+        return _Witnesses(g, left, viable, cands, origin, walked, depth, cycle)
 
     # The key leaves the start chains out: they only choose between the two
     # left-closing kinds, and the single-vertex union pattern returns at the

@@ -183,14 +183,20 @@ def test_graph_cache_does_not_keep_spaces():
     x = parse_point("(a)* ; (1)*")
     assert preimages(space, x).points
     # A result kept with its witness paths unread holds their replay, which
-    # must not hold the space.
+    # must not hold the space.  It holds the space's graph until the paths
+    # are read, and no longer.
     kept = preimages(space, x)
     assert isinstance(vars(kept.classification)["_witness_paths"], preimage._Witnesses)
     ref = weakref.ref(space)
+    graph_ref = weakref.ref(preimage.labeled_graph_for(space))
     del space
     gc.collect()
     assert ref() is None
-    assert kept.classification.witness_paths == preimages(make(), x).classification.witness_paths
+    assert graph_ref() is not None
+    paths = kept.classification.witness_paths
+    gc.collect()
+    assert graph_ref() is None
+    assert paths == preimages(make(), x).classification.witness_paths
 
 
 def test_pickled_answer_carries_its_paths_not_their_replay(f3):
