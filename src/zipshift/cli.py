@@ -257,7 +257,7 @@ def _cmd_space_irreducible(args: argparse.Namespace) -> int:
     if report:
         print("irreducible\tyes")
     else:
-        src, dst = report.failing_pair or ("?", "?")
+        src, dst = report.failing_pair
         print(f"irreducible\tno\t{src}\t{dst}")
     return 0
 
@@ -478,6 +478,15 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
+def _fraction(text: str) -> Fraction:
+    """An ``--eps`` value; a zero denominator is a usage error, as any other
+    text that is not a fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipshift",
@@ -578,22 +587,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = horseshoe.add_parser("build", help="print the model geometry")
     sub.add_argument("-n", type=int, required=True, help="number of folds")
-    sub.add_argument("--eps", type=Fraction, default=Fraction(1, 2), help="gap parameter")
+    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2), help="gap parameter")
     sub.set_defaults(handler=_cmd_horseshoe_build)
     sub = horseshoe.add_parser("verify", help="cross-check the coding against the shift")
     sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=Fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     sub.add_argument("--depth", type=int, required=True)
     sub.add_argument("--samples", type=int, required=True)
     _add_seed(sub)
     sub.set_defaults(handler=_cmd_horseshoe_verify)
     sub = horseshoe.add_parser("stable-string", help="fold-connected strip chain (two folds)")
     sub.add_argument("word", help="strip word like 00 or 10'1'")
-    sub.add_argument("--eps", type=Fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     sub.set_defaults(handler=_cmd_horseshoe_stable_string)
     sub = horseshoe.add_parser("coding", help="emit the coding space as a spec file")
     sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=Fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     sub.set_defaults(handler=_cmd_horseshoe_coding)
 
     return parser

@@ -30,9 +30,11 @@ transient, since every deeper depth repeats one already checked, and says
 in ``exact`` whether it stopped so (or on a pattern, or with every chain
 ended) rather than at the search bound.  Witnesses are not built then: the
 classification keeps what their replay needs, and the first read of
-``witness_paths`` replays each viable branch's chain along the depths walked
-and walks one path back from the deepest depth, folding the depths past the
-cycle onto it.
+``witness_paths`` steps each viable branch's count states along the depths
+walked and walks one path back from the deepest depth, folding the depths
+past the cycle onto it.  No parent is stored: each step back finds it on
+the graph, the first vertex one depth up, in reach order, with an edge along
+that depth's letter.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
@@ -283,7 +285,8 @@ class _Counts:
 
     ``verts`` lists the vertices reached, in reach order, and ``counts`` their
     path counts capped at 2; ``total`` is the capped sum.  ``next[a]`` holds
-    the step along letter a once taken (see ``step``).
+    the state one depth on along letter a once taken (see ``step``).  A
+    witness finds the parents of its path on the graph (see ``_witness``).
     """
 
     __slots__ = ("verts", "counts", "total", "next")
@@ -292,27 +295,20 @@ class _Counts:
         self.verts = verts
         self.counts = counts
         self.total = min(2, sum(counts))
-        self.next: dict[str, tuple[_Counts, tuple[int, ...]]] = {}
+        self.next: dict[str, _Counts] = {}
 
-    def step(self, walk: LetterSteps, a: str) -> tuple[_Counts, tuple[int, ...]]:
-        """The state one depth on along letter a and, aligned with its
-        vertices, the first vertex of this state that reached each one;
-        computed on the first call and read from ``next`` after it."""
-        step = self.next.get(a)
-        if step is None:
+    def step(self, walk: LetterSteps, a: str) -> _Counts:
+        """The state one depth on along letter a, computed on the first call
+        and read from ``next`` after it."""
+        nxt = self.next.get(a)
+        if nxt is None:
             sources = walk.step
             new: dict[int, int] = {}
-            parent: dict[int, int] = {}
             for v, cnt in zip(self.verts, self.counts):
                 for u in sources[v].get(a, ()):
-                    if u in new:
-                        new[u] = 2
-                    else:
-                        new[u] = cnt
-                        parent[u] = v
-            nxt = _interned(walk.count_states, tuple(new), tuple(new.values()))
-            step = self.next[a] = (nxt, tuple(parent.values()))
-        return step
+                    new[u] = 2 if u in new else cnt
+            nxt = self.next[a] = _interned(walk.count_states, tuple(new), tuple(new.values()))
+        return nxt
 
 
 class _Joint:
@@ -341,7 +337,7 @@ class _Joint:
         """The joint state one depth on along letter a."""
         nxt = self.next.get(a)
         if nxt is None:
-            nxt = self.next[a] = _joint(walk, tuple(state.step(walk, a)[0] for state in self.states))
+            nxt = self.next[a] = _joint(walk, tuple(state.step(walk, a) for state in self.states))
         return nxt
 
 
@@ -371,61 +367,49 @@ def _joint(walk: LetterSteps, states: tuple[_Counts, ...]) -> _Joint:
     return joint
 
 
-class _Chain:
-    """Backward path sets of one branch letter, one state per depth walked.
+def _witness(
+    g: LabeledGraph,
+    states: list[_Counts],
+    letters: list[str],
+    origin: dict[int, int],
+    depth: int,
+    cycle: tuple[int, int] | None,
+) -> tuple[Word, ...]:
+    """The labels of one path of a chain from the position-0 vertex out to
+    the deepest depth up to ``depth`` that still carries one.
 
-    Counts are capped at 2: the search only distinguishes none / one / many
-    paths, which is all the classification needs.  Each depth keeps, aligned
-    with the vertices it reaches, the first vertex one depth up that reached
-    each (at depth 1, the position-0 ``origin``), so witnesses can be walked
-    back to the start of the path.  The states are interned on the graph's
-    leftward walk (``LetterSteps.count_states``) and step by ``_Counts.step``,
-    as the classification's joint states do: a chain replayed along depths
-    a joint walk has taken reads every step from the table.
+    ``states[i]`` is the chain's state at depth i + 1, stepped from
+    ``states[i - 1]`` along ``letters[i - 1]``.  The path ends at the least
+    vertex of its deepest state and steps back to the first vertex, in reach
+    order, of the state one depth up with an edge to it along that depth's
+    letter; at depth 1, to its position-0 ``origin``.  Depths past the walked
+    ones repeat them: with the states at d0 and d0 + p the same (``cycle``),
+    depths past d0 + p fold into (d0, d0 + p], not onto [d0, d0 + p), because
+    a step back reads the state one depth up, which must itself lie on the
+    cycle.
     """
-
-    def __init__(self, g: LabeledGraph, starts: dict[int, int], origin: dict[int, int]):
-        self._walk = g.leftward
-        state = _start(self._walk, starts)
-        self.states: list[_Counts] = [state]
-        self.parents: list[tuple[int, ...]] = [tuple(origin[u] for u in state.verts)]
-
-    def step(self, a: str) -> None:
-        """Walk one depth further, reading letter a."""
-        state, parents = self.states[-1].step(self._walk, a)
-        self.states.append(state)
-        self.parents.append(parents)
-
-    def witness(
-        self, g: LabeledGraph, depth: int, cycle: tuple[int, int] | None = None
-    ) -> tuple[Word, ...]:
-        """The labels of one path from the position-0 vertex out to the
-        deepest depth up to ``depth`` that still carries one.
-
-        Depths past the walked ones repeat them: with the states at d0 and
-        d0 + p the same (``cycle``), depths past d0 + p fold into
-        (d0, d0 + p], not onto [d0, d0 + p), because the parents at a depth
-        come from the state one depth up, which must itself lie on the cycle.
-        """
-        states, parents = self.states, self.parents
-        if cycle is None:
-            fold = range(depth)
+    if cycle is None:
+        fold = range(depth)
+    else:
+        d0, p = cycle
+        fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
+    d = depth
+    while d and not states[fold[d - 1]].verts:
+        d -= 1
+    if not d:
+        return ()
+    sources = g.leftward.step
+    v = min(states[fold[d - 1]].verts)
+    path = [g.labels[v]]
+    for i in reversed(fold[:d]):
+        if i:
+            a = letters[i - 1]
+            v = next(u for u in states[i - 1].verts if v in sources[u].get(a, ()))
         else:
-            d0, p = cycle
-            fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
-        d = depth
-        while d and not states[fold[d - 1]].verts:
-            d -= 1
-        if not d:
-            return ()
-        labels = g.labels
-        v = min(states[fold[d - 1]].verts)
-        path = [labels[v]]
-        for i in reversed(fold[:d]):
-            v = parents[i][states[i].verts.index(v)]
-            path.append(labels[v])
-        path.reverse()
-        return tuple(path)
+            v = origin[v]
+        path.append(g.labels[v])
+    path.reverse()
+    return tuple(path)
 
 
 class _Witnesses(NamedTuple):
@@ -434,7 +418,9 @@ class _Witnesses(NamedTuple):
     branch letters with their candidates and origins, the depths the joint
     walk took, the depth the paths reach out to and its cycle.  Nothing of
     the space is kept, and no state of the path search, whose tables may be
-    cleared before the paths are read.
+    cleared before the paths are read.  The replay steps each viable
+    branch's count states along the walked depths again and finds the
+    parents of its path on the graph as it walks the path back.
     """
 
     g: LabeledGraph
@@ -447,15 +433,16 @@ class _Witnesses(NamedTuple):
     cycle: tuple[int, int] | None
 
     def expand(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
-        """Each viable branch's chain, stepped along the walked depths, and
-        its witness out to ``depth``."""
+        """Each viable branch's count states, stepped along the walked
+        depths, and its witness out to ``depth``."""
+        walk = self.g.leftward
         letters = [self.left.letter(d) for d in range(1, self.walked)]
         out = []
         for t in self.viable:
-            chain = _Chain(self.g, self.cands[t], self.origin[t])
+            states = [_start(walk, self.cands[t])]
             for a in letters:
-                chain.step(a)
-            out.append((t, chain.witness(self.g, self.depth, self.cycle)))
+                states.append(states[-1].step(walk, a))
+            out.append((t, _witness(self.g, states, letters, self.origin[t], self.depth, self.cycle)))
         return tuple(out)
 
 

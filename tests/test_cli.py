@@ -533,6 +533,24 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horseshoe", "build", "-n", "1"],
+        ["horseshoe", "verify", "-n", "1", "--depth", "2", "--samples", "3"],
+        ["horseshoe", "stable-string", "00"],
+        ["horseshoe", "coding", "-n", "1"],
+    ],
+)
+def test_zero_denominator_eps_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--eps", "1/0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --eps: invalid Fraction value: '1/0'\n")
+
+
 def test_output_is_deterministic(specs, capsys):
     first = run(capsys, ["periodic", specs["ex21"], "-m", "4"])
     second = run(capsys, ["periodic", specs["ex21"], "-m", "4"])

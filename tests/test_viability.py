@@ -43,11 +43,12 @@ from zipshift.point import EpPoint
 from zipshift.preimage import (
     LabelClassification,
     _position_zero_vertices,
-    _Chain,
     _classify,
     _Label,
     _branches,
     _left_label,
+    _start,
+    _witness,
     labeled_graph_for,
 )
 
@@ -213,25 +214,28 @@ class UnfoldedChain:
         return tuple(g.labels[u] for u in path)
 
 
-def walked_chain(g, x, starts, origin, d_max):
-    """A ``_Chain`` stepped along x's left label out to depth d_max."""
-    chain = _Chain(g, starts, origin)
-    for depth in range(2, d_max + 1):
-        chain.step(x.letter(-depth))
-    return chain
+def walked_chain(g, x, starts, d_max):
+    """A chain's count states stepped along x's left label out to depth
+    d_max, and the letters they read, as a witness replay steps them."""
+    walk = g.leftward
+    letters = [x.letter(-depth) for depth in range(2, d_max + 1)]
+    states = [_start(walk, starts)]
+    for a in letters:
+        states.append(states[-1].step(walk, a))
+    return states, letters
 
 
 def assert_chain_matches_unfolded(g, x, starts, origin, d_max):
-    chain = walked_chain(g, x, starts, origin, d_max)
+    states, letters = walked_chain(g, x, starts, d_max)
     oracle = UnfoldedChain(g, x, starts, origin, d_max)
     for depth in range(1, d_max + 1):
-        state = chain.states[depth - 1]
+        state = states[depth - 1]
         # Items in order: the order of the counts decides which parent a
-        # deeper vertex records, and so the witness paths.
+        # deeper vertex finds on the walk back, and so the witness paths.
         assert list(zip(state.verts, state.counts)) == list(oracle.state_at(depth).items())
         assert state.total == oracle.paths_at(depth)
-        assert chain.witness(g, depth) == oracle.witness(g, depth)
-    return chain
+        assert _witness(g, states, letters, origin, depth, None) == oracle.witness(g, depth)
+    return states
 
 
 @settings(max_examples=1000)
@@ -351,9 +355,9 @@ def test_chains_on_one_graph_share_its_table(cleared, data):
             chain = assert_chain_matches_unfolded(g, x, starts, origin, d_max)
             # The same chain again takes every step from the table.
             size = len(g.leftward.count_states)
-            again = walked_chain(g, x, starts, origin, d_max)
+            again, _letters = walked_chain(g, x, starts, d_max)
             assert len(g.leftward.count_states) == size
-            assert all(a is b for a, b in zip(again.states, chain.states, strict=True))
+            assert all(a is b for a, b in zip(again, chain, strict=True))
             branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
             cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
             origins = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
@@ -406,6 +410,36 @@ def test_joint_table_stays_under_its_cap():
         preimages(space, random_point(space, rng))
         sizes.append(len(g.leftward.joint_states))
     assert 0 < min(sizes) and max(sizes) <= cap
+
+
+def test_tables_clear_at_a_cap_the_queries_reach():
+    """With the cap at one state per vertex, 500 warm pre-image queries on
+    one space run the count table past it, so both tables clear again and
+    again, and every answer, witness paths included, is the one at the real
+    cap, where they never clear."""
+
+    def run(cap):
+        rng = random.Random(11)
+        space = scaled_space(rng)
+        g = labeled_graph_for(space)
+        counts, joints, answers = [], [], []
+        with patch.object(preimage, "_STATES_PER_VERTEX", cap):
+            for _ in range(500):
+                answers.append(preimages(space, random_point(space, rng)))
+                counts.append(len(g.leftward.count_states))
+                joints.append(len(g.leftward.joint_states))
+        return g.n_vertices(), counts, joints, answers
+
+    def drops(sizes):
+        return sum(after < before for before, after in zip(sizes, sizes[1:]))
+
+    n, counts, joints, got = run(1)
+    _n, _counts, _joints, want = run(preimage._STATES_PER_VERTEX)
+    assert max(counts) > n
+    assert drops(counts) > 1 and drops(joints) > 1
+    for a, b in zip(got, want, strict=True):
+        assert a.classification.witness_paths == b.classification.witness_paths
+        assert a == b
 
 
 def test_witnesses_read_after_the_tables_are_cleared():
