@@ -12,7 +12,9 @@ A space spec is an object with keys ``alphabet_a``, ``alphabet_a_prime``,
 ``vertices`` and ``edges`` (sofic only).  A code spec carries ``source``
 (an inline space spec), ``target_a``, ``target_a_prime``, ``m``,
 ``psi_plus`` (keys like ``"1 2"``), ``psi_minus`` (keys like
-``"a ; 1 2"``) and an optional ``window``.  Unknown keys are rejected.
+``"a ; 1 2"``) and an optional ``window``.  The values of ``phi``,
+``psi_plus`` and ``psi_minus`` are strings, and each table names a word
+once (``"3"`` and ``" 3"`` are one word).  Unknown keys are rejected.
 
 Exit status: 0 on success, 1 for domain errors (bad specs, inadmissible
 points, failed checks; a diagnostic goes to stderr), 2 for usage errors.
@@ -25,7 +27,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NotInSpace, ZipShiftError
 from .point import EpPoint, _letter_failure, format_point, is_admissible, metrics, parse_point, shift_k
@@ -50,6 +52,19 @@ def _parse_symbol_word(text: str) -> Word:
     return word
 
 
+def _word_table(table: dict, name: str, word_of: Callable[[str], Word]) -> dict[Word, str]:
+    """A spec table of words to letters, each key read by ``word_of``: every
+    value must be a string, and no two keys may name one word."""
+    keys: dict[Word, str] = {}
+    for key, val in table.items():
+        if not isinstance(val, str):
+            raise SpecError(f"{name} value for {key!r} must be a string, not {val!r}")
+        first = keys.setdefault(word_of(key), key)
+        if first != key:
+            raise SpecError(f"{name} keys {first!r} and {key!r} name one word")
+    return {word: table[key] for word, key in keys.items()}
+
+
 def _string_list(value: object, name: str) -> list[str]:
     """``value`` itself, checked to be a JSON list of strings."""
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
@@ -63,7 +78,7 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -91,12 +106,10 @@ def space_from_dict(data: object) -> ZipShiftSpace:
         raise SpecError(f"n must be a positive integer, not {n!r}")
     if not isinstance(data["phi"], dict):
         raise SpecError("phi must map words to letters")
-    table: dict[Word, str] = {}
-    for key, val in data["phi"].items():
-        word = _parse_symbol_word(key)
-        if len(word) != n:
+    table = _word_table(data["phi"], "phi", _parse_symbol_word)
+    for key in data["phi"]:
+        if len(key.split()) != n:
             raise SpecError(f"phi key {key!r} is not a word of {n} letters")
-        table[word] = str(val)
     tm = TransitionMap(n, table)
 
     if kind != "sft" and "forbidden" in data:
@@ -169,20 +182,23 @@ def code_from_dict(data: object) -> BlockCodeSpec:
         raise SpecError(f"m must be a positive integer, not {m!r}")
     if not isinstance(data["psi_plus"], dict) or not isinstance(data["psi_minus"], dict):
         raise SpecError("psi_plus and psi_minus must be objects")
-    psi_plus = {_parse_symbol_word(k): str(v) for k, v in data["psi_plus"].items()}
-    psi_minus: dict[Word, str] = {}
-    for key, val in data["psi_minus"].items():
-        head, sep, tail = key.partition(";")
-        if not sep:
-            raise SpecError(f"psi_minus keys look like 'a ; w1 w2', not {key!r}")
-        seam = head.split()
-        if len(seam) != 1:
-            raise SpecError(f"psi_minus key {key!r} needs a single letter before ';'")
-        psi_minus[(seam[0],) + _parse_symbol_word(tail)] = str(val)
+    psi_plus = _word_table(data["psi_plus"], "psi_plus", _parse_symbol_word)
+    psi_minus = _word_table(data["psi_minus"], "psi_minus", _seam_word)
     window = data.get("window")
     if window is not None and (not isinstance(window, int) or isinstance(window, bool) or window < 1):
         raise SpecError(f"window must be a positive integer, not {window!r}")
     return BlockCodeSpec(source, target_a, target_aprime, m, psi_plus, psi_minus, window=window)
+
+
+def _seam_word(key: str) -> Word:
+    """A ``psi_minus`` key ``a ; w1 w2`` as the word (a, w1, w2)."""
+    head, sep, tail = key.partition(";")
+    if not sep:
+        raise SpecError(f"psi_minus keys look like 'a ; w1 w2', not {key!r}")
+    seam = head.split()
+    if len(seam) != 1:
+        raise SpecError(f"psi_minus key {key!r} needs a single letter before ';'")
+    return (seam[0],) + _parse_symbol_word(tail)
 
 
 def _point_arg(space: ZipShiftSpace, text: str) -> EpPoint:
@@ -277,8 +293,12 @@ def _cmd_graph_build(args: argparse.Namespace) -> int:
     if args.dot == "-":
         sys.stdout.write(dot)
     else:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            print(f"error: cannot write {args.dot}: {exc}", file=sys.stderr)
+            return 1
         print(f"dot\t{args.dot}\tvertices={g.n_vertices()}\tedges={len(g.edges)}")
     return 0
 

@@ -30,11 +30,12 @@ transient, since every deeper depth repeats one already checked, and says
 in ``exact`` whether it stopped so (or on a pattern, or with every chain
 ended) rather than at the search bound.  Witnesses are not built then: the
 classification keeps what their replay needs, and the first read of
-``witness_paths`` steps each viable branch's count states along the depths
-walked and walks one path back from the deepest depth, folding the depths
-past the cycle onto it.  No parent is stored: each step back finds it on
-the graph, the first vertex one depth up, in reach order, with an edge along
-that depth's letter.
+``witness_paths`` steps each viable branch's count states out to the depth
+its path reaches and walks one path back from the deepest depth that still
+carries one.  No parent is stored: each step back finds it on the graph,
+the first vertex one depth up, in reach order, with an edge along that
+depth's letter; one depth up from depth 1 are the position-0 vertices, in
+id order.
 
 Across queries, each walk direction of the labeled graph keeps its latest
 label (``LetterSteps.last_label``), and a query reads that one instead of
@@ -368,45 +369,28 @@ def _joint(walk: LetterSteps, states: tuple[_Counts, ...]) -> _Joint:
 
 
 def _witness(
-    g: LabeledGraph,
-    states: list[_Counts],
-    letters: list[str],
-    origin: dict[int, int],
-    depth: int,
-    cycle: tuple[int, int] | None,
+    g: LabeledGraph, zero: frozenset[int], states: list[_Counts], letters: list[str]
 ) -> tuple[Word, ...]:
-    """The labels of one path of a chain from the position-0 vertex out to
-    the deepest depth up to ``depth`` that still carries one.
+    """The labels of one path of a chain from a position-0 vertex out to the
+    deepest of its ``states`` that still carries one.
 
-    ``states[i]`` is the chain's state at depth i + 1, stepped from
-    ``states[i - 1]`` along ``letters[i - 1]``.  The path ends at the least
-    vertex of its deepest state and steps back to the first vertex, in reach
-    order, of the state one depth up with an edge to it along that depth's
-    letter; at depth 1, to its position-0 ``origin``.  Depths past the walked
-    ones repeat them: with the states at d0 and d0 + p the same (``cycle``),
-    depths past d0 + p fold into (d0, d0 + p], not onto [d0, d0 + p), because
-    a step back reads the state one depth up, which must itself lie on the
-    cycle.
+    ``states[i]`` is the chain's state at depth i + 1, reached from the depth
+    one up along ``letters[i]``; one up from depth 1 are the position-0
+    vertices ``zero``, in id order.  The path ends at the least vertex of
+    its deepest state and steps back, at each depth, to the first vertex one
+    depth up, in reach order, with an edge to it along that depth's letter.
     """
-    if cycle is None:
-        fold = range(depth)
-    else:
-        d0, p = cycle
-        fold = [i if i < d0 + p else d0 + (i - d0) % p for i in range(depth)]
-    d = depth
-    while d and not states[fold[d - 1]].verts:
+    d = len(states)
+    while d and not states[d - 1].verts:
         d -= 1
     if not d:
         return ()
     sources = g.leftward.step
-    v = min(states[fold[d - 1]].verts)
+    v = min(states[d - 1].verts)
     path = [g.labels[v]]
-    for i in reversed(fold[:d]):
-        if i:
-            a = letters[i - 1]
-            v = next(u for u in states[i - 1].verts if v in sources[u].get(a, ()))
-        else:
-            v = origin[v]
+    for i in reversed(range(d)):
+        up = states[i - 1].verts if i else sorted(zero)
+        v = next(u for u in up if v in sources[u].get(letters[i], ()))
         path.append(g.labels[v])
     path.reverse()
     return tuple(path)
@@ -415,34 +399,32 @@ def _witness(
 class _Witnesses(NamedTuple):
     """What the witness paths of one classification are replayed from: the
     graph, the left label the chains read their letters from, the viable
-    branch letters with their candidates and origins, the depths the joint
-    walk took, the depth the paths reach out to and its cycle.  Nothing of
-    the space is kept, and no state of the path search, whose tables may be
-    cleared before the paths are read.  The replay steps each viable
-    branch's count states along the walked depths again and finds the
-    parents of its path on the graph as it walks the path back.
+    branch letters with their candidates, the position-0 vertices and the
+    depth the paths reach out to.  Nothing of the space is kept, and no
+    state of the path search, whose tables may be cleared before the paths
+    are read.  The replay steps each viable branch's count states out to
+    ``depth`` again and finds the parents of its path on the graph as it
+    walks the path back.
     """
 
     g: LabeledGraph
     left: _Label
     viable: list[str]
     cands: dict[str, dict[int, int]]
-    origin: dict[str, dict[int, int]]
-    walked: int
+    zero: frozenset[int]
     depth: int
-    cycle: tuple[int, int] | None
 
     def expand(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
-        """Each viable branch's count states, stepped along the walked
-        depths, and its witness out to ``depth``."""
+        """Each viable branch's count states, stepped out to ``depth``, and
+        its witness."""
         walk = self.g.leftward
-        letters = [self.left.letter(d) for d in range(1, self.walked)]
+        letters = [self.left.letter(d) for d in range(self.depth)]
         out = []
         for t in self.viable:
             states = [_start(walk, self.cands[t])]
-            for a in letters:
+            for a in letters[1:]:
                 states.append(states[-1].step(walk, a))
-            out.append((t, _witness(self.g, states, letters, self.origin[t], self.depth, self.cycle)))
+            out.append((t, _witness(self.g, self.zero, states, letters)))
         return tuple(out)
 
 
@@ -452,7 +434,6 @@ def _classify(
     x: EpPoint,
     left: _Label,
     cands: dict[str, dict[int, int]],
-    origin: dict[str, dict[int, int]],
     viable: list[str],
     v0: frozenset[int],
     d_max: int,
@@ -474,8 +455,8 @@ def _classify(
     fix every deeper state, parent and pattern, so the walk stops at the
     first repeated (phase, joint state) pair, and the answer is ``exact``.
     The witness paths are left to their first read: the answer keeps a
-    ``_Witnesses`` replay of the depths walked, out to the depth the paths
-    reach, folded onto the cycle.
+    ``_Witnesses`` replay out to the depth the paths reach, the matched
+    depth on a pattern and d_max otherwise.
     """
     walk = g.leftward
     if max(len(walk.count_states), len(walk.joint_states)) > _STATES_PER_VERTEX * g.n_vertices():
@@ -496,16 +477,16 @@ def _classify(
                 start_states.append(_start(walk, sv))
         starts = _joint(walk, tuple(start_states))
 
-    def wits(walked: int, depth: int, cycle: tuple[int, int] | None = None) -> _Witnesses:
-        return _Witnesses(g, left, viable, cands, origin, walked, depth, cycle)
+    def wits(depth: int) -> _Witnesses:
+        return _Witnesses(g, left, viable, cands, v0, depth)
 
     # The key leaves the start chains out: they only choose between the two
     # left-closing kinds, and the single-vertex union pattern returns at the
     # first depth it holds whichever kind they select, so they can never make
     # a later depth match where an earlier one with the same key did not.
     t0, m = len(x.left_transient), len(x.left_period)
-    seen: dict[tuple[int, _Joint], int] = {}
-    cycle = None
+    seen: set[tuple[int, _Joint]] = set()
+    exact = False
     for d in range(1, d_max + 1):
         if d > 1:
             a = left.letter(d - 1)
@@ -513,7 +494,7 @@ def _classify(
             if starts is not None:
                 starts = starts.step(walk, a)
         if not joint.alive:
-            cycle = (d - 1, 1)  # every chain has ended: each deeper depth repeats d
+            exact = True  # every chain has ended: each deeper depth repeats d
             break
         if joint.total == 1:
             if sofic:
@@ -522,11 +503,11 @@ def _classify(
                     variant="dL",
                     delay=d,
                     multiplicity=1,
-                    witness_paths=wits(d, d),
+                    witness_paths=wits(d),
                     exact=True,
                 )
             return LabelClassification(
-                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d, d), exact=True
+                kind="delay", delay=d, multiplicity=1, witness_paths=wits(d), exact=True
             )
         if joint.shared and joint.alive >= 2:
             if starts is not None and starts.alive >= 2:
@@ -534,37 +515,37 @@ def _classify(
                     kind="sofic_left_closing",
                     length=d,
                     multiplicity=joint.alive,
-                    witness_paths=wits(d, d),
+                    witness_paths=wits(d),
                     exact=True,
                 )
             return LabelClassification(
                 kind="left_closing",
                 length=d,
                 multiplicity=joint.alive,
-                witness_paths=wits(d, d),
+                witness_paths=wits(d),
                 exact=True,
             )
         if d >= t0:
             key = ((d - t0) % m, joint)
             if key in seen:
-                cycle = (seen[key], d - seen[key])
+                exact = True
                 break
-            seen[key] = d
+            seen.add(key)
     if sofic and sum(1 for v in v0 if left.viable(v, 0)) == 1:
         return LabelClassification(
             kind="distinguishable",
             variant="L",
             multiplicity=len(viable),
             searched_to=d_max,
-            witness_paths=wits(d, d_max, cycle),
-            exact=cycle is not None,
+            witness_paths=wits(d_max),
+            exact=exact,
         )
     return LabelClassification(
         kind="branching",
         multiplicity=len(viable),
         searched_to=d_max,
-        witness_paths=wits(d, d_max, cycle),
-        exact=cycle is not None,
+        witness_paths=wits(d_max),
+        exact=exact,
     )
 
 
@@ -576,13 +557,11 @@ def _check_search_bound(d_max: int) -> None:
 
 def _branches(
     space: ZipShiftSpace, x: EpPoint
-) -> tuple[
-    list[str], LabeledGraph, frozenset[int], _Label, dict[str, dict[int, int]], dict[str, dict[int, int]]
-]:
+) -> tuple[list[str], LabeledGraph, frozenset[int], _Label, dict[str, dict[int, int]]]:
     """The letters t, in A' order, whose ``_preimage_point(x, t)`` is a
     pre-image of x, with what ``_classify`` reads: the labeled graph, the
     position-0 vertices, the left label, and per branch letter the backward
-    candidates (path counts capped at 2) and one position-0 origin of each.
+    candidates (path counts capped at 2).
 
     Raises NotInSpace when x is not in the space.
     """
@@ -591,26 +570,24 @@ def _branches(
         raise NotInSpace(report.reason)
     g = labeled_graph_for(space)
     cands: dict[str, dict[int, int]] = {}
-    origin: dict[str, dict[int, int]] = {}
     for v in sorted(v0):
         for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
             t = g.labels[u][0]
             per_u = cands.setdefault(t, {})
             per_u[u] = min(2, per_u.get(u, 0) + 1)
-            origin.setdefault(t, {}).setdefault(u, v)
     viable = [
         t
         for t in sorted(cands, key=space.alphabet_aprime.index)
         if any(left.viable(u, 1) for u in cands[t])
     ]
-    return viable, g, v0, left, cands, origin
+    return viable, g, v0, left, cands
 
 
 def preimages(space: ZipShiftSpace, x: EpPoint, d_max: int = 32) -> PreimageResult:
     """All y with shift(y) = x, plus classification metadata."""
     _check_search_bound(d_max)
-    viable, g, v0, left, cands, origin = _branches(space, x)
-    classification = _classify(space, g, x, left, cands, origin, viable, v0, d_max)
+    viable, g, v0, left, cands = _branches(space, x)
+    classification = _classify(space, g, x, left, cands, viable, v0, d_max)
     return PreimageResult(classification, tuple(_preimage_point(x, t) for t in viable))
 
 

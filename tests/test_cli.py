@@ -184,6 +184,14 @@ def test_graph_build(specs, capsys, tmp_path):
     ]
 
 
+def test_graph_build_into_an_unwritable_path_is_an_error_line(specs, capsys, tmp_path):
+    target = tmp_path / "missing" / "g.dot"
+    rc, out, err = run(capsys, ["graph", "build", specs["ex21"], "--dot", str(target)])
+    assert rc == 1 and out == ""
+    assert err == f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
 def test_point_shift(specs, capsys):
     rc, out, _ = run(
         capsys, ["point", "shift", specs["ex21"], "(b a)* b a b ; 3 1 2 2 (2 3)*"]
@@ -485,21 +493,51 @@ def test_unknown_spec_key(specs, capsys):
             "psi_minus key 'a b ; 1' needs a single letter before ';'",
         ),
         ("code", dict(PROJ_CODE, window="2"), "window must be a positive integer, not '2'"),
+        (
+            "space",
+            b"\xff\xfe{}",
+            "{path} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        (
+            "space",
+            dict(EX21, alphabet_a=["a", "b", "7"], phi={"1": "a", "2": "b", "3": 7}),
+            "phi value for '3' must be a string, not 7",
+        ),
+        ("space", dict(EX21, phi={"1": "a", "2": "b", "3": "a", " 3": "b"}), "phi keys '3' and ' 3' name one word"),
+        ("code", dict(PROJ_CODE, psi_plus={"1": 1, "2": 2}), "psi_plus value for '1' must be a string, not 1"),
+        (
+            "code",
+            dict(PROJ_CODE, psi_plus=dict(PROJ_CODE["psi_plus"], **{"4 ": "1"})),
+            "psi_plus keys '4' and '4 ' name one word",
+        ),
+        (
+            "code",
+            dict(PROJ_CODE, psi_minus=dict(PROJ_CODE["psi_minus"], **{"a;1": "b"})),
+            "psi_minus keys 'a ; 1' and 'a;1' name one word",
+        ),
+        (
+            "code",
+            dict(PROJ_CODE, psi_minus=dict(PROJ_CODE["psi_minus"], **{"a ; 1": None})),
+            "psi_minus value for 'a ; 1' must be a string, not None",
+        ),
     ],
     ids=[
         "vertices-int", "vertices-string", "edges-int", "forbidden-nested", "target-a-int",
         "empty-word", "unreadable", "invalid-json", "space-not-object", "space-missing-keys", "kind", "n", "phi",
         "phi-key", "forbidden-not-sft", "graph-not-sofic", "no-forbidden", "graph-keys", "edge-triples",
         "code-not-object", "code-unknown-keys", "code-missing-keys", "m", "table-types", "seam-key-shape",
-        "seam-key-letter", "window",
+        "seam-key-letter", "window", "not-utf8", "phi-value", "phi-twice", "psi-plus-value",
+        "psi-plus-twice", "psi-minus-twice", "psi-minus-value",
     ],
 )
 def test_spec_schema_drift_is_an_error_line(tmp_path, capsys, command, payload, message):
     """A spec file off the schema is one error line and exit status 1.  A
-    payload of None names a file that does not exist; a string is written as
-    it stands, anything else as JSON."""
+    payload of None names a file that does not exist; a string or bytes
+    value is written as it stands, anything else as JSON."""
     path = tmp_path / "spec.json"
-    if payload is not None:
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    elif payload is not None:
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     verb = "validate" if command == "space" else "check"
     rc, out, err = run(capsys, [command, verb, str(path)])

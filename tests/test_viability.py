@@ -1,16 +1,20 @@
-"""Label viability, the graph trim and the folded path search against the
-loops they replaced.
+"""Label viability, the graph trim and the early-stopping path search
+against the loops they replaced.
 
 The viability and trim oracles are the original "drop what has no live
 successor until nothing changes" loops: over (vertex, phase) pairs, with
 the transient walked from the start set first, and over the vertices of a
 graph.  The chain oracle is the path search that visits every depth up to
-d_max, and the classification oracle checks the patterns at every one of
-those depths, where the classification stops at its first repeated joint
-state and folds the witnesses onto that cycle.  Two sofic kinds that few
-draws reach are pinned by value.  The canonical lift is checked against its
-choice rule spelled out: the least viable source by (label key, id) at
-every step.
+d_max and stores each vertex's parent as it finds it, and the
+classification oracle checks the patterns at every one of those depths,
+where the classification stops at its first repeated joint state and its
+witnesses find their parents on the graph.  A chain's depth-1 vertices are
+drawn among the sources of the position-0 vertices, as ``_branches`` finds
+them, and the oracles take each one's origin by the witnesses' rule: the
+first position-0 vertex, in id order, it steps back to.  Two sofic kinds
+that few draws reach are pinned by value.  The canonical lift is checked
+against its choice rule spelled out: the least viable source by (label key,
+id) at every step.
 Graphs are drawn small and unconstrained: self-loops, parallel edges, dead
 ends and empty edge sets all occur.
 """
@@ -171,7 +175,8 @@ def test_left_viability_every_rotation(data):
 
 
 class UnfoldedChain:
-    """The path search as it was before the cycle fold: every depth to d_max."""
+    """The path search that visits every depth to d_max and keeps the first
+    parent found for each vertex at each depth."""
 
     def __init__(self, g, x, starts, origin, d_max):
         counts = {u: min(2, c) for u, c in starts.items()}
@@ -214,48 +219,69 @@ class UnfoldedChain:
         return tuple(g.labels[u] for u in path)
 
 
+def chain_starts(g, x, v0, min_size=0):
+    """Draws a chain's depth-1 vertices among the sources of the position-0
+    vertices v0 along x_{-1}, with path counts in 1..3."""
+    sources = sorted({u for v in v0 for u in g.sources_by_sofic[v].get(x.letter(-1), ())})
+    if not sources:
+        return st.nothing() if min_size else st.just({})
+    return st.dictionaries(st.sampled_from(sources), st.integers(1, 3), min_size=min_size)
+
+
+def drawn_cands(g, x, v0):
+    """Draws branch letters x, y, z, each with a chain of ``chain_starts``."""
+    return st.dictionaries(st.sampled_from("xyz"), chain_starts(g, x, v0, min_size=1))
+
+
+def first_origins(g, x, v0, starts):
+    """Each depth-1 vertex's origin: the first of v0, in id order, that it
+    is a source of along x_{-1}."""
+    a = x.letter(-1)
+    return {u: next(v for v in sorted(v0) if u in g.sources_by_sofic[v].get(a, ())) for u in starts}
+
+
 def walked_chain(g, x, starts, d_max):
     """A chain's count states stepped along x's left label out to depth
-    d_max, and the letters they read, as a witness replay steps them."""
+    d_max, and the letters of depths 0 .. d_max - 1, as a witness replay
+    steps them."""
     walk = g.leftward
-    letters = [x.letter(-depth) for depth in range(2, d_max + 1)]
+    letters = [x.letter(-depth) for depth in range(1, d_max + 1)]
     states = [_start(walk, starts)]
-    for a in letters:
+    for a in letters[1:]:
         states.append(states[-1].step(walk, a))
     return states, letters
 
 
-def assert_chain_matches_unfolded(g, x, starts, origin, d_max):
+def assert_chain_matches_unfolded(g, x, v0, starts, d_max):
     states, letters = walked_chain(g, x, starts, d_max)
-    oracle = UnfoldedChain(g, x, starts, origin, d_max)
+    oracle = UnfoldedChain(g, x, starts, first_origins(g, x, v0, starts), d_max)
     for depth in range(1, d_max + 1):
         state = states[depth - 1]
         # Items in order: the order of the counts decides which parent a
         # deeper vertex finds on the walk back, and so the witness paths.
         assert list(zip(state.verts, state.counts)) == list(oracle.state_at(depth).items())
         assert state.total == oracle.paths_at(depth)
-        assert _witness(g, states, letters, origin, depth, None) == oracle.witness(g, depth)
+        assert _witness(g, v0, states[:depth], letters) == oracle.witness(g, depth)
     return states
 
 
 @settings(max_examples=1000)
 @given(st.data())
 def test_chain_fold_matches_unfolded_search(data):
-    """A chain stepped to d_max without folding matches the unfolded search
-    at every depth: states, totals and witnesses.  The fold itself is the
-    classification's, checked against the full scan below."""
+    """A chain stepped to d_max matches the unfolded search at every depth:
+    states, totals and witnesses.  The early stop is the classification's,
+    checked against the full scan below."""
     g, letters = data.draw(graphs())
-    n = g.n_vertices()
     x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
-    starts = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 3)))
-    origin = {u: data.draw(st.integers(0, n - 1)) for u in starts}
-    assert_chain_matches_unfolded(g, x, starts, origin, data.draw(st.integers(1, 40)))
+    v0 = data.draw(st.sets(st.integers(0, g.n_vertices() - 1), min_size=1))
+    starts = data.draw(chain_starts(g, x, v0))
+    assert_chain_matches_unfolded(g, x, v0, starts, data.draw(st.integers(1, 40)))
 
 
-def full_scan_classify(space, g, x, left, cands, origin, viable, v0, d_max):
+def full_scan_classify(space, g, x, left, cands, viable, v0, d_max):
     """The classification as it was before the early stop: unfolded chains,
     every depth up to d_max checked against the patterns."""
-    chains = {t: UnfoldedChain(g, x, cands[t], origin[t], d_max) for t in cands}
+    chains = {t: UnfoldedChain(g, x, cands[t], first_origins(g, x, v0, cands[t]), d_max) for t in cands}
     sofic = space.kind == "sofic"
 
     def wits(depth):
@@ -300,24 +326,20 @@ def full_scan_classify(space, g, x, left, cands, origin, viable, v0, d_max):
     )
 
 
-# A witness folded onto [d0, d0 + p), a key taken one depth inside the
-# transient or a key without the label's phase each fails on only a few
-# draws in a thousand.
+# A key taken one depth inside the transient or a key without the label's
+# phase each fails on only a few draws in a thousand.
 @settings(max_examples=1000)
 @given(st.data())
 def test_classify_early_stop_matches_full_scan(data):
     g, letters = data.draw(graphs())
-    n = g.n_vertices()
-    vertex = st.integers(0, n - 1)
+    vertex = st.integers(0, g.n_vertices() - 1)
     x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
     space = SimpleNamespace(kind=data.draw(st.sampled_from(["sft", "sofic"])))
-    branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
-    cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
-    origin = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
+    v0 = data.draw(st.sets(vertex, min_size=1))
+    cands = data.draw(drawn_cands(g, x, v0))
     viable = [t for t in cands if data.draw(st.booleans())]
-    v0 = data.draw(st.sets(vertex))
     d_max = data.draw(st.integers(1, 40))
-    args = (space, g, x, _left_label(g, x), cands, origin, viable, v0, d_max)
+    args = (space, g, x, _left_label(g, x), cands, viable, v0, d_max)
     assert _classify(*args) == full_scan_classify(*args)
 
 
@@ -325,11 +347,12 @@ def test_classify_waits_for_a_late_ending_chain():
     """Branch y cycles on one path from depth 1; branch x's path dies at
     depth 3, which leaves one path there: a delay of 3, found only if the
     scan runs past the depth where y starts to repeat."""
-    g = LabeledGraph([("0",), ("1",), ("2",)], [(0, 0, "a", "a"), (2, 1, "a", "a")])
+    g = LabeledGraph(
+        [("0",), ("1",), ("2",), ("3",)], [(0, 0, "a", "a"), (2, 1, "a", "a"), (1, 3, "a", "a")]
+    )
     x = EpPoint(("a",), (), (), ("a",))
     cands = {"x": {1: 1}, "y": {0: 1}}
-    origin = {"x": {1: 1}, "y": {0: 0}}
-    args = (SimpleNamespace(kind="sft"), g, x, _left_label(g, x), cands, origin, ["y"], {0, 1}, 32)
+    args = (SimpleNamespace(kind="sft"), g, x, _left_label(g, x), cands, ["y"], {0, 3}, 32)
     got = _classify(*args)
     assert (got.kind, got.delay) == ("delay", 3)
     assert got == full_scan_classify(*args)
@@ -340,7 +363,7 @@ def test_classify_waits_for_a_late_ending_chain():
 @given(data=st.data())
 def test_chains_on_one_graph_share_its_table(cleared, data):
     """Chains and classifications built in turn on one graph, with different
-    labels, starts, origins and bounds, read and extend one table of count
+    labels, starts and bounds, read and extend one table of count
     states; each matches the unfolded search.  With the cap at 0, every
     classification starts from a cleared table."""
     g, letters = data.draw(graphs())
@@ -349,21 +372,19 @@ def test_chains_on_one_graph_share_its_table(cleared, data):
     with patch.object(preimage, "_STATES_PER_VERTEX", cap):
         for _ in range(data.draw(st.integers(1, 5))):
             x = EpPoint(data.draw(words(letters, 1, 4)), data.draw(words(letters, 0, 3)), (), ("a",))
-            starts = data.draw(st.dictionaries(vertex, st.integers(1, 3)))
-            origin = {u: data.draw(vertex) for u in starts}
+            v0 = data.draw(st.sets(vertex, min_size=1))
+            starts = data.draw(chain_starts(g, x, v0))
             d_max = data.draw(st.integers(1, 40))
-            chain = assert_chain_matches_unfolded(g, x, starts, origin, d_max)
+            chain = assert_chain_matches_unfolded(g, x, v0, starts, d_max)
             # The same chain again takes every step from the table.
             size = len(g.leftward.count_states)
             again, _letters = walked_chain(g, x, starts, d_max)
             assert len(g.leftward.count_states) == size
             assert all(a is b for a, b in zip(again, chain, strict=True))
-            branch = st.dictionaries(vertex, st.integers(1, 3), min_size=1)
-            cands = data.draw(st.dictionaries(st.sampled_from("xyz"), branch))
-            origins = {t: {u: data.draw(vertex) for u in cands[t]} for t in cands}
+            cands = data.draw(drawn_cands(g, x, v0))
             viable = [t for t in cands if data.draw(st.booleans())]
             space = SimpleNamespace(kind=data.draw(st.sampled_from(["sft", "sofic"])))
-            args = (space, g, x, _left_label(g, x), cands, origins, viable, set(starts), d_max)
+            args = (space, g, x, _left_label(g, x), cands, viable, v0, d_max)
             assert _classify(*args) == full_scan_classify(*args)
 
 
@@ -459,8 +480,8 @@ def test_witnesses_read_after_the_tables_are_cleared():
     assert not {id(state) for state in live} & {id(state) for state in stale}
     for x, got in kept:
         assert isinstance(vars(got)["_witness_paths"], preimage._Witnesses)
-        viable, g, v0, left, cands, origin = _branches(space, x)
-        want = full_scan_classify(space, g, x, left, cands, origin, viable, v0, 32)
+        viable, g, v0, left, cands = _branches(space, x)
+        want = full_scan_classify(space, g, x, left, cands, viable, v0, 32)
         assert got.witness_paths == want.witness_paths
         assert got == want
 
@@ -481,7 +502,7 @@ def test_label_letter_reads_the_left_side(space, seed):
              "scaled-1", "scaled-2"]
 )
 def test_classify_folds_far_past_the_cycle(name, request):
-    """At d_max = 2,000 a branching answer's witnesses fold round the joint
+    """At d_max = 2,000 a branching answer's witnesses step round the joint
     cycle many times over, far past the depths the drawn graphs reach."""
     if name.startswith("scaled-"):
         space = scaled_space(random.Random(int(name[-1])))
@@ -490,8 +511,8 @@ def test_classify_folds_far_past_the_cycle(name, request):
     rng = random.Random(3)
     for _ in range(20):
         x = random_point(space, rng)
-        viable, g, v0, left, cands, origin = _branches(space, x)
-        args = (space, g, x, left, cands, origin, viable, v0, 2000)
+        viable, g, v0, left, cands = _branches(space, x)
+        args = (space, g, x, left, cands, viable, v0, 2000)
         assert _classify(*args) == full_scan_classify(*args)
 
 
