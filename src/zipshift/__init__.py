@@ -12,6 +12,8 @@ The names below load on first use (PEP 562): ``import zipshift`` imports no
 submodule, and ``zipshift.X`` or ``from zipshift import X`` imports only the
 module that defines X and the modules it needs.  Each name is resolved once
 and then kept in the package namespace, so later reads are plain lookups.
+The result types (points, reports, classifications) are plain immutable
+classes, equal, hashed and shown by their fields.
 """
 
 import importlib

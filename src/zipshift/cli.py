@@ -26,7 +26,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .errors import NotInSpace, ZipShiftError
@@ -37,6 +36,8 @@ from .symbols import Alphabet, TransitionMap, Word
 # Each command imports the modules it needs beyond the four above, so a
 # process loads and compiles only what its subcommand uses.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .codes import BlockCodeSpec
     from .orbits import PeriodicPoint
 
@@ -78,7 +79,7 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or not UTF-8
         raise SpecError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -501,6 +502,8 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 def _fraction(text: str) -> Fraction:
     """An ``--eps`` value; a zero denominator is a usage error, as any other
     text that is not a fraction."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -607,22 +610,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = horseshoe.add_parser("build", help="print the model geometry")
     sub.add_argument("-n", type=int, required=True, help="number of folds")
-    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2), help="gap parameter")
+    sub.add_argument("--eps", type=_fraction, default="1/2", help="gap parameter")
     sub.set_defaults(handler=_cmd_horseshoe_build)
     sub = horseshoe.add_parser("verify", help="cross-check the coding against the shift")
     sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default="1/2")
     sub.add_argument("--depth", type=int, required=True)
     sub.add_argument("--samples", type=int, required=True)
     _add_seed(sub)
     sub.set_defaults(handler=_cmd_horseshoe_verify)
     sub = horseshoe.add_parser("stable-string", help="fold-connected strip chain (two folds)")
     sub.add_argument("word", help="strip word like 00 or 10'1'")
-    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default="1/2")
     sub.set_defaults(handler=_cmd_horseshoe_stable_string)
     sub = horseshoe.add_parser("coding", help="emit the coding space as a spec file")
     sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
+    sub.add_argument("--eps", type=_fraction, default="1/2")
     sub.set_defaults(handler=_cmd_horseshoe_coding)
 
     return parser

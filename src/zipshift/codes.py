@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass
-
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
 from .orbits import periodic_points
 from .point import EpPoint, point_from_lift, random_point, shift
 from .preimage import canonical_lift
 from .space import ZipShiftSpace, _minimal_forbidden, full_space, sft_space, sofic_space
-from .symbols import Alphabet, TransitionMap, Word
+from .symbols import Alphabet, TransitionMap, Word, _Value
 
 
 class BlockCodeSpec:
@@ -148,10 +146,12 @@ def apply_code(spec: BlockCodeSpec, x: EpPoint) -> EpPoint:
     return point_from_lift(spec.target, image)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(_Value):
     ok: bool
-    witness: EpPoint | None = None
+    witness: EpPoint | None
+
+    def __init__(self, ok: bool, witness: EpPoint | None = None):
+        self.__dict__.update(ok=ok, witness=witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -183,11 +183,13 @@ def check_commutation(
     return CommutationReport(True, None)
 
 
-@dataclass(frozen=True)
-class NotFound:
+class NotFound(_Value):
     """Inversion failed for every window up to the bound."""
 
     max_window: int
+
+    def __init__(self, max_window: int):
+        self.__dict__.update(max_window=max_window)
 
     def __bool__(self) -> bool:
         return False

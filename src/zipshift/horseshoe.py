@@ -19,7 +19,6 @@ never shows up in results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .point import EpPoint, shift
 from .space import ZipShiftSpace, full_space
-from .symbols import Alphabet, TransitionMap, Word
+from .symbols import Alphabet, TransitionMap, Word, _Value
 
 Pt = tuple[Fraction, Fraction]
 Interval = tuple[Fraction, Fraction]
@@ -185,14 +184,16 @@ def build_model(n_folds: int, epsilon=Fraction(1, 2)) -> HorseshoeModel:
     return model
 
 
-@dataclass(frozen=True)
-class ItineraryCode:
+class ItineraryCode(_Value):
     """A finite central window of the coding: ``back`` holds the horizontal
     strip letters for negative indices (deepest first), ``fwd`` the vertical
     strip letters from index 0 on."""
 
     back: Word
     fwd: Word
+
+    def __init__(self, back: Word, fwd: Word):
+        self.__dict__.update(back=back, fwd=fwd)
 
     def __str__(self) -> str:
         return f"{' '.join(self.back)} ; {' '.join(self.fwd)}".strip()
@@ -293,11 +294,13 @@ def coding_space(model: HorseshoeModel) -> ZipShiftSpace:
     )
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(_Value):
     samples: int
     depth: int
     violations: tuple[str, ...]
+
+    def __init__(self, samples: int, depth: int, violations: tuple[str, ...]):
+        self.__dict__.update(samples=samples, depth=depth, violations=violations)
 
     def __bool__(self) -> bool:
         return not self.violations

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import InvalidWord, NotInSpace
 from .graph import LetterSteps
@@ -29,15 +28,17 @@ from .preimage import (
     _Label, _branches, _position_zero_vertices, _preimage_point, labeled_graph_for, preimages_k,
 )
 from .space import ZipShiftSpace
-from .symbols import Word
+from .symbols import Word, _Value
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(_Value):
     """An admissible cycle word together with its two-sided repetition."""
 
     word: Word
     point: EpPoint
+
+    def __init__(self, word: Word, point: EpPoint):
+        self.__dict__.update(word=word, point=point)
 
     @property
     def period(self) -> int:
@@ -112,26 +113,30 @@ def pre_periodic_points(space: ZipShiftSpace, p: PeriodicPoint, level: int) -> s
     return found - orbit
 
 
-@dataclass(frozen=True)
-class TailFlag:
+class TailFlag(_Value):
     """One membership verdict: ``merge`` is the index from which the tails
     agree (right side: letters at i >= merge; left side: depths > merge),
     and ``phase`` is the orbit shift that makes them agree."""
 
     holds: bool
-    merge: int | None = None
-    phase: int | None = None
+    merge: int | None
+    phase: int | None
+
+    def __init__(self, holds: bool, merge: int | None = None, phase: int | None = None):
+        self.__dict__.update(holds=holds, merge=merge, phase=phase)
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass(frozen=True)
-class StableUnstableReport:
+class StableUnstableReport(_Value):
     s_global: TailFlag
     s_special: TailFlag
     u_global: TailFlag
     u_special: TailFlag
+
+    def __init__(self, s_global: TailFlag, s_special: TailFlag, u_global: TailFlag, u_special: TailFlag):
+        self.__dict__.update(s_global=s_global, s_special=s_special, u_global=u_global, u_special=u_special)
 
 
 def _right_merge(t: EpPoint, r: EpPoint) -> int | None:
@@ -186,8 +191,7 @@ def heteroclinic_check(
     )
 
 
-@dataclass(frozen=True)
-class HomoclinicDatum:
+class HomoclinicDatum(_Value):
     """A point doubly asymptotic to a periodic orbit, with merge data.
 
     The left tail of ``point`` equals the ``k_back``-shifted orbit point at
@@ -201,6 +205,11 @@ class HomoclinicDatum:
     n_fwd: int
     k_back: int
     k_fwd: int
+
+    def __init__(self, periodic: PeriodicPoint, point: EpPoint, n_back: int, n_fwd: int, k_back: int,
+                 k_fwd: int):
+        self.__dict__.update(periodic=periodic, point=point, n_back=n_back, n_fwd=n_fwd, k_back=k_back,
+                             k_fwd=k_fwd)
 
 
 def homoclinic_datum(
@@ -220,8 +229,7 @@ def homoclinic_datum(
     return HomoclinicDatum(p, x, back.merge + 1, fwd.merge, back.phase, fwd.phase)
 
 
-@dataclass(frozen=True)
-class HomoclinicOrbit:
+class HomoclinicOrbit(_Value):
     """One backward branch history through a homoclinic point.
 
     ``choices`` lists the branch letters picked at depths 1..n_back-1; all
@@ -233,9 +241,13 @@ class HomoclinicOrbit:
     and an orbit built by hand finds it on its first entry past the choices.
     """
 
+    _fields = ("datum", "choices")
     datum: HomoclinicDatum
     choices: Word
-    _period: Word | None = field(default=None, init=False, compare=False, repr=False)
+    _period: Word | None
+
+    def __init__(self, datum: HomoclinicDatum, choices: Word):
+        self.__dict__.update(datum=datum, choices=choices, _period=None)
 
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
         """The orbit entry at index i (index 0 is the datum's point)."""

@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import InvalidWord
-from .symbols import Word, _check_symbol
+from .symbols import Word, _check_symbol, _Value
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .space import ZipShiftSpace
 
 
@@ -30,8 +30,7 @@ def _primitive(word: Word) -> Word:
     return word
 
 
-@dataclass(frozen=True)
-class EpPoint:
+class EpPoint(_Value):
     """A two-sided eventually periodic point in canonical form.
 
     ``left_transient`` stores the entry nearest index -1 last; ``left_period``
@@ -49,11 +48,11 @@ class EpPoint:
     right_transient: Word
     right_period: Word
 
-    def __post_init__(self):
-        lp = tuple(self.left_period)
-        lt = tuple(self.left_transient)
-        rt = tuple(self.right_transient)
-        rp = tuple(self.right_period)
+    def __init__(self, left_period: Word, left_transient: Word, right_transient: Word, right_period: Word):
+        lp = tuple(left_period)
+        lt = tuple(left_transient)
+        rt = tuple(right_transient)
+        rp = tuple(right_period)
         if not lp or not rp:
             raise InvalidWord("periods must be non-empty")
         for w in (lp, lt, rt, rp):
@@ -82,6 +81,18 @@ class EpPoint:
         object.__setattr__(self, "left_transient", lt)
         object.__setattr__(self, "right_transient", rt)
         object.__setattr__(self, "right_period", rp)
+
+    # Spelled out, and the fields set one by one: points fill sets and are read letter by
+    # letter, and CPython reads an instance's attributes faster while no one asked for __dict__.
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.left_period, self.left_transient, self.right_transient, self.right_period) == (
+                other.left_period, other.left_transient, other.right_transient, other.right_period
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left_period, self.left_transient, self.right_transient, self.right_period))
 
     def letter(self, i: int) -> str:
         if i >= 0:
@@ -174,14 +185,16 @@ def shift_k(space: ZipShiftSpace, x: EpPoint, k: int) -> EpPoint:
     return x
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(_Value):
     """The four distances: two-sided, right, left, and their average."""
 
     d: Fraction
     d_plus: Fraction
     d_minus: Fraction
     d_pm: Fraction
+
+    def __init__(self, d: Fraction, d_plus: Fraction, d_minus: Fraction, d_pm: Fraction):
+        self.__dict__.update(d=d, d_plus=d_plus, d_minus=d_minus, d_pm=d_pm)
 
 
 def _right_difference(s: EpPoint, t: EpPoint) -> int | None:
@@ -203,6 +216,8 @@ def metrics(s: EpPoint, t: EpPoint) -> MetricReport:
     difference already giving d- = 1.  The left side is compared as the
     right side of the mirrored points, index i there being depth i + 1.
     """
+    from fractions import Fraction
+
     i_plus = _right_difference(s, t)
     i_mirror = _right_difference(s._mirrored(), t._mirrored())
     n_minus = None if i_mirror is None else i_mirror + 1
@@ -213,10 +228,12 @@ def metrics(s: EpPoint, t: EpPoint) -> MetricReport:
     return MetricReport(d=d, d_plus=d_plus, d_minus=d_minus, d_pm=(d_minus + d_plus) / 2)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(_Value):
     ok: bool
     reason: str | None
+
+    def __init__(self, ok: bool, reason: str | None):
+        self.__dict__.update(ok=ok, reason=reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -52,14 +52,13 @@ cleared together before a classification once either holds more than
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidWord, NotInSpace
 from .graph import LabeledGraph, LetterSteps
 from .point import AdmissibilityReport, EpPoint, _letter_failure
 from .space import ZipShiftSpace
-from .symbols import Word
+from .symbols import Word, _Value
 
 
 def labeled_graph_for(space: ZipShiftSpace) -> LabeledGraph:
@@ -226,12 +225,8 @@ class _WitnessPaths:
             paths = obj.__dict__["_witness_paths"] = paths.expand()
         return paths
 
-    def __set__(self, obj, value) -> None:
-        obj.__dict__["_witness_paths"] = value
 
-
-@dataclass(frozen=True)
-class LabelClassification:
+class LabelClassification(_Value):
     """Bounded-depth search metadata over the pre-image branches.
 
     kind is one of delay, left_closing, distinguishable, sofic_left_closing
@@ -250,14 +245,20 @@ class LabelClassification:
     and repr.
     """
 
+    _fields = ("kind", "delay", "length", "multiplicity", "variant", "searched_to", "witness_paths")
     kind: str
-    delay: int | None = None
-    length: int | None = None
-    multiplicity: int | None = None
-    variant: str | None = None
-    searched_to: int | None = None
+    delay: int | None
+    length: int | None
+    multiplicity: int | None
+    variant: str | None
+    searched_to: int | None
     witness_paths: tuple[tuple[str, tuple[Word, ...]], ...] = _WitnessPaths()
-    exact: bool = field(default=False, compare=False, repr=False)
+    exact: bool
+
+    def __init__(self, kind: str, delay: int | None = None, length: int | None = None, multiplicity: int | None = None,
+                 variant: str | None = None, searched_to: int | None = None, witness_paths=(), exact: bool = False):
+        self.__dict__.update(kind=kind, delay=delay, length=length, multiplicity=multiplicity, variant=variant,
+                             searched_to=searched_to, _witness_paths=witness_paths, exact=exact)
 
     def __getstate__(self) -> dict:
         # A pickled or copied answer carries its paths, not the graph their
@@ -265,10 +266,12 @@ class LabelClassification:
         return {**self.__dict__, "_witness_paths": self.witness_paths}
 
 
-@dataclass(frozen=True)
-class PreimageResult:
+class PreimageResult(_Value):
     classification: LabelClassification
     points: tuple[EpPoint, ...]
+
+    def __init__(self, classification: LabelClassification, points: tuple[EpPoint, ...]):
+        self.__dict__.update(classification=classification, points=points)
 
 
 def _preimage_point(x: EpPoint, t: str) -> EpPoint:

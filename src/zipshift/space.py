@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
 from .point import EpPoint
-from .symbols import Alphabet, TransitionMap, Word
+from .symbols import Alphabet, TransitionMap, Word, _Value
 
 _WANDER = 4
 
@@ -186,8 +185,7 @@ class _SubsetWalk:
                     stack.append((w + (c,), t))
 
 
-@dataclass(frozen=True)
-class MatrixSet:
+class MatrixSet(_Value):
     """Adjacency data of a finite-type space, as 0/1 matrices.
 
     Each matrix is a tuple of rows and each row a tuple of ints 0 or 1, so
@@ -209,12 +207,18 @@ class MatrixSet:
     n_step: int
     m_step: int
 
+    def __init__(self, aprime_words, aprime_adj, a_words, a_adj, t, k, n_step, m_step):
+        self.__dict__.update(aprime_words=aprime_words, aprime_adj=aprime_adj, a_words=a_words, a_adj=a_adj,
+                             t=t, k=k, n_step=n_step, m_step=m_step)
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+
+class IrreducibilityReport(_Value):
     is_irreducible: bool
     witnesses: dict[tuple[str, str], Word] | None
     failing_pair: tuple[str, str] | None
+
+    def __init__(self, is_irreducible: bool, witnesses: dict | None, failing_pair: tuple[str, str] | None):
+        self.__dict__.update(is_irreducible=is_irreducible, witnesses=witnesses, failing_pair=failing_pair)
 
     def __bool__(self) -> bool:
         return self.is_irreducible

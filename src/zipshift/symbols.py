@@ -8,6 +8,7 @@ a matrix, and so on).  A mixed word -- a block straddling the -1|0 boundary
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidWord, UndefinedWindow, UnknownSymbol
@@ -25,6 +26,38 @@ def _check_symbol(sym: str) -> None:
         raise InvalidWord(
             f"symbol {sym!r} may not contain whitespace, parentheses, ';' or '*'"
         )
+
+
+class _Value:
+    """The base of the result types: an immutable value, equal to a value of its own
+    class with equal fields, hashed as the tuple of its fields and shown as
+    ``Name(field=value, ...)``.  The fields are the names a class annotates, in order,
+    unless it lists them in ``_fields``.  Each ``__init__`` fills ``__dict__`` directly,
+    as pickle and copy do, since assigning or deleting an attribute raises AttributeError."""
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(cls.__annotations__)
+        get = attrgetter(*cls._fields)
+        cls._key = get if len(cls._fields) > 1 else lambda value: (get(value),)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            key = type(self)._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(type(self)._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class Alphabet:

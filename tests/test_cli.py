@@ -545,6 +545,17 @@ def test_spec_schema_drift_is_an_error_line(tmp_path, capsys, command, payload, 
     assert err == "error: " + message.format(path=path) + "\n"
 
 
+def test_deeply_nested_json_is_an_error_line(tmp_path, capsys):
+    """JSON nested past the decoder's recursion limit is bad JSON too: one
+    error line and exit status 1, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, ["space", "validate", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {path} is not valid JSON: ") and "recursion" in err
+    assert err.count("\n") == 1
+
+
 def test_inadmissible_point_rejected(specs, capsys):
     rc, _, err = run(capsys, ["point", "preimages", specs["ex21"], "(b)* ; (3 3)*"])
     assert rc == 1

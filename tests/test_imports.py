@@ -2,7 +2,9 @@
 
 ``import zipshift`` loads no submodule; each public name is resolved on
 first use from the module that defines it, and each CLI command imports
-only what its subcommand needs.
+only what its subcommand needs.  No command loads ``dataclasses`` (with
+``inspect`` behind it), and only those that compute with fractions load
+``fractions``.
 """
 
 from __future__ import annotations
@@ -27,13 +29,27 @@ EX21 = {
     "kind": "sft",
     "forbidden": ["1 1", "1 3", "2 1", "3 3"],
 }
+# The code on the full space over 1..4 that merges 1 with 3 and 2 with 4.
+CODE = {
+    "source": {
+        "alphabet_a": ["a", "b"],
+        "alphabet_a_prime": ["1", "2", "3", "4"],
+        "n": 1,
+        "phi": {"1": "a", "2": "b", "3": "a", "4": "b"},
+        "kind": "full",
+    },
+    "target_a": ["a", "b"],
+    "target_a_prime": ["1", "2"],
+    "m": 1,
+    "psi_plus": {"1": "1", "2": "2", "3": "1", "4": "2"},
+    "psi_minus": {f"{a} ; {w}": a for a in "ab" for w in "1234"},
+}
 
 
-def loaded_after(script: str) -> set[str]:
-    """The zipshift submodules in sys.modules after a fresh interpreter runs
-    ``script``."""
+def modules_after(script: str) -> set[str]:
+    """The modules in sys.modules after a fresh interpreter runs ``script``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    tail = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('zipshift.'))))"
+    tail = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", script + tail],
         capture_output=True,
@@ -43,6 +59,12 @@ def loaded_after(script: str) -> set[str]:
         check=True,
     ).stdout
     return set(json.loads(out.splitlines()[-1]))
+
+
+def loaded_after(script: str) -> set[str]:
+    """The zipshift submodules in sys.modules after a fresh interpreter runs
+    ``script``."""
+    return {m for m in modules_after(script) if m.startswith("zipshift.")}
 
 
 def test_import_loads_no_submodule():
@@ -63,6 +85,32 @@ def test_horseshoe_verify_leaves_spaces_machinery_unloaded():
     loaded = loaded_after(f"from zipshift import cli\nassert cli.main({argv!r}) == 0")
     assert "zipshift.horseshoe" in loaded
     assert not loaded & {"zipshift.preimage", "zipshift.graph", "zipshift.orbits", "zipshift.codes"}
+
+
+@pytest.mark.parametrize(
+    "argv, computes_with_fractions",
+    [
+        (["space", "validate", "{ex21}"], False),
+        (["point", "preimages", "{ex21}", "(b)* ; (2 3)*", "--classify"], False),
+        (["point", "metrics", "{ex21}", "(b)* ; (2 3)*", "(b)* ; (3 2)*"], True),
+        (["periodic", "{ex21}", "-m", "4"], False),
+        (["code", "check", "{code}", "--samples", "5"], False),
+        (["horseshoe", "verify", "-n", "2", "--depth", "3", "--samples", "20"], True),
+    ],
+    ids=["space", "point", "metrics", "periodic", "code", "horseshoe"],
+)
+def test_commands_load_no_dataclass_machinery(tmp_path, argv, computes_with_fractions):
+    """The modules a command loads beyond those of a bare interpreter hold
+    no ``dataclasses`` or ``inspect``, and ``fractions`` only where the
+    command computes with fractions."""
+    paths = {"ex21": tmp_path / "ex21.json", "code": tmp_path / "code.json"}
+    paths["ex21"].write_text(json.dumps(EX21))
+    paths["code"].write_text(json.dumps(CODE))
+    argv = [arg.format(**paths) for arg in argv]
+    loaded = modules_after(f"from zipshift import cli\nassert cli.main({argv!r}) == 0") - modules_after("")
+    assert "zipshift.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    assert ("fractions" in loaded) == computes_with_fractions
 
 
 def test_public_names_resolve_to_their_home():
