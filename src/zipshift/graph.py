@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidWord, NotFiniteType
-from .space import ZipShiftSpace, _live_vertices
+from .space import ZipShiftSpace, _live_vertices, _SubsetWalk
 from .symbols import Word
 
 
@@ -180,34 +180,23 @@ def spelled_language(g: LabeledGraph, k: int) -> set[Word]:
     """All k-words spelled by walks, overlapping vertex labels block-style.
 
     Vertex labels are read as sliding windows: a walk v_0 v_1 ... spells
-    label(v_0) followed by the last letter of each later label.
+    label(v_0) followed by the last letter of each later label.  Words no
+    longer than a label are its windows; a longer word is a label followed
+    by a word read on the subset walk over first letters started from the
+    vertices that carry that label.
     """
+    if k < 1:
+        raise InvalidWord(f"word length must be positive, got {k}")
     ell = len(g.labels[0]) if g.labels else 0
     if any(len(lab) != ell for lab in g.labels):
         raise InvalidWord("spelled_language needs uniform label length")
-    words: set[Word] = set()
     if k <= ell:
-        for lab in g.labels:
-            for i in range(ell - k + 1):
-                words.add(lab[i : i + k])
-        return words
-    memo: dict[tuple[int, int], set[Word]] = {}
-
-    def ext(v: int, extra: int) -> set[Word]:
-        if extra == 0:
-            return {()}
-        if (v, extra) in memo:
-            return memo[(v, extra)]
-        acc = set()
-        for _s, d, first, _x in g.out_edges(v):
-            for w in ext(d, extra - 1):
-                acc.add((first,) + w)
-        memo[(v, extra)] = acc
-        return acc
-
-    for v in range(g.n_vertices()):
-        for w in ext(v, k - ell):
-            words.add(g.labels[v] + w)
+        return {lab[i : i + k] for lab in g.labels for i in range(ell - k + 1)}
+    letters = tuple(sorted({first for _s, _d, first, _x in g.edges}))
+    words: set[Word] = set()
+    for lab, vids in g._by_label.items():
+        walk = _SubsetWalk(g.targets_by_first, letters, vids)
+        words.update(lab + w for w, _state in walk.words(k - ell))
     return words
 
 
@@ -290,6 +279,7 @@ def export_dot(g: LabeledGraph) -> str:
         lines.append(f"  {_dot_name(vid, label)};")
     for src, dst, first, sofic in g.edges:
         tag = first if sofic is None else f"{first}/{sofic}"
+        tag = tag.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(
             f"  {_dot_name(src, g.labels[src])} -> {_dot_name(dst, g.labels[dst])} [label=\"{tag}\"];"
         )

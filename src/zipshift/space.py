@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
 from .point import EpPoint
@@ -131,18 +131,19 @@ class _SubsetWalk:
     """The subset construction on a letter-indexed graph, built as it is read.
 
     ``step[v][c]`` lists the vertices one step on from v reading c.  A state
-    is the set of vertices that walks spelling some word, started anywhere,
-    can end at; states are numbered as first reached, 0 being the set of all
-    vertices, and each move (state, letter) -> state is computed once.  A
-    word is spelled by some walk exactly when its state is non-empty.  The
-    walk keeps its states and moves, never a list of words: every listing
-    is generated afresh by :meth:`words`.
+    is the set of vertices that walks spelling some word, started in the
+    ``start`` set (by default every vertex), can end at; states are numbered
+    as first reached, 0 being the start set, and each move (state, letter)
+    -> state is computed once.  A word is spelled by some walk from the
+    start set exactly when its state is non-empty.  The walk keeps its
+    states and moves, never a list of words: every listing is generated
+    afresh by :meth:`words`.
     """
 
-    def __init__(self, step: list[dict], letters: tuple[str, ...]):
+    def __init__(self, step: list[dict], letters: tuple[str, ...], start: Iterable[int] | None = None):
         self._step = step
         self._letters = letters
-        start = frozenset(range(len(step)))
+        start = frozenset(range(len(step)) if start is None else start)
         self.sets: list[frozenset[int]] = [start]
         self._ids = {start: 0}
         self._moves: list[dict[str, int]] = [{}]
@@ -433,7 +434,8 @@ class ZipShiftSpace:
         """Can a vertex of the walk state sit at index 0 and spell u from there?
 
         Its label must start with u's first letters; the rest of u is read
-        along the edges' A'-labels.  Memoized per (state, u).
+        on the subset walk over the edges' A'-labels started at those
+        vertices.  Memoized per (state, u).
         """
         key = (state, u)
         ok = self._seams.get(key)
@@ -441,10 +443,9 @@ class ZipShiftSpace:
             g = self._graph(self._least_width())
             ell = len(g.labels[0])
             head, tail = u[:ell], u[ell:]
-            here = {v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head}
-            for c in tail:
-                here = {w for v in here for w in g.targets_by_first[v].get(c, ())}
-            ok = self._seams[key] = bool(here)
+            here = [v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head]
+            walk = _SubsetWalk(g.targets_by_first, self.alphabet_aprime.symbols, here)
+            ok = self._seams[key] = bool(walk.sets[walk.read(tail)])
         return ok
 
     def admissible_a_word(self, word: Word) -> bool:

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from test_a_side import spaces
 from zipshift import (
     Alphabet,
     InvalidWord,
+    LabeledGraph,
     NotFiniteType,
     TransitionMap,
     backward,
     build_labeled_graph,
     export_dot,
+    full_space,
     parse_point,
     preimages,
     presentation_graph,
@@ -63,6 +68,40 @@ def test_spelled_language_matches_space(ex21, even, five):
             assert spelled_language(g, k) == set(space.language(k))
 
 
+def _brute_spelled(g, k):
+    """Each label followed by the letters of every walk of max(k - ell, 0)
+    edges from its vertex, cut into k-windows (walks kept as distinct
+    (end vertex, word) pairs)."""
+    ell = len(g.labels[0]) if g.labels else 0
+    words = set()
+    for v, lab in enumerate(g.labels):
+        walks = {(v, lab)}
+        for _ in range(max(k - ell, 0)):
+            walks = {(d, w + (first,)) for u, w in walks for _s, d, first, _x in g.out_edges(u)}
+        words |= {w[i : i + k] for _u, w in walks for i in range(len(w) - k + 1)}
+    return words
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Up to 7 vertices and 14 edges, one label length of 0 to 3 letters;
+    dead ends, parallel edges, repeated labels and empty graphs occur."""
+    n = draw(st.integers(0, 7))
+    ell = draw(st.integers(0, 3))
+    letter = st.sampled_from("01")
+    labels = draw(st.lists(st.tuples(*[letter] * ell), min_size=n, max_size=n))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from("012"), st.none())
+    edges = draw(st.lists(edge, max_size=14)) if n else []
+    return LabeledGraph(labels, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_graphs())
+def test_spelled_language_matches_brute_force(g):
+    for k in range(1, 7):
+        assert spelled_language(g, k) == _brute_spelled(g, k)
+
+
 def test_vertex_like(even):
     p = presentation_graph(even)
     assert p.labels == (("P",), ("Q",))
@@ -99,6 +138,22 @@ def test_export_dot(ex21):
     assert "v0_1" in text and "v2_3" in text
     # deterministic
     assert text == export_dot(build_labeled_graph(ex21))
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    space = full_space(Alphabet(["a"]), Alphabet(['x"y', "z\\"]), TransitionMap(1, {('x"y',): "a", ("z\\",): "a"}))
+    edges = [line for line in export_dot(build_labeled_graph(space)).splitlines() if "->" in line]
+    assert len(edges) == 4
+    assert all(re.fullmatch(r'  \w+ -> \w+ \[label="(?:[^"\\]|\\["\\])*"\];', line) for line in edges)
+    assert sum('[label="x\\"y/a"]' in line for line in edges) == 2
+    assert sum('[label="z\\\\/a"]' in line for line in edges) == 2
+
+
+def test_spelled_language_refuses_nonpositive_lengths(even):
+    g = build_labeled_graph(even)
+    for k in (0, -1):
+        with pytest.raises(InvalidWord, match=f"word length must be positive, got {k}"):
+            spelled_language(g, k)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
