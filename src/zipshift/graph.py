@@ -205,9 +205,10 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
     higher edge graph of the space's trimmed A'-graph.
 
     Its units are, for full and finite-type spaces, the block graph's
-    vertices (the max(step_k, 1)-blocks, in alphabet order) and, for sofic
-    spaces, the presentation edges in the order given, each labeled by its
-    letter, so that parallel edges stay distinct.  A vertex is a walk of
+    vertices, labeled by the live max(step_k, 1)-blocks the space keeps
+    (``ZipShiftSpace._blocks``, in alphabet order), and, for sofic spaces,
+    the presentation edges in the order given, each labeled by its letter,
+    so that parallel edges stay distinct.  A vertex is a walk of
     units whose labels, overlapped, spell ell letters.  It has an edge to
     every walk that drops its first unit and takes one more; the edge reads
     that unit's last letter c and carries the A-letter tm((label + c)[:n]).
@@ -230,7 +231,7 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
         labels_of = [(c,) for _s, _d, c in units]
         succ = [leaving[dst] for _s, dst, _c in units]
     else:
-        labels_of = [w for w, _state in space._aprime_walk.words(max(space.step_k, 1))]
+        labels_of = space._blocks
         succ = [[t for targets in out.values() for t in targets] for out in space._step]
     walks: list[tuple[int, ...]] = [(u,) for u in range(len(labels_of))]
     for _ in range(ell - len(labels_of[0])):

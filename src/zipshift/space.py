@@ -29,10 +29,13 @@ reached by a carries u's first letters and can read the rest of u along
 the edges' A'-labels.  The same walk lists the A-side and mixed languages
 in alphabet order and derives the minimal forbidden A-words.
 
-Every language is generated on a subset walk each time it is asked for
-and never kept: a space holds its A'-graph, one labeled window graph per
-width some layer asked for (``_graph``, the only place they are built) and
-the walks' move tables between queries, no word lists.
+Full and finite-type spaces keep their live blocks, in vertex order, as
+the A'-graph's vertex labels (``_blocks``): the window graphs, the matrices
+and the transition-domain check read them.  They are the only word list a
+space holds.  Every language is generated on a subset walk each time it is
+asked for and never kept: besides its A'-graph and blocks a space holds one
+labeled window graph per width some layer asked for (``_graph``, the only
+place they are built) and the walks' move tables between queries.
 """
 from __future__ import annotations
 
@@ -107,7 +110,15 @@ def _live_vertices(succ: list[list[int]], pred: list[list[int]]) -> bytearray:
 
 def _trimmed(step: list[dict[str, list[int]]]):
     """The live vertices of a letter-indexed graph, and its live part
-    renumbered in vertex order as ``(live, step, back)``."""
+    renumbered in vertex order as ``(live, step, back)``.
+
+    No letter may map to an empty list.  When every vertex is live the input
+    ``step`` is returned as it is and only ``back`` is built; otherwise each
+    live vertex keeps its letters and targets in their order, less the dead
+    targets.  ``back`` lists each edge at its target, letters in the order
+    first met and sources in vertex order, so edge and letter order are
+    those of an edge-by-edge rebuild.
+    """
     succ = [[t for targets in out.values() for t in targets] for out in step]
     pred: list[list[int]] = [[] for _ in step]
     for v, targets in enumerate(succ):
@@ -115,16 +126,16 @@ def _trimmed(step: list[dict[str, list[int]]]):
             pred[t].append(v)
     alive = _live_vertices(succ, pred)
     live = [v for v in range(len(step)) if alive[v]]
-    new_id = {v: i for i, v in enumerate(live)}
-    live_step: list[dict[str, list[int]]] = [{} for _ in live]
+    if len(live) < len(step):
+        new_id = {v: i for i, v in enumerate(live)}
+        kept = ({c: [new_id[t] for t in targets if alive[t]] for c, targets in step[v].items()} for v in live)
+        step = [{c: targets for c, targets in out.items() if targets} for out in kept]
     back: list[dict[str, list[int]]] = [{} for _ in live]
-    for i, v in enumerate(live):
-        for c, targets in step[v].items():
+    for v, out in enumerate(step):
+        for c, targets in out.items():
             for t in targets:
-                if alive[t]:
-                    live_step[i].setdefault(c, []).append(new_id[t])
-                    back[new_id[t]].setdefault(c, []).append(i)
-    return live, live_step, back
+                back[t].setdefault(c, []).append(v)
+    return live, step, back
 
 
 class _SubsetWalk:
@@ -253,18 +264,26 @@ class ZipShiftSpace:
         self.presentation_vertices: tuple[str, ...] | None = None
         self.presentation_edges: tuple[tuple[str, str, str], ...] | None = None
 
+        if forbidden and kind != "sft":
+            raise InvalidWord("forbidden words are only valid for sft spaces")
+        if presentation is not None and kind != "sofic":
+            raise InvalidWord("a presentation graph is only valid for sofic spaces")
+        blocks = None
         if kind == "sofic":
             if presentation is None:
                 raise InvalidWord("sofic spaces need a presentation graph")
             step = self._presentation_step(presentation)
         else:
-            forb = set() if kind == "full" else set(tuple(w) for w in (forbidden or set()))
+            forb = set(tuple(w) for w in (forbidden or set()))
             if kind == "sft" and not forb:
                 raise InvalidWord("finite-type spaces need forbidden words (use a full space otherwise)")
-            step = self._block_step(forb)
+            blocks, step = self._block_step(forb)
         live, self._step, self._back = _trimmed(step)
         if not live:
             raise InvalidWord("the space has an empty language")
+        # The A'-graph's vertex labels: its live blocks, for full and
+        # finite-type spaces.
+        self._blocks: tuple[Word, ...] | None = None if blocks is None else tuple(blocks[v] for v in live)
         self._aprime_walk = _SubsetWalk(self._step, alphabet_aprime.symbols)
         if kind == "sofic":
             vertices, edges = presentation
@@ -277,7 +296,12 @@ class ZipShiftSpace:
 
         # The transition table must cover exactly the admissible n-words.
         tm.validate_onto(alphabet_a)
-        lang_n = set(self.language(self.n))
+        if self._blocks is not None and self.n <= len(self._blocks[0]):
+            # Every live block is the window of some point, and every
+            # admissible n-word starts one.
+            lang_n = {b[: self.n] for b in self._blocks}
+        else:
+            lang_n = set(self.language(self.n))
         dom = tm.domain()
         if dom != lang_n:
             missing = sorted(lang_n - dom)
@@ -291,8 +315,16 @@ class ZipShiftSpace:
 
     # -- construction ----------------------------------------------------
 
-    def _block_step(self, forbidden: set[Word]) -> list[dict[str, list[int]]]:
-        """The block graph of a full or finite-type space, before trimming."""
+    def _block_step(self, forbidden: set[Word]) -> tuple[list[Word], list[dict[str, list[int]]]]:
+        """The blocks and block graph of a full or finite-type space, before
+        trimming.
+
+        The forbidden words are indexed by all but their last letter, so the
+        letters that may follow a word u are found once, from u's suffixes
+        one shorter than each forbidden length.  The same rule grows the
+        blocks one letter at a time, in alphabet order, and lists each
+        block's edges in the order of the letter they add.
+        """
         for w in forbidden:
             if not isinstance(w, tuple) or not all(isinstance(c, str) for c in w):
                 raise InvalidWord(
@@ -303,25 +335,36 @@ class ZipShiftSpace:
                 raise InvalidWord(f"forbidden word {' '.join(w)!r} is shorter than 2")
         self.forbidden = frozenset(_prune_superwords(forbidden))
         self.step_k = max((len(w) - 1 for w in self.forbidden), default=0)
-        forb = self.forbidden
-        lengths = {len(f) for f in forb}
-
-        def clean_end(w: Word) -> bool:
-            """Does no forbidden word end at w's last letter?"""
-            return not any(w[-m:] in forb for m in lengths if m <= len(w))
-
-        # Blocks grow one letter at a time, so each needs only its last
-        # letter checked, and they come out in alphabet order.
+        last_letters: dict[Word, set[str]] = {}
+        for f in self.forbidden:
+            last_letters.setdefault(f[:-1], set()).add(f[-1])
+        prefix_lengths = sorted({len(f) - 1 for f in self.forbidden})
         letters = self.alphabet_aprime.symbols
+
+        def followers(u: Word) -> Iterable[str]:
+            """The letters c for which no forbidden word ends u + (c,)."""
+            barred = set()
+            for m in prefix_lengths:
+                if m > len(u):
+                    break
+                barred.update(last_letters.get(u[len(u) - m :], ()))
+            return [c for c in letters if c not in barred] if barred else letters
+
         blocks: list[Word] = [()]
         for _ in range(max(self.step_k, 1)):
-            blocks = [u + (c,) for u in blocks for c in letters if clean_end(u + (c,))]
-        index = {w: i for i, w in enumerate(blocks)}
+            blocks = [u + (c,) for u in blocks for c in followers(u)]
+        # Each block by its prefix and last letter: u's edge adding c goes
+        # to the block u[1:] + (c,).  A prefix that starts no block has no
+        # followers, and then no block ending in it has any either.
+        index: dict[Word, dict[str, int]] = {}
+        for i, w in enumerate(blocks):
+            index.setdefault(w[:-1], {})[w[-1]] = i
         step: list[dict[str, list[int]]] = []
         for u in blocks:
-            targets = [index[u[1:] + (c,)] for c in letters if clean_end(u + (c,))]
+            ends = index.get(u[1:], {})
+            targets = [ends[c] for c in followers(u)]
             step.append({u[0]: targets} if targets else {})
-        return step
+        return blocks, step
 
     def _presentation_step(self, presentation) -> list[dict[str, list[int]]]:
         """The presentation graph of a sofic space, before trimming."""
@@ -498,7 +541,7 @@ class ZipShiftSpace:
     def build_matrices(self) -> MatrixSet:
         if self.kind == "sofic":
             raise NotFiniteType("matrix presentation needs a finite-type space")
-        ap_words = tuple(self.language(max(self.step_k, 1)))
+        ap_words = self._blocks
         succ = [{t for targets in out.values() for t in targets} for out in self._step]
         n_step = self.a_step()
         n_idx = max(n_step, 1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -7,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from zipshift import (
@@ -23,7 +24,7 @@ from zipshift import (
     sofic_space,
 )
 from zipshift.cli import space_to_dict
-from zipshift.space import ZipShiftSpace, _prune_superwords
+from zipshift.space import ZipShiftSpace, _prune_superwords, _trimmed
 
 
 def words(space, k, side="aprime"):
@@ -71,6 +72,30 @@ TM2 = TransitionMap(1, {("1",): "a", ("2",): "b"})
         (lambda: ZipShiftSpace(A2, P2, TM2, "tree"), InvalidWord, "unknown space kind 'tree'"),
         (lambda: ZipShiftSpace(A2, P2, TM2, "sofic"), InvalidWord, "sofic spaces need a presentation graph"),
         (
+            lambda: ZipShiftSpace(A2, P2, TM2, "full", forbidden={("1", "1")}),
+            InvalidWord,
+            "forbidden words are only valid for sft spaces",
+        ),
+        (
+            lambda: ZipShiftSpace(
+                A2, P2, TM2, "sofic", forbidden={("1", "1")}, presentation=(["P"], [("P", "P", "1")])
+            ),
+            InvalidWord,
+            "forbidden words are only valid for sft spaces",
+        ),
+        (
+            lambda: ZipShiftSpace(
+                A2, P2, TM2, "sft", forbidden={("1", "1")}, presentation=(["P"], [("P", "P", "2")])
+            ),
+            InvalidWord,
+            "a presentation graph is only valid for sofic spaces",
+        ),
+        (
+            lambda: ZipShiftSpace(A2, P2, TM2, "full", presentation=(["P"], [("P", "P", "1")])),
+            InvalidWord,
+            "a presentation graph is only valid for sofic spaces",
+        ),
+        (
             lambda: sft_space(A2, P2, TM2, {("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")}),
             InvalidWord,
             "the space has an empty language",
@@ -99,7 +124,8 @@ TM2 = TransitionMap(1, {("1",): "a", ("2",): "b"})
         ),
     ],
     ids=[
-        "kind", "no-presentation", "empty-language", "missing-window", "mixed-forbidden", "short-forbidden",
+        "kind", "no-presentation", "full-forbidden", "sofic-forbidden", "sft-presentation", "full-presentation",
+        "empty-language", "missing-window", "mixed-forbidden", "short-forbidden",
         "duplicate-vertex", "unknown-vertex", "unknown-label",
     ],
 )
@@ -294,3 +320,128 @@ def pairwise_prune(words: set) -> set:
 def test_prune_superwords_matches_pairwise(words):
     assert _prune_superwords(words) == pairwise_prune(words)
 
+
+
+def live_part(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The vertices left after deleting, again and again, every vertex that
+    lacks an in-edge or an out-edge among the vertices still there."""
+    alive = set(range(n))
+    while True:
+        dead = {
+            v
+            for v in alive
+            if not any(s == v and d in alive for s, d in edges) or not any(d == v and s in alive for s, d in edges)
+        }
+        if not dead:
+            return sorted(alive)
+        alive -= dead
+
+
+def rebuilt(step: list[dict], live: list[int]) -> tuple[list[dict], list[dict]]:
+    """The live part of a letter-indexed graph rebuilt edge by edge in
+    vertex order, as ``(step, back)``."""
+    alive, new_id = set(live), {v: i for i, v in enumerate(live)}
+    live_step: list[dict] = [{} for _ in live]
+    back: list[dict] = [{} for _ in live]
+    for i, v in enumerate(live):
+        for c, targets in step[v].items():
+            for t in targets:
+                if t in alive:
+                    live_step[i].setdefault(c, []).append(new_id[t])
+                    back[new_id[t]].setdefault(c, []).append(i)
+    return live_step, back
+
+
+def ordered(graph: list[dict]) -> list[list]:
+    """A letter-indexed graph with its letter order made part of equality."""
+    return [list(out.items()) for out in graph]
+
+
+@st.composite
+def letter_graphs(draw):
+    """Letter-indexed graphs as the constructors build them: one list entry
+    per edge, and no letter mapped to an empty list."""
+    n = draw(st.integers(0, 7))
+    if not n:
+        return []
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from("abc")), max_size=16))
+    step: list[dict] = [{} for _ in range(n)]
+    for src, dst, c in edges:
+        step[src].setdefault(c, []).append(dst)
+    return step
+
+
+@given(letter_graphs())
+def test_trimmed_keeps_vertex_edge_and_letter_order(step):
+    """``_trimmed`` against a rebuild of the live part edge by edge."""
+    edges = [(v, t) for v, out in enumerate(step) for targets in out.values() for t in targets]
+    want_live = live_part(len(step), edges)
+    want_step, want_back = rebuilt(step, want_live)
+    live, got_step, got_back = _trimmed(step)
+    assert live == want_live
+    assert ordered(got_step) == ordered(want_step)
+    assert ordered(got_back) == ordered(want_back)
+
+
+def brute_block_graph(letters, forbidden):
+    """The trimmed block graph of a finite-type space, built from its
+    definition: the K-words with no forbidden factor as vertices, in
+    alphabet order, an edge u -> x[1:] emitting u[0] for each (K+1)-word x
+    with no forbidden factor and x[:K] = u, then trimmed by ``live_part``.
+    Returns ``(blocks, step, back)``; K is max(step_k, 1)."""
+    minimal = pairwise_prune(forbidden)
+    k = max(max(len(f) for f in minimal) - 1, 1)
+
+    def clean(w):
+        return not any(w[i : i + len(f)] == f for f in minimal for i in range(len(w) - len(f) + 1))
+
+    words = [w for w in itertools.product(letters, repeat=k) if clean(w)]
+    index = {w: i for i, w in enumerate(words)}
+    edges = [(index[x[:k]], index[x[1:]]) for x in itertools.product(letters, repeat=k + 1) if clean(x)]
+    live = live_part(len(words), edges)
+    step = [{words[v][0]: [t for s, t in edges if s == v]} for v in range(len(words))]
+    live_step, back = rebuilt(step, live)
+    return [words[v] for v in live], live_step, back
+
+
+def periodic_words(letters, forbidden, m: int) -> int:
+    """The m-words whose periodic repetition has no forbidden factor."""
+    return sum(
+        not any(f == (w * 5)[i : i + len(f)] for f in forbidden for i in range(m))
+        for w in itertools.product(letters, repeat=m)
+    )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(2, 4).flatmap(
+        lambda k: st.tuples(
+            st.just("0123"[:k]),
+            st.lists(st.lists(st.sampled_from("0123"[:k]), min_size=2, max_size=4).map(tuple), min_size=1, max_size=6),
+        )
+    )
+)
+@example(("01", [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]))
+@example(("01", [("0", "0"), ("1", "0", "0"), ("1", "1", "1", "0")]))
+def test_block_graph_matches_brute_force(drawn):
+    """Full and finite-type A'-graphs: vertices, edges, letter order and kept
+    block words equal the graph built from the definition, trimmed by
+    repeated deletion; the empty language is refused; periodic counts equal
+    the periodic words, which no trimming can change."""
+    letters, drawn_words = drawn
+    forbidden = set(drawn_words)
+    blocks, step, back = brute_block_graph(letters, forbidden)
+    alphabet = Alphabet(list(letters))
+    tm = TransitionMap(1, {(c,): "a" for c in sorted({b[0] for b in blocks} or letters)})
+    if not blocks:
+        with pytest.raises(InvalidWord, match="^the space has an empty language$"):
+            sft_space(Alphabet(["a"]), alphabet, tm, forbidden)
+        return
+    space = sft_space(Alphabet(["a"]), alphabet, tm, forbidden)
+    assert space.forbidden == pairwise_prune(forbidden)
+    assert list(space._blocks) == blocks
+    assert ordered(space._step) == ordered(step)
+    assert ordered(space._back) == ordered(back)
+    for m in range(1, 6):
+        assert space.count_periodic(m) == periodic_words(letters, forbidden, m)
