@@ -51,7 +51,12 @@ class LetterSteps:
 
 
 class LabeledGraph:
-    """A directed multigraph with word-labeled vertices and pair-labeled edges."""
+    """A directed multigraph with word-labeled vertices and pair-labeled edges.
+
+    Indexed, one entry per edge, by vertex: in-edge sources by sofic letter
+    (``sources_by_sofic``), out-edge targets by sofic letter
+    (``targets_by_sofic``) and by first letter (``targets_by_first``); its
+    vertices are indexed by label (``ids_with_label``)."""
 
     def __init__(
         self,
@@ -61,24 +66,15 @@ class LabeledGraph:
         self.labels: tuple[Word, ...] = tuple(tuple(w) for w in labels)
         self.edges: tuple[tuple[int, int, str, str | None], ...] = tuple(edges)
         n = len(self.labels)
-        for src, dst, _first, _sofic in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InvalidWord(f"edge ({src}, {dst}) references a missing vertex")
-        self._out: list[list[int]] = [[] for _ in range(n)]
-        self._in: list[list[int]] = [[] for _ in range(n)]
-        for idx, (src, dst, _f, _s) in enumerate(self.edges):
-            self._out[src].append(idx)
-            self._in[dst].append(idx)
         self._by_label: dict[Word, list[int]] = {}
         for vid, lab in enumerate(self.labels):
             self._by_label.setdefault(lab, []).append(vid)
-        # Letter indexes, one entry per edge: the sources of a vertex's
-        # in-edges and the targets of its out-edges by sofic letter, and the
-        # targets of its out-edges by first letter.
         self.sources_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
         self.targets_by_sofic: list[dict[str | None, list[int]]] = [{} for _ in range(n)]
         self.targets_by_first: list[dict[str, list[int]]] = [{} for _ in range(n)]
         for src, dst, first, sofic in self.edges:
+            if not (0 <= src < n and 0 <= dst < n):
+                raise InvalidWord(f"edge ({src}, {dst}) references a missing vertex")
             self.sources_by_sofic[dst].setdefault(sofic, []).append(src)
             self.targets_by_sofic[src].setdefault(sofic, []).append(dst)
             self.targets_by_first[src].setdefault(first, []).append(dst)
@@ -91,10 +87,10 @@ class LabeledGraph:
         return len(self.labels)
 
     def out_edges(self, vid: int) -> list[tuple[int, int, str, str | None]]:
-        return [self.edges[i] for i in self._out[vid]]
+        return [e for e in self.edges if e[0] == vid]
 
     def in_edges(self, vid: int) -> list[tuple[int, int, str, str | None]]:
-        return [self.edges[i] for i in self._in[vid]]
+        return [e for e in self.edges if e[1] == vid]
 
     def ids_with_label(self, label: Word) -> list[int]:
         return list(self._by_label.get(tuple(label), ()))
@@ -123,15 +119,13 @@ def vertex_like(g: LabeledGraph) -> LabeledGraph:
     """
     # Number the parallel copies each vertex needs.
     copies = [1] * g.n_vertices()
-    parallel_rank: dict[int, int] = {}
-    for vid in range(g.n_vertices()):
-        seen: dict[int, int] = {}
-        for eidx in g._out[vid]:
-            _src, dst, _first, _sofic = g.edges[eidx]
-            rank = seen.get(dst, 0)
-            seen[dst] = rank + 1
-            parallel_rank[eidx] = rank
-            copies[vid] = max(copies[vid], rank + 1)
+    parallel_rank: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    for src, dst, _first, _sofic in g.edges:
+        rank = seen.get((src, dst), 0)
+        seen[(src, dst)] = rank + 1
+        parallel_rank.append(rank)
+        copies[src] = max(copies[src], rank + 1)
     split_id: dict[tuple[int, int], int] = {}
     split_labels: list[Word] = []
     for vid in range(g.n_vertices()):
@@ -162,8 +156,8 @@ def _trim(g: LabeledGraph) -> LabeledGraph:
     space's own A'-graph goes through; survivors keep their order.
     """
     alive = _live_vertices(
-        [[g.edges[i][1] for i in ids] for ids in g._out],
-        [[g.edges[i][0] for i in ids] for ids in g._in],
+        [[t for targets in out.values() for t in targets] for out in g.targets_by_first],
+        [[u for sources in into.values() for u in sources] for into in g.sources_by_sofic],
     )
     keep = [v for v in range(g.n_vertices()) if alive[v]]
     remap = {old: new for new, old in enumerate(keep)}

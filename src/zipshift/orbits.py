@@ -140,15 +140,15 @@ class StableUnstableReport(_Value):
 
 
 def _right_merge(t: EpPoint, r: EpPoint) -> int | None:
-    """Least i0 >= 0 with t_i = r_i for all i >= i0, or None."""
-    start = max(len(t.right_transient), len(r.right_transient))
+    """Least i0 >= 0 with t_i = r_i for all i >= i0, or None, for r with no
+    right transient (orbit points and their mirrors).  The tails cannot agree
+    before t's transient ends: canonical t's last transient letter differs
+    from its period's last letter, which is r's letter there."""
+    start = len(t.right_transient)
     span = math.lcm(len(t.right_period), len(r.right_period))
     if any(t.letter(i) != r.letter(i) for i in range(start, start + span)):
         return None
-    d = start
-    while d > 0 and t.letter(d - 1) == r.letter(d - 1):
-        d -= 1
-    return d
+    return start
 
 
 def _right_flags(t: EpPoint, orbit: tuple[EpPoint, ...]) -> tuple[TailFlag, TailFlag]:

@@ -213,19 +213,6 @@ def _window_failure(space: ZipShiftSpace, x: EpPoint) -> AdmissibilityReport | N
     return None
 
 
-class _WitnessPaths:
-    """``LabelClassification.witness_paths``: the paths as given, or, given a
-    ``_Witnesses`` replay, the paths it expands on the first read, then kept."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return ()
-        paths = obj.__dict__["_witness_paths"]
-        if isinstance(paths, _Witnesses):
-            paths = obj.__dict__["_witness_paths"] = paths.expand()
-        return paths
-
-
 class LabelClassification(_Value):
     """Bounded-depth search metadata over the pre-image branches.
 
@@ -252,13 +239,20 @@ class LabelClassification(_Value):
     multiplicity: int | None
     variant: str | None
     searched_to: int | None
-    witness_paths: tuple[tuple[str, tuple[Word, ...]], ...] = _WitnessPaths()
     exact: bool
 
     def __init__(self, kind: str, delay: int | None = None, length: int | None = None, multiplicity: int | None = None,
                  variant: str | None = None, searched_to: int | None = None, witness_paths=(), exact: bool = False):
         self.__dict__.update(kind=kind, delay=delay, length=length, multiplicity=multiplicity, variant=variant,
                              searched_to=searched_to, _witness_paths=witness_paths, exact=exact)
+
+    @property
+    def witness_paths(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
+        """The paths as given, or those a ``_Witnesses`` replay expands on the first read, then kept."""
+        paths = self.__dict__["_witness_paths"]
+        if isinstance(paths, _Witnesses):
+            paths = self.__dict__["_witness_paths"] = paths.expand()
+        return paths
 
     def __getstate__(self) -> dict:
         # A pickled or copied answer carries its paths, not the graph their

@@ -257,7 +257,6 @@ class ZipShiftSpace:
         self.n = tm.n
         self._graphs: dict = {}  # labeled window graphs by width, see _graph
         self._walk: _SubsetWalk | None = None
-        self._seams: dict[tuple[int, Word], bool] = {}
         self._a_forb: frozenset[Word] | None = None
         self.forbidden: frozenset[Word] = frozenset()
         self.step_k = 0
@@ -478,18 +477,14 @@ class ZipShiftSpace:
 
         Its label must start with u's first letters; the rest of u is read
         on the subset walk over the edges' A'-labels started at those
-        vertices.  Memoized per (state, u).
+        vertices.
         """
-        key = (state, u)
-        ok = self._seams.get(key)
-        if ok is None:
-            g = self._graph(self._least_width())
-            ell = len(g.labels[0])
-            head, tail = u[:ell], u[ell:]
-            here = [v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head]
-            walk = _SubsetWalk(g.targets_by_first, self.alphabet_aprime.symbols, here)
-            ok = self._seams[key] = bool(walk.sets[walk.read(tail)])
-        return ok
+        g = self._graph(self._least_width())
+        ell = len(g.labels[0])
+        head, tail = u[:ell], u[ell:]
+        here = [v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head]
+        walk = _SubsetWalk(g.targets_by_first, self.alphabet_aprime.symbols, here)
+        return bool(walk.sets[walk.read(tail)])
 
     def admissible_a_word(self, word: Word) -> bool:
         """Is ``word`` an admissible A-word (a phi-image of an A'-word)?"""
@@ -547,6 +542,8 @@ class ZipShiftSpace:
         n_idx = max(n_step, 1)
         a_words = tuple(self.language(n_idx, side="a"))
         a_longer = set(self.language(n_idx + 1, side="a"))
+        walk = self._a_walk()
+        rows = {s: tuple(int(self._seam(s, v)) for v in ap_words) for s in {walk.read(u) for u in a_words}}
         return MatrixSet(
             aprime_words=ap_words,
             aprime_adj=tuple(tuple(int(j in out) for j in range(len(ap_words))) for out in succ),
@@ -554,7 +551,7 @@ class ZipShiftSpace:
             a_adj=tuple(
                 tuple(int(u[1:] == v[:-1] and u + v[-1:] in a_longer) for v in a_words) for u in a_words
             ),
-            t=tuple(tuple(int(self.mixed_admissible(u, v)) for v in ap_words) for u in a_words),
+            t=tuple(rows[walk.read(u)] for u in a_words),
             k=self.step_k,
             n_step=n_step,
             m_step=max(self.step_k, n_step),

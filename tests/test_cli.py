@@ -566,6 +566,12 @@ def test_inadmissible_point_rejected(specs, capsys):
     assert err == "error: right tail is not realizable by any walk\n"
 
 
+def test_preperiodic_of_a_non_periodic_point_is_an_error_line(specs, capsys):
+    rc, out, err = run(capsys, ["preperiodic", specs["ex21"], "(b)* ; 2 (2 3)*", "--level", "1"])
+    assert rc == 1 and out == ""
+    assert err == "error: point '(b)* ; 2 (2 3)*' is not periodic under the zip shift\n"
+
+
 def test_loose_shift_still_checks_alphabets(specs, capsys):
     rc, _, err = run(capsys, ["point", "shift", specs["ex21"], "(b)* ; (9)*"])
     assert rc == 1

@@ -95,6 +95,17 @@ def test_code_spec_refusals(sigma_f, target_a, target_aprime, m, plus, minus, wi
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "recode, message",
+    [(higher_block, "block length must be >= 1, got 0"), (higher_power, "power must be >= 1, got 0")],
+    ids=["block", "power"],
+)
+def test_recoding_refusals(ex21, recode, message):
+    with pytest.raises(InvalidWord) as exc:
+        recode(ex21, 0)
+    assert type(exc.value) is InvalidWord and str(exc.value) == message
+
+
 def test_check_commutation(ex21, sigma_f):
     assert check_commutation(two_block_spec(ex21), samples=60)
     assert check_commutation(projection_spec(sigma_f), samples=60)

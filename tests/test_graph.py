@@ -156,6 +156,24 @@ def test_spelled_language_refuses_nonpositive_lengths(even):
             spelled_language(g, k)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabeledGraph([("1",)], [(0, 1, "1", None)]), "edge (0, 1) references a missing vertex"),
+        (lambda: LabeledGraph([("1",)], [(-1, 0, "1", None)]), "edge (-1, 0) references a missing vertex"),
+        (
+            lambda: spelled_language(LabeledGraph([("1",), ("1", "2")], []), 1),
+            "spelled_language needs uniform label length",
+        ),
+    ],
+    ids=["missing-target", "negative-source", "mixed-label-lengths"],
+)
+def test_graph_refusals(build, message):
+    with pytest.raises(InvalidWord) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(spaces().filter(lambda space: space.kind == "sofic"))
 def test_sofic_window_graph_is_a_higher_edge_graph(space):

@@ -293,6 +293,43 @@ def test_stable_string_rejections(model1, model2):
         stable_string(model2, "02")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda m: m.x_interval("z"), BadLetter, "'z' is not a branch letter of this model"),
+        (lambda m: m.h_interval("z"), BadLetter, "'z' is not a horizontal strip name"),
+        (lambda m: m.inverse((F(0), F(0)), 0), InvalidWord, "fold choice must be in 1..2, got 0"),
+        # y = 1/2 lies between H_a = [0, 4/9] and H_b = [5/9, 1].
+        (lambda m: m.inverse((F(0), F(1, 2)), 1), EscapedSquare, "iterate 0 left all branch rectangles"),
+        (lambda m: code_point(m, (F(0), F(0)), 0), InvalidWord, "depth must be >= 1, got 0"),
+        (lambda m: decode(m, ItineraryCode((), ())), InvalidWord, "a code needs at least the letter at index 0"),
+        (lambda m: decode(m, ItineraryCode(("z",), ("0",))), BadLetter, "'z' is not a horizontal strip name"),
+        (
+            lambda m: verify_conjugacy(m, coding_space(m), 1, 10),
+            InvalidWord,
+            "conjugacy checks need depth >= 2, got 1",
+        ),
+        (lambda m: stable_string(m, ""), BadLetter, "the strip word is empty"),
+        (lambda m: stable_string(m, ("0", "2")), BadLetter, "'2' is not a strip letter of this model"),
+    ],
+    ids=[
+        "strip-letter", "side", "fold-zero", "inverse-in-gap", "depth-zero", "decode-empty", "decode-side",
+        "conjugacy-depth", "empty-strip-word", "strip-tuple",
+    ],
+)
+def test_model_and_coding_refusals(model2, call, error, message):
+    with pytest.raises(error) as exc:
+        call(model2)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_code_point_names_the_backward_escape_step():
+    # (0, 2/9) sits in H_a = [0, 4/9], and its fold-1 pre-image (0, 1/2) in neither strip.
+    with pytest.raises(EscapedSquare) as exc:
+        code_point(build_model(2), (F(0), F(2, 9)), 3)
+    assert exc.value.step == -1 and str(exc.value) == "iterate -1 left all branch rectangles"
+
+
 def x_inverse(model, letter, t):
     lo, hi = model.x_interval(letter)
     if model.branch_type(letter) == 0:

@@ -150,6 +150,59 @@ def test_pre_periodic_points(ex21, sigma_f, sigma_g, classical):
     }
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: periodic_point(s, ()), InvalidWord, "period word must be non-empty"),
+        (lambda s: periodic_points(s, 0), InvalidWord, "period must be >= 1, got 0"),
+        (
+            lambda s: pre_periodic_points(s, periodic_point(s, ("2", "3")), 0),
+            InvalidWord,
+            "level must be >= 1, got 0",
+        ),
+        (
+            lambda s: homoclinic_datum(s, periodic_point(s, ("2", "3")), periodic_point(s, ("2", "3")).point),
+            NotInSpace,
+            "the point lies on the periodic orbit itself",
+        ),
+        # Its left tail (b)* is the orbit's, but its right tail (3 2 2)* never joins (2 3)*.
+        (
+            lambda s: homoclinic_datum(s, periodic_point(s, ("2", "3")), parse_point("(b)* ; 2 (3 2 2)*")),
+            NotInSpace,
+            "the point is not doubly asymptotic to the orbit",
+        ),
+    ],
+    ids=["empty-word", "period-zero", "level-zero", "on-orbit", "not-doubly-asymptotic"],
+)
+def test_orbit_refusals(ex21, call, error, message):
+    with pytest.raises(error) as exc:
+        call(ex21)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def _assert_orbit_points_have_no_transients(space):
+    for m in range(1, 5):
+        for p in periodic_points(space, m):
+            for r in orbit_points(space, p):
+                assert not r.left_transient and not r.right_transient, (p.word, format_point(r))
+
+
+@pytest.mark.parametrize(
+    "name", ["ex21", "f3", "classical", "sigma_f", "sigma_g", "even", "five", "coding1", "coding2"]
+)
+def test_orbit_points_have_no_transients(request, name):
+    """Orbit points repeat on both sides from the seam out, which is what lets
+    the tail flags take a merge index straight from the other point's
+    transient."""
+    _assert_orbit_points_have_no_transients(request.getfixturevalue(name))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces())
+def test_drawn_orbit_points_have_no_transients(space):
+    _assert_orbit_points_have_no_transients(space)
+
+
 def test_orbit_tools_run_no_classification(ex21, coding2, sigma_f, monkeypatch):
     """Pre-periodic points, homoclinic orbits and iterated pre-images read
     only the pre-image branch letters, never the path-search classification."""

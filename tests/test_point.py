@@ -38,6 +38,12 @@ def test_parse_rejects_malformed():
             parse_point(text)
 
 
+def test_constructor_refuses_an_empty_period():
+    with pytest.raises(InvalidWord) as exc:
+        EpPoint((), (), (), ("1",))
+    assert str(exc.value) == "periods must be non-empty"
+
+
 def test_canonical_junction_absorption():
     # the same left-infinite sequence spelled with a redundant transient
     assert parse_point("(b a)* b a b b ; (1)*") == parse_point("(a b)* b ; (1)*")

@@ -122,11 +122,26 @@ TM2 = TransitionMap(1, {("1",): "a", ("2",): "b"})
             UnknownSymbol,
             "edge label '3' is not an A' symbol",
         ),
+        # Queries on a built space refuse their arguments the same way.
+        (lambda: full_space(A2, P2, TM2).language(0), InvalidWord, "word length must be positive, got 0"),
+        (lambda: full_space(A2, P2, TM2).language(2, "bogus"), InvalidWord, "unknown side 'bogus'"),
+        (
+            lambda: full_space(A2, P2, TM2).mixed_admissible((), ("1",)),
+            InvalidWord,
+            "mixed words need letters on both sides",
+        ),
+        (lambda: full_space(A2, P2, TM2).count_periodic(0), InvalidWord, "period must be positive, got 0"),
+        (
+            lambda: sofic_space(A2, P2, TM2, ["P"], [("P", "P", "1"), ("P", "P", "2")]).count_periodic(1),
+            NotFiniteType,
+            "periodic counting by trace needs a finite-type space",
+        ),
     ],
     ids=[
         "kind", "no-presentation", "full-forbidden", "sofic-forbidden", "sft-presentation", "full-presentation",
         "empty-language", "missing-window", "mixed-forbidden", "short-forbidden",
         "duplicate-vertex", "unknown-vertex", "unknown-label",
+        "language-length", "language-side", "mixed-one-sided", "period-zero", "sofic-count",
     ],
 )
 def test_constructor_refusals(build, error, message):

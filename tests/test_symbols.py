@@ -59,6 +59,12 @@ def test_alphabet_check_word():
         a.index("c")
 
 
+def test_alphabet_key_refuses_unknown_letters():
+    with pytest.raises(UnknownSymbol) as exc:
+        Alphabet(["a"]).key(("b",))
+    assert str(exc.value) == "'b' is not in alphabet ['a']"
+
+
 def test_alphabet_equality_and_hash():
     assert Alphabet(["a", "b"]) == Alphabet(["a", "b"])
     assert Alphabet(["a", "b"]) != Alphabet(["b", "a"])
