@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import TYPE_CHECKING, Callable
@@ -495,10 +496,6 @@ def _cmd_horseshoe_coding(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-
-
 def _fraction(text: str) -> Fraction:
     """An ``--eps`` value; a zero denominator is a usage error, as any other
     text that is not a fraction."""
@@ -510,124 +507,85 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+# Every command once: its words, help line, handler and arguments as
+# (flags, options) pairs, in help order.  A family's parser is made with its
+# first command, so the table's order is also the order of the families.
+_FAMILIES = {
+    "space": "inspect a space spec",
+    "graph": "labeled transition graphs",
+    "point": "operate on single points",
+    "code": "sliding block codes",
+    "horseshoe": "folded planar model",
+}
+_SPEC = ("spec", {})
+_SEED = ("--seed", dict(type=int, default=0, help="RNG seed (default 0)"))
+_EPS = ("--eps", dict(type=_fraction, default="1/2"))
+_FOLDS = ("-n", dict(type=int, required=True))
+_COMMANDS = (
+    ("space validate", "check a spec file and print a summary", _cmd_space_validate, [_SPEC]),
+    ("space words", "list admissible words of a given length", _cmd_space_words, [
+        _SPEC, ("-k", dict(type=int, required=True, help="word length")),
+        ("--side", dict(choices=("a", "aprime"), default="aprime"))]),
+    ("space matrices", "print the adjacency matrices", _cmd_space_matrices, [_SPEC]),
+    ("space irreducible", "test irreducibility", _cmd_space_irreducible, [_SPEC]),
+    ("graph build", "build the labeled graph and export DOT", _cmd_graph_build, [
+        _SPEC, ("--backward", dict(action="store_true", help="reverse the edges")),
+        ("--dot", dict(required=True, metavar="OUT", help="output path, - for stdout"))]),
+    ("point shift", "apply the zip shift", _cmd_point_shift, [
+        _SPEC, ("point", {}), ("-k", dict(type=int, default=1, help="number of steps (default 1)"))]),
+    ("point preimages", "list the pre-images of a point", _cmd_point_preimages, [
+        _SPEC, ("point", {}), ("--depth", dict(type=int, default=1, help="pre-image depth (default 1)")),
+        ("--dmax", dict(type=int, default=32, help="path-search bound of --classify")),
+        ("--classify", dict(action="store_true",
+                            help="prepend a # line with the branch classification (depth 1 only)"))]),
+    ("point metrics", "distances between two points", _cmd_point_metrics, [
+        _SPEC, ("first", {}), ("second", {})]),
+    ("periodic", "periodic points of a given period", _cmd_periodic, [
+        _SPEC, ("-m", dict(type=int, required=True, help="period")),
+        ("--count-only", dict(action="store_true"))]),
+    ("preperiodic", "points falling onto a periodic orbit", _cmd_preperiodic, [
+        _SPEC, ("point", dict(help="a periodic point")),
+        ("--level", dict(type=int, required=True, help="periods to search back"))]),
+    ("code check", "test commutation with the shifts", _cmd_code_check, [
+        ("codespec", {}), ("--samples", dict(type=int, default=50)), _SEED]),
+    ("code apply", "apply the code to a point", _cmd_code_apply, [("codespec", {}), ("point", {})]),
+    ("code invert", "search for an inverse code", _cmd_code_invert, [
+        ("codespec", {}), ("--max-window", dict(type=int, default=4)), _SEED]),
+    ("homoclinic", "orbits doubly asymptotic to a cycle", _cmd_homoclinic, [
+        _SPEC, ("--periodic", dict(required=True, metavar="POINT")),
+        ("--point", dict(required=True, metavar="POINT"))]),
+    ("horseshoe build", "print the model geometry", _cmd_horseshoe_build, [
+        ("-n", dict(_FOLDS[1], help="number of folds")), ("--eps", dict(_EPS[1], help="gap parameter"))]),
+    ("horseshoe verify", "cross-check the coding against the shift", _cmd_horseshoe_verify, [
+        _FOLDS, _EPS, ("--depth", dict(type=int, required=True)),
+        ("--samples", dict(type=int, required=True)), _SEED]),
+    ("horseshoe stable-string", "fold-connected strip chain (two folds)", _cmd_horseshoe_stable_string, [
+        ("word", dict(help="strip word like 00 or 10'1'")), _EPS]),
+    ("horseshoe coding", "emit the coding space as a spec file", _cmd_horseshoe_coding, [_FOLDS, _EPS]),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipshift",
         description="Work with two-alphabet shift spaces from JSON spec files.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    space = top.add_parser("space", help="inspect a space spec").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sub = space.add_parser("validate", help="check a spec file and print a summary")
-    sub.add_argument("spec")
-    sub.set_defaults(handler=_cmd_space_validate)
-    sub = space.add_parser("words", help="list admissible words of a given length")
-    sub.add_argument("spec")
-    sub.add_argument("-k", type=int, required=True, help="word length")
-    sub.add_argument("--side", choices=("a", "aprime"), default="aprime")
-    sub.set_defaults(handler=_cmd_space_words)
-    sub = space.add_parser("matrices", help="print the adjacency matrices")
-    sub.add_argument("spec")
-    sub.set_defaults(handler=_cmd_space_matrices)
-    sub = space.add_parser("irreducible", help="test irreducibility")
-    sub.add_argument("spec")
-    sub.set_defaults(handler=_cmd_space_irreducible)
-
-    graph = top.add_parser("graph", help="labeled transition graphs").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sub = graph.add_parser("build", help="build the labeled graph and export DOT")
-    sub.add_argument("spec")
-    sub.add_argument("--backward", action="store_true", help="reverse the edges")
-    sub.add_argument("--dot", required=True, metavar="OUT", help="output path, - for stdout")
-    sub.set_defaults(handler=_cmd_graph_build)
-
-    point = top.add_parser("point", help="operate on single points").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sub = point.add_parser("shift", help="apply the zip shift")
-    sub.add_argument("spec")
-    sub.add_argument("point")
-    sub.add_argument("-k", type=int, default=1, help="number of steps (default 1)")
-    sub.set_defaults(handler=_cmd_point_shift)
-    sub = point.add_parser("preimages", help="list the pre-images of a point")
-    sub.add_argument("spec")
-    sub.add_argument("point")
-    sub.add_argument("--depth", type=int, default=1, help="pre-image depth (default 1)")
-    sub.add_argument("--dmax", type=int, default=32, help="path-search bound of --classify")
-    sub.add_argument(
-        "--classify",
-        action="store_true",
-        help="prepend a # line with the branch classification (depth 1 only)",
-    )
-    sub.set_defaults(handler=_cmd_point_preimages)
-    sub = point.add_parser("metrics", help="distances between two points")
-    sub.add_argument("spec")
-    sub.add_argument("first")
-    sub.add_argument("second")
-    sub.set_defaults(handler=_cmd_point_metrics)
-
-    sub = top.add_parser("periodic", help="periodic points of a given period")
-    sub.add_argument("spec")
-    sub.add_argument("-m", type=int, required=True, help="period")
-    sub.add_argument("--count-only", action="store_true")
-    sub.set_defaults(handler=_cmd_periodic)
-
-    sub = top.add_parser("preperiodic", help="points falling onto a periodic orbit")
-    sub.add_argument("spec")
-    sub.add_argument("point", help="a periodic point")
-    sub.add_argument("--level", type=int, required=True, help="periods to search back")
-    sub.set_defaults(handler=_cmd_preperiodic)
-
-    code = top.add_parser("code", help="sliding block codes").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sub = code.add_parser("check", help="test commutation with the shifts")
-    sub.add_argument("codespec")
-    sub.add_argument("--samples", type=int, default=50)
-    _add_seed(sub)
-    sub.set_defaults(handler=_cmd_code_check)
-    sub = code.add_parser("apply", help="apply the code to a point")
-    sub.add_argument("codespec")
-    sub.add_argument("point")
-    sub.set_defaults(handler=_cmd_code_apply)
-    sub = code.add_parser("invert", help="search for an inverse code")
-    sub.add_argument("codespec")
-    sub.add_argument("--max-window", type=int, default=4)
-    _add_seed(sub)
-    sub.set_defaults(handler=_cmd_code_invert)
-
-    sub = top.add_parser("homoclinic", help="orbits doubly asymptotic to a cycle")
-    sub.add_argument("spec")
-    sub.add_argument("--periodic", required=True, metavar="POINT")
-    sub.add_argument("--point", required=True, metavar="POINT")
-    sub.set_defaults(handler=_cmd_homoclinic)
-
-    horseshoe = top.add_parser("horseshoe", help="folded planar model").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sub = horseshoe.add_parser("build", help="print the model geometry")
-    sub.add_argument("-n", type=int, required=True, help="number of folds")
-    sub.add_argument("--eps", type=_fraction, default="1/2", help="gap parameter")
-    sub.set_defaults(handler=_cmd_horseshoe_build)
-    sub = horseshoe.add_parser("verify", help="cross-check the coding against the shift")
-    sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=_fraction, default="1/2")
-    sub.add_argument("--depth", type=int, required=True)
-    sub.add_argument("--samples", type=int, required=True)
-    _add_seed(sub)
-    sub.set_defaults(handler=_cmd_horseshoe_verify)
-    sub = horseshoe.add_parser("stable-string", help="fold-connected strip chain (two folds)")
-    sub.add_argument("word", help="strip word like 00 or 10'1'")
-    sub.add_argument("--eps", type=_fraction, default="1/2")
-    sub.set_defaults(handler=_cmd_horseshoe_stable_string)
-    sub = horseshoe.add_parser("coding", help="emit the coding space as a spec file")
-    sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("--eps", type=_fraction, default="1/2")
-    sub.set_defaults(handler=_cmd_horseshoe_coding)
-
+    families = {}
+    for words, help_line, handler, arguments in _COMMANDS:
+        *family, name = words.split()
+        subs = top
+        if family:
+            (word,) = family
+            if word not in families:
+                families[word] = top.add_parser(word, help=_FAMILIES[word]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            subs = families[word]
+        sub = subs.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            sub.add_argument(flags, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -637,10 +595,17 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "classify", False) and args.depth != 1:
         parser.error("--classify needs --depth 1")
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
     except ZipShiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): point it at devnull so the
+        # flush at exit cannot fail again, and exit 1 with nothing on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

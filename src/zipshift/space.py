@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import InvalidWord, NotFiniteType, UnknownSymbol
@@ -295,19 +296,25 @@ class ZipShiftSpace:
 
         # The transition table must cover exactly the admissible n-words.
         tm.validate_onto(alphabet_a)
+        dom = tm.domain()
         if self._blocks is not None and self.n <= len(self._blocks[0]):
             # Every live block is the window of some point, and every
-            # admissible n-word starts one.
-            lang_n = {b[: self.n] for b in self._blocks}
+            # admissible n-word starts one; the blocks are in alphabet order.
+            lang_n = dict.fromkeys(b[: self.n] for b in self._blocks)
+            extra = sorted(w for w in dom if w not in lang_n)
         else:
-            lang_n = set(self.language(self.n))
-        dom = tm.domain()
-        if dom != lang_n:
-            missing = sorted(lang_n - dom)
-            extra = sorted(dom - lang_n)
+            # Each table word is read on the walk (a letter off A' reaches the
+            # empty state); the n-words are listed only up to a fourth one
+            # missing from the table.
+            walk = self._aprime_walk
+            lang_n = (w for w, _state in walk.words(self.n))
+            extra = sorted(w for w in dom if not walk.sets[walk.read(w)])
+        missing = list(islice((w for w in lang_n if w not in dom), 4))
+        if missing or extra:
             parts = []
             if missing:
-                parts.append(f"missing {[' '.join(w) for w in missing]}")
+                more = " and more" if len(missing) > 3 else ""
+                parts.append(f"missing {[' '.join(w) for w in sorted(missing[:3])]}{more}")
             if extra:
                 parts.append(f"inadmissible {[' '.join(w) for w in extra]}")
             raise InvalidWord("transition domain mismatch: " + "; ".join(parts))
@@ -475,16 +482,20 @@ class ZipShiftSpace:
     def _seam(self, state: int, u: Word) -> bool:
         """Can a vertex of the walk state sit at index 0 and spell u from there?
 
-        Its label must start with u's first letters; the rest of u is read
-        on the subset walk over the edges' A'-labels started at those
-        vertices.
+        Its label must start with u's first letters; the set of those
+        vertices is then stepped along the rest of u over the edges'
+        A'-labels, and u fits when some vertex is left.
         """
         g = self._graph(self._least_width())
         ell = len(g.labels[0])
         head, tail = u[:ell], u[ell:]
-        here = [v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head]
-        walk = _SubsetWalk(g.targets_by_first, self.alphabet_aprime.symbols, here)
-        return bool(walk.sets[walk.read(tail)])
+        here = {v for v in self._walk.sets[state] if g.labels[v][: len(head)] == head}
+        step = g.targets_by_first
+        for c in tail:
+            if not here:
+                break
+            here = {w for v in here for w in step[v].get(c, ())}
+        return bool(here)
 
     def admissible_a_word(self, word: Word) -> bool:
         """Is ``word`` an admissible A-word (a phi-image of an A'-word)?"""

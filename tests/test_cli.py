@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -613,3 +617,51 @@ def test_output_is_deterministic(specs, capsys):
     first = run(capsys, ["code", "check", specs["block2"], "--samples", "30"])
     second = run(capsys, ["code", "check", specs["block2"], "--samples", "30"])
     assert first == second
+
+
+def test_closed_stdout_is_a_quiet_exit_1(specs):
+    """Reading one line of 65,536 and closing the pipe (``| head -1``) ends
+    the command with status 1 and nothing on stderr, not a traceback."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zipshift", "space", "words", specs["sigma_f"], "-k", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1 1 1 1 1 1 1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def _readme_section(title):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_list_names_every_command():
+    listed = set()
+    for line in _readme_section("Command line").splitlines():
+        if line.startswith("zipshift "):
+            words = line.split()[1:3]
+            listed.add(" ".join(words if words[0] in cli._FAMILIES else words[:1]))
+    commands = [row[0] for row in cli._COMMANDS]
+    assert len(commands) == 18 and listed == set(commands)
+
+
+def test_readme_examples_print_what_they_show(specs, capsys):
+    files = {"ex21.json": specs["ex21"], "sigma_g.json": specs["sigma_g"], "reducible.json": specs["reducible"]}
+    fenced = _readme_section("Command line").split("```")[1::2]
+    (shown,) = [block for block in fenced if block.startswith("\n$ ")]
+    examples = shown.strip("\n").split("\n\n")
+    assert len(examples) == 4
+    for example in examples:
+        command, want = example.split("\n", 1)
+        argv = [files.get(word, word) for word in shlex.split(command)[2:]]
+        assert run(capsys, argv) == (0, want + "\n", "")

@@ -149,6 +149,46 @@ def test_constructor_refusals(build, error, message):
         build()
     assert type(exc.value) is error and str(exc.value) == message
 
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # n at most the block length: the n-words are read off the blocks.
+        (
+            lambda: sft_space(
+                Alphabet(["a"]), Alphabet(["1", "2", "3"]), TransitionMap(2, {("2", "2"): "a"}), {("1", "1", "1")}
+            ),
+            "transition domain mismatch: missing ['1 1', '1 2', '1 3'] and more",
+        ),
+        # A sofic space: the table is read on the A'-walk, a foreign letter
+        # included.
+        (
+            lambda: sofic_space(
+                Alphabet(["a"]),
+                Alphabet(["0", "1"]),
+                TransitionMap(3, {w: "a" for w in itertools.product("01", repeat=3) if w != ("0", "0", "0")}
+                              | {("9", "9", "9"): "a"}),
+                ["P", "Q"],
+                [("P", "P", "1"), ("P", "Q", "0"), ("Q", "P", "0")],
+            ),
+            "transition domain mismatch: missing ['0 0 0']; inadmissible ['1 0 1', '9 9 9']",
+        ),
+        # A one-entry table of a wide full space misses 2^16 - 1 words, and
+        # only the first three are named.
+        (
+            lambda: full_space(Alphabet(["a"]), Alphabet(["0", "1"]), TransitionMap(16, {("0",) * 16: "a"})),
+            "transition domain mismatch: missing "
+            f"{[' '.join('0' * 14 + tail) for tail in ('01', '10', '11')]} and more",
+        ),
+    ],
+    ids=["blocks", "sofic", "wide"],
+)
+def test_domain_mismatch_names_at_most_three_missing_words(build, message):
+    with pytest.raises(InvalidWord) as exc:
+        build()
+    assert str(exc.value) == message and len(message) < 1000
+
+
 def test_language_ex21(ex21):
     assert words(ex21, 1) == {"1", "2", "3"}
     assert words(ex21, 2) == {"1 2", "2 2", "2 3", "3 1", "3 2"}
