@@ -15,6 +15,7 @@ power -- is one sliding rule, turned into a point by ``EpPoint._sliding``.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
 from .orbits import periodic_points
@@ -64,12 +65,15 @@ class BlockCodeSpec:
         self.m = m
         self.window = window
 
-        dom = set(self.psi_plus)
-        want = set(source.language(window))
-        if dom != want:
+        # Each key is read on the source's A'-walk (a letter off A' reaches the
+        # empty state); the window-words are listed only up to a third one
+        # missing from the table.
+        walk = source._aprime_walk
+        extra = [w for w in self.psi_plus if len(w) != window or not walk.sets[walk.read(w)]]
+        missing = list(islice((w for w, _state in walk.words(window) if w not in self.psi_plus), 3))
+        if missing or extra:
             raise InvalidCode(
-                "positive table domain mismatch: "
-                f"missing {sorted(want - dom)[:3]}, extra {sorted(dom - want)[:3]}"
+                f"positive table domain mismatch: missing {sorted(missing)}, extra {sorted(extra)[:3]}"
             )
         vals = set(self.psi_plus.values())
         if not vals <= set(target_aprime.symbols):
@@ -79,7 +83,7 @@ class BlockCodeSpec:
 
         mwant = {
             (a,) + u
-            for u in want
+            for u in self.psi_plus
             for a in source.alphabet_a
             if source.mixed_admissible((a,), u)
         }
@@ -228,10 +232,10 @@ def invert_code(
         mgroups: dict[Word, set[str]] = {}
         for u, zw in zwords.items():
             for a in src.alphabet_a:
-                if not src.mixed_admissible((a,), u[: spec.window]):
-                    continue
-                c = spec.psi_minus[(a,) + u[: spec.window]]
-                mgroups.setdefault((c,) + zw, set()).add(a)
+                # The seam table's keys are exactly the admissible seam blocks.
+                c = spec.psi_minus.get((a,) + u[: spec.window])
+                if c is not None:
+                    mgroups.setdefault((c,) + zw, set()).add(a)
         if any(len(s) > 1 for s in mgroups.values()):
             continue
         minus_inv = {k: next(iter(s)) for k, s in mgroups.items()}

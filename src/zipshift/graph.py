@@ -30,22 +30,21 @@ class LetterSteps:
     along this walk, or None: one per walk, so the queries asked in turn
     about one point share the viability searches on each of its sides.
 
-    The pre-image path search interns its states along this walk, each with
-    the steps taken from it: ``count_states`` holds one branch chain's capped
-    path counts at a depth, and ``joint_states`` the tuples of those that the
-    chains of one classification reach together, with the facts the patterns
-    read off them.  The search clears both before a classification once
-    either holds more than a fixed number of states per vertex.
+    The pre-image path search interns its states along this walk in
+    ``joint_states``, each with the steps taken from it: the branch chains
+    of one classification at one depth, each a pair of the vertices it
+    reaches and their capped path counts, with the facts the patterns read
+    off them.  The search clears the table before a classification once it
+    holds more than a fixed number of states per vertex.
     ``ranked_sources`` is ``step`` with each list in the canonical lift's
     (label, id) order, built on the first lift along this walk, or None.
     """
 
-    __slots__ = ("step", "last_label", "count_states", "joint_states", "ranked_sources")
+    __slots__ = ("step", "last_label", "joint_states", "ranked_sources")
 
     def __init__(self, step: list[dict]):
         self.step = step
         self.last_label = None
-        self.count_states: dict = {}
         self.joint_states: dict = {}
         self.ranked_sources: list[dict] | None = None
 

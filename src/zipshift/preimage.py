@@ -20,8 +20,8 @@ label: a query pays for the nodes its questions reach, and each product
 edge at most once.
 
 The path search behind the classification follows one chain of capped
-path-count states per branch letter outward, and steps the chains together
-as one joint state: the tuple of their count states.  A joint state computes
+path counts per branch letter outward, and steps the chains together as one
+joint state: the tuple of the chains at a depth.  A joint state computes
 once what the patterns read at a depth (how many chains are alive, their
 capped path total, whether the alive chains end at one vertex), so a depth
 costs one step lookup, those three facts and a cycle key.  The search stops
@@ -30,8 +30,8 @@ transient, since every deeper depth repeats one already checked, and says
 in ``exact`` whether it stopped so (or on a pattern, or with every chain
 ended) rather than at the search bound.  Witnesses are not built then: the
 classification keeps what their replay needs, and the first read of
-``witness_paths`` steps each viable branch's count states out to the depth
-its path reaches and walks one path back from the deepest depth that still
+``witness_paths`` steps each viable branch's chain out to the depth its
+path reaches and walks one path back from the deepest depth that still
 carries one.  No parent is stored: each step back finds it on the graph,
 the first vertex one depth up, in reach order, with an edge along that
 depth's letter; one depth up from depth 1 are the position-0 vertices, in
@@ -43,15 +43,16 @@ starting afresh when its (transient, period) is the same: the queries asked
 in turn about one point share the decided nodes of each side between them,
 and the position-0 vertices, kept on the right label, since they depend on
 the right tail alone.
-The count states and the joint states are interned on the leftward walk
-(``LetterSteps.count_states`` and ``joint_states``), each with its steps, the
-subset construction of the backward graph built as it is read: a step taken
-once on a graph is read by every later search on it.  Both tables are
-cleared together before a classification once either holds more than
-``_STATES_PER_VERTEX`` states per graph vertex.
+The joint states are interned on the leftward walk
+(``LetterSteps.joint_states``), each with its steps, the subset construction
+of the backward graph built as it is read: a step taken once on a graph is
+read by every later search on it.  The table is cleared before a
+classification once it holds more than ``_STATES_PER_VERTEX`` states per
+graph vertex.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import InvalidWord, NotInSpace
@@ -278,115 +279,95 @@ def _preimage_point(x: EpPoint, t: str) -> EpPoint:
     return EpPoint._of_symbols(lp, lt, (t,) + x.right_transient, x.right_period)
 
 
-class _Counts:
-    """Capped path counts at one depth of the path search, interned per walk.
+# A branch chain of the path search at one depth is a pair: the vertices it
+# reaches, in reach order, and their path counts capped at 2.  Ended chains
+# share this one.
+_ENDED_CHAIN: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
-    ``verts`` lists the vertices reached, in reach order, and ``counts`` their
-    path counts capped at 2; ``total`` is the capped sum.  ``next[a]`` holds
-    the state one depth on along letter a once taken (see ``step``).  A
-    witness finds the parents of its path on the graph (see ``_witness``).
-    """
 
-    __slots__ = ("verts", "counts", "total", "next")
+def _chain_step(step: list[dict], chain: tuple, a: str) -> tuple:
+    """The chain one depth on along letter a of the leftward walk ``step``:
+    a vertex reached along one edge keeps its source's count, and one
+    reached along two or more counts 2."""
+    new: dict[int, int] = {}
+    for v, cnt in zip(*chain):
+        for u in step[v].get(a, ()):
+            new[u] = 2 if u in new else cnt
+    return (tuple(new), tuple(new.values())) if new else _ENDED_CHAIN
 
-    def __init__(self, verts: tuple[int, ...], counts: tuple[int, ...]):
-        self.verts = verts
-        self.counts = counts
-        self.total = min(2, sum(counts))
-        self.next: dict[str, _Counts] = {}
 
-    def step(self, walk: LetterSteps, a: str) -> _Counts:
-        """The state one depth on along letter a, computed on the first call
-        and read from ``next`` after it."""
-        nxt = self.next.get(a)
-        if nxt is None:
-            sources = walk.step
-            new: dict[int, int] = {}
-            for v, cnt in zip(self.verts, self.counts):
-                for u in sources[v].get(a, ()):
-                    new[u] = 2 if u in new else cnt
-            nxt = self.next[a] = _interned(walk.count_states, tuple(new), tuple(new.values()))
-        return nxt
+def _start(starts: dict[int, int]) -> tuple:
+    """A chain's first depth, counts capped at 2."""
+    return tuple(starts), tuple(min(2, c) for c in starts.values())
 
 
 class _Joint:
-    """The count states of several chains at one depth, stepped together.
+    """The branch chains of one classification at one depth, stepped together.
 
     Interned per walk (``LetterSteps.joint_states``), keyed by the tuple of
-    ``states``.  Made once, it keeps what the classification reads at a
+    ``chains``.  Made once, it keeps what the classification reads at a
     depth: ``alive``, how many chains still carry a path; ``total``, their
     path counts summed and capped at 2; and ``shared``, whether every path of
     the alive chains ends at one vertex.  ``next[a]`` holds the joint state
     one depth on along letter a once taken, each chain stepped by
-    ``_Counts.step``.
+    ``_chain_step``.
     """
 
-    __slots__ = ("states", "alive", "total", "shared", "next")
+    __slots__ = ("chains", "alive", "total", "shared", "next")
 
-    def __init__(self, states: tuple[_Counts, ...]):
-        self.states = states
-        alive = [state for state in states if state.verts]
+    def __init__(self, chains: tuple[tuple, ...]):
+        self.chains = chains
+        alive = [verts for verts, _counts in chains if verts]
         self.alive = len(alive)
-        self.total = min(2, sum(state.total for state in alive))
-        self.shared = len(set().union(*(state.verts for state in alive))) == 1
+        self.total = min(2, sum(sum(counts) for _verts, counts in chains))
+        self.shared = len(set().union(*alive)) == 1
         self.next: dict[str, _Joint] = {}
 
     def step(self, walk: LetterSteps, a: str) -> _Joint:
         """The joint state one depth on along letter a."""
         nxt = self.next.get(a)
         if nxt is None:
-            nxt = self.next[a] = _joint(walk, tuple(state.step(walk, a) for state in self.states))
+            nxt = self.next[a] = _joint(walk, tuple(_chain_step(walk.step, chain, a) for chain in self.chains))
         return nxt
 
 
-# The path search's tables on a graph are cleared before a classification
-# once either holds more states than this many per graph vertex, which bounds
-# their memory; an S(6,2,3) window graph settles at about 1.6 count states
-# and 1.3 joint states per vertex.
+# The path search's table on a graph is cleared before a classification once
+# it holds more states than this many per graph vertex, which bounds its
+# memory; an S(6,2,3) window graph settles at about 1.6 joint states per
+# vertex.
 _STATES_PER_VERTEX = 8
 
 
-def _interned(table: dict, verts: tuple[int, ...], counts: tuple[int, ...]) -> _Counts:
-    state = table.get((verts, counts))
-    if state is None:
-        state = table[verts, counts] = _Counts(verts, counts)
-    return state
-
-
-def _start(walk: LetterSteps, starts: dict[int, int]) -> _Counts:
-    """The interned state of a chain's first depth, counts capped at 2."""
-    return _interned(walk.count_states, tuple(starts), tuple(min(2, c) for c in starts.values()))
-
-
-def _joint(walk: LetterSteps, states: tuple[_Counts, ...]) -> _Joint:
-    joint = walk.joint_states.get(states)
+def _joint(walk: LetterSteps, chains: tuple[tuple, ...]) -> _Joint:
+    joint = walk.joint_states.get(chains)
     if joint is None:
-        joint = walk.joint_states[states] = _Joint(states)
+        joint = walk.joint_states[chains] = _Joint(chains)
     return joint
 
 
 def _witness(
-    g: LabeledGraph, zero: frozenset[int], states: list[_Counts], letters: list[str]
+    g: LabeledGraph, zero: frozenset[int], chains: list[tuple], letters: list[str]
 ) -> tuple[Word, ...]:
     """The labels of one path of a chain from a position-0 vertex out to the
-    deepest of its ``states`` that still carries one.
+    deepest of its ``chains`` that still carries one.
 
-    ``states[i]`` is the chain's state at depth i + 1, reached from the depth
-    one up along ``letters[i]``; one up from depth 1 are the position-0
+    ``chains[i]`` is the chain at depth i + 1, reached from the depth one
+    up along ``letters[i]``; one up from depth 1 are the position-0
     vertices ``zero``, in id order.  The path ends at the least vertex of
-    its deepest state and steps back, at each depth, to the first vertex one
-    depth up, in reach order, with an edge to it along that depth's letter.
+    the deepest of them that carries one and steps back, at each depth, to
+    the first vertex one depth up, in reach order, with an edge to it along
+    that depth's letter.
     """
-    d = len(states)
-    while d and not states[d - 1].verts:
+    d = len(chains)
+    while d and not chains[d - 1][0]:
         d -= 1
     if not d:
         return ()
     sources = g.leftward.step
-    v = min(states[d - 1].verts)
+    v = min(chains[d - 1][0])
     path = [g.labels[v]]
     for i in reversed(range(d)):
-        up = states[i - 1].verts if i else sorted(zero)
+        up = chains[i - 1][0] if i else sorted(zero)
         v = next(u for u in up if v in sources[u].get(letters[i], ()))
         path.append(g.labels[v])
     path.reverse()
@@ -398,10 +379,10 @@ class _Witnesses(NamedTuple):
     graph, the left label the chains read their letters from, the viable
     branch letters with their candidates, the position-0 vertices and the
     depth the paths reach out to.  Nothing of the space is kept, and no
-    state of the path search, whose tables may be cleared before the paths
-    are read.  The replay steps each viable branch's count states out to
-    ``depth`` again and finds the parents of its path on the graph as it
-    walks the path back.
+    state of the path search, whose table may be cleared before the paths
+    are read.  The replay steps each viable branch's chain out to ``depth``
+    again and finds the parents of its path on the graph as it walks the
+    path back.
     """
 
     g: LabeledGraph
@@ -412,16 +393,16 @@ class _Witnesses(NamedTuple):
     depth: int
 
     def expand(self) -> tuple[tuple[str, tuple[Word, ...]], ...]:
-        """Each viable branch's count states, stepped out to ``depth``, and
-        its witness."""
-        walk = self.g.leftward
+        """Each viable branch's chain, stepped out to ``depth``, and its
+        witness."""
+        step = self.g.leftward.step
         letters = [self.left.letter(d) for d in range(self.depth)]
         out = []
         for t in self.viable:
-            states = [_start(walk, self.cands[t])]
+            chains = [_start(self.cands[t])]
             for a in letters[1:]:
-                states.append(states[-1].step(walk, a))
-            out.append((t, _witness(self.g, self.zero, states, letters)))
+                chains.append(_chain_step(step, chains[-1], a))
+            out.append((t, _witness(self.g, self.zero, chains, letters)))
         return tuple(out)
 
 
@@ -456,23 +437,16 @@ def _classify(
     depth on a pattern and d_max otherwise.
     """
     walk = g.leftward
-    if max(len(walk.count_states), len(walk.joint_states)) > _STATES_PER_VERTEX * g.n_vertices():
-        walk.count_states.clear()
+    if len(walk.joint_states) > _STATES_PER_VERTEX * g.n_vertices():
         walk.joint_states.clear()
-    joint = _joint(walk, tuple(_start(walk, branch) for branch in cands.values()))
+    joint = _joint(walk, tuple(_start(branch) for branch in cands.values()))
     sofic = space.kind == "sofic"
     # The position-0 start chains as one more joint state, stepped alongside:
     # only how many of them are alive is read.
     starts: _Joint | None = None
     if sofic and len(v0) >= 2:
-        start_states = []
-        for v in sorted(v0):
-            sv: dict[int, int] = {}
-            for u in g.sources_by_sofic[v].get(x.letter(-1), ()):
-                sv[u] = sv.get(u, 0) + 1
-            if sv:
-                start_states.append(_start(walk, sv))
-        starts = _joint(walk, tuple(start_states))
+        sources = [Counter(g.sources_by_sofic[v].get(x.letter(-1), ())) for v in sorted(v0)]
+        starts = _joint(walk, tuple(_start(sv) for sv in sources))
 
     def wits(depth: int) -> _Witnesses:
         return _Witnesses(g, left, viable, cands, v0, depth)

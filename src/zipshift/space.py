@@ -548,16 +548,29 @@ class ZipShiftSpace:
         if self.kind == "sofic":
             raise NotFiniteType("matrix presentation needs a finite-type space")
         ap_words = self._blocks
-        succ = [{t for targets in out.values() for t in targets} for out in self._step]
+        aprime_adj = []
+        for out in self._step:
+            row = [0] * len(ap_words)
+            for targets in out.values():
+                for j in targets:
+                    row[j] = 1
+            aprime_adj.append(tuple(row))
         n_step = self.a_step()
         n_idx = max(n_step, 1)
         a_words = tuple(self.language(n_idx, side="a"))
         a_longer = set(self.language(n_idx + 1, side="a"))
         walk = self._a_walk()
-        rows = {s: tuple(int(self._seam(s, v)) for v in ap_words) for s in {walk.read(u) for u in a_words}}
+        # A block is no longer than the labels of the A-walk's graph
+        # (max(step_k, 1) <= max(n - 1, step_k, 1)), so it meets an A-word at
+        # the seam exactly when some vertex of the word's state starts with it.
+        labels, width = self._graph(self._least_width()).labels, len(ap_words[0])
+        rows = {}
+        for s in {walk.read(u) for u in a_words}:
+            prefixes = {labels[v][:width] for v in walk.sets[s]}
+            rows[s] = tuple(int(v in prefixes) for v in ap_words)
         return MatrixSet(
             aprime_words=ap_words,
-            aprime_adj=tuple(tuple(int(j in out) for j in range(len(ap_words))) for out in succ),
+            aprime_adj=tuple(aprime_adj),
             a_words=a_words,
             a_adj=tuple(
                 tuple(int(u[1:] == v[:-1] and u + v[-1:] in a_longer) for v in a_words) for u in a_words

@@ -20,7 +20,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from zipshift import (
@@ -136,6 +136,18 @@ def spaces_with_oracles(draw):
 
 def spaces():
     return spaces_with_oracles().map(lambda drawn: drawn[0])
+
+
+def space_with_oracle(letters, n, forbidden=()):
+    """A full (no forbidden words) or finite-type space with its oracle, its
+    n-words mapped onto a and b in turn, as ``spaces_with_oracles`` builds
+    one outside the drawn range of n."""
+    oracle = LiveWalks.of_spec(letters, set(forbidden))
+    tm = TransitionMap(n, {w: "ab"[i % 2] for i, w in enumerate(sorted(oracle.words(n)))})
+    alphabets = Alphabet(["a", "b"]), Alphabet(letters)
+    if forbidden:
+        return sft_space(*alphabets, tm, set(forbidden)), oracle
+    return full_space(*alphabets, tm), oracle
 
 
 def images(space, k: int) -> set[tuple]:
@@ -316,9 +328,13 @@ def test_block_and_power_recodings_round_trip(space, rng):
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
+@example(space_with_oracle(["0", "1"], 3))
+@example(space_with_oracle(["0", "1", "2"], 3, {("0", "0"), ("1", "2")}))
 def test_adjacency_matches_oracles(drawn):
     """Matrices and window graphs, read off the space's own graphs, against
-    per-pair admissibility by the live-walk oracle and the image sets."""
+    per-pair admissibility by the live-walk oracle and the image sets.  The
+    two n = 3 examples have window-graph labels longer than the A'-blocks
+    (n - 1 > max(step_k, 1)), which the drawn spaces never do."""
     space, oracle = drawn
     letters = space.alphabet_aprime.symbols
     ms = space.build_matrices()

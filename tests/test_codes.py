@@ -75,6 +75,10 @@ def test_apply_code(ex21):
             "ab", "12", 1, {k: v for k, v in PROJ_PLUS.items() if k != ("4",)}, PROJ_MINUS, None,
             "positive table domain mismatch: missing [('4',)], extra []",
         ),
+        (
+            "ab", "12", 1, {**PROJ_PLUS, ("9",): "1", ("1", "1"): "1"}, PROJ_MINUS, 1,
+            "positive table domain mismatch: missing [], extra [('1', '1'), ('9',)]",
+        ),
         ("ab", "12", 1, {**PROJ_PLUS, ("4",): "9"}, PROJ_MINUS, None, "positive table emits unknown letters ['9']"),
         ("ab", "123", 1, PROJ_PLUS, PROJ_MINUS, None, "positive table never emits ['3']"),
         (
@@ -87,12 +91,29 @@ def test_apply_code(ex21):
             "derived image space is inconsistent: transition map is not onto: ['c'] never occur as values",
         ),
     ],
-    ids=["m", "window", "plus-domain", "plus-unknown", "plus-never", "minus-domain", "minus-unknown", "image"],
+    ids=["m", "window", "plus-domain", "plus-extra", "plus-unknown", "plus-never", "minus-domain", "minus-unknown", "image"],
 )
 def test_code_spec_refusals(sigma_f, target_a, target_aprime, m, plus, minus, window, message):
     with pytest.raises(InvalidCode) as exc:
         BlockCodeSpec(sigma_f, Alphabet(target_a), Alphabet(target_aprime), m, plus, minus, window=window)
     assert str(exc.value) == message
+
+
+def test_one_key_table_is_refused_without_listing_the_language(monkeypatch):
+    """A positive table of one 20-letter key over the full space on {0, 1}
+    is refused by reading its key and the first few 20-words, never the
+    2^20 words of the source's language; the message names the three least
+    missing words."""
+    space = full_space(Alphabet(["a"]), Alphabet(["0", "1"]), TransitionMap(1, {("0",): "a", ("1",): "a"}))
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the source's language was listed")
+
+    monkeypatch.setattr(space, "language", spy)
+    with pytest.raises(InvalidCode) as exc:
+        BlockCodeSpec(space, Alphabet(["a"]), Alphabet(["x"]), 1, {("0",) * 20: "x"}, {})
+    least = [("0",) * 19 + ("1",), ("0",) * 18 + ("1", "0"), ("0",) * 18 + ("1", "1")]
+    assert str(exc.value) == f"positive table domain mismatch: missing {least}, extra []"
 
 
 @pytest.mark.parametrize(

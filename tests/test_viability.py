@@ -51,6 +51,7 @@ from zipshift.preimage import (
     _Label,
     _branches,
     _left_label,
+    _chain_step,
     _start,
     _witness,
     labeled_graph_for,
@@ -241,14 +242,14 @@ def first_origins(g, x, v0, starts):
 
 
 def walked_chain(g, x, starts, d_max):
-    """A chain's count states stepped along x's left label out to depth
-    d_max, and the letters of depths 0 .. d_max - 1, as a witness replay
-    steps them."""
-    walk = g.leftward
+    """A chain stepped along x's left label out to depth d_max, one
+    (vertices, counts) pair per depth, and the letters of depths
+    0 .. d_max - 1, as a witness replay steps them."""
+    step = g.leftward.step
     letters = [x.letter(-depth) for depth in range(1, d_max + 1)]
-    states = [_start(walk, starts)]
+    states = [_start(starts)]
     for a in letters[1:]:
-        states.append(states[-1].step(walk, a))
+        states.append(_chain_step(step, states[-1], a))
     return states, letters
 
 
@@ -256,13 +257,12 @@ def assert_chain_matches_unfolded(g, x, v0, starts, d_max):
     states, letters = walked_chain(g, x, starts, d_max)
     oracle = UnfoldedChain(g, x, starts, first_origins(g, x, v0, starts), d_max)
     for depth in range(1, d_max + 1):
-        state = states[depth - 1]
+        verts, counts = states[depth - 1]
         # Items in order: the order of the counts decides which parent a
         # deeper vertex finds on the walk back, and so the witness paths.
-        assert list(zip(state.verts, state.counts)) == list(oracle.state_at(depth).items())
-        assert state.total == oracle.paths_at(depth)
+        assert list(zip(verts, counts)) == list(oracle.state_at(depth).items())
+        assert min(2, sum(counts)) == oracle.paths_at(depth)
         assert _witness(g, v0, states[:depth], letters) == oracle.witness(g, depth)
-    return states
 
 
 @settings(max_examples=1000)
@@ -363,9 +363,10 @@ def test_classify_waits_for_a_late_ending_chain():
 @given(data=st.data())
 def test_chains_on_one_graph_share_its_table(cleared, data):
     """Chains and classifications built in turn on one graph, with different
-    labels, starts and bounds, read and extend one table of count
-    states; each matches the unfolded search.  With the cap at 0, every
-    classification starts from a cleared table."""
+    labels, starts and bounds, read and extend one table of joint states;
+    each matches the unfolded search, and classifying the same arguments
+    again adds no joint state.  With the cap at 0, every classification
+    starts from a cleared table."""
     g, letters = data.draw(graphs())
     vertex = st.integers(0, g.n_vertices() - 1)
     cap = 0 if cleared else preimage._STATES_PER_VERTEX
@@ -375,17 +376,19 @@ def test_chains_on_one_graph_share_its_table(cleared, data):
             v0 = data.draw(st.sets(vertex, min_size=1))
             starts = data.draw(chain_starts(g, x, v0))
             d_max = data.draw(st.integers(1, 40))
-            chain = assert_chain_matches_unfolded(g, x, v0, starts, d_max)
-            # The same chain again takes every step from the table.
-            size = len(g.leftward.count_states)
-            again, _letters = walked_chain(g, x, starts, d_max)
-            assert len(g.leftward.count_states) == size
-            assert all(a is b for a, b in zip(again, chain, strict=True))
+            assert_chain_matches_unfolded(g, x, v0, starts, d_max)
             cands = data.draw(drawn_cands(g, x, v0))
             viable = [t for t in cands if data.draw(st.booleans())]
             space = SimpleNamespace(kind=data.draw(st.sampled_from(["sft", "sofic"])))
             args = (space, g, x, _left_label(g, x), cands, viable, v0, d_max)
-            assert _classify(*args) == full_scan_classify(*args)
+            got = _classify(*args)
+            assert got == full_scan_classify(*args)
+            # The same classification again takes every step from the table
+            # (or, if the table was over its cap, refills it with its own).
+            table = g.leftward.joint_states
+            reached = set(table)
+            assert _classify(*args) == got
+            assert set(table) <= reached
 
 
 def scaled_space(rng: random.Random):
@@ -402,20 +405,6 @@ def scaled_space(rng: random.Random):
         TransitionMap(2, {w: "abc"[i % 3] for i, w in enumerate(pairs)}),
         forbidden,
     )
-
-
-def test_count_state_table_stays_under_its_cap():
-    """500 warm pre-image queries on one space never leave the path search's
-    table of count states above its cap, and the table keeps what they read."""
-    rng = random.Random(11)
-    space = scaled_space(rng)
-    g = labeled_graph_for(space)
-    cap = preimage._STATES_PER_VERTEX * g.n_vertices()
-    sizes = []
-    for _ in range(500):
-        preimages(space, random_point(space, rng))
-        sizes.append(len(g.leftward.count_states))
-    assert 0 < max(sizes) <= cap
 
 
 def test_joint_table_stays_under_its_cap():
@@ -435,29 +424,28 @@ def test_joint_table_stays_under_its_cap():
 
 def test_tables_clear_at_a_cap_the_queries_reach():
     """With the cap at one state per vertex, 500 warm pre-image queries on
-    one space run the count table past it, so both tables clear again and
-    again, and every answer, witness paths included, is the one at the real
-    cap, where they never clear."""
+    one space run the joint table past it, so it clears again and again,
+    and every answer, witness paths included, is the one at the real cap,
+    where it never clears."""
 
     def run(cap):
         rng = random.Random(11)
         space = scaled_space(rng)
         g = labeled_graph_for(space)
-        counts, joints, answers = [], [], []
+        joints, answers = [], []
         with patch.object(preimage, "_STATES_PER_VERTEX", cap):
             for _ in range(500):
                 answers.append(preimages(space, random_point(space, rng)))
-                counts.append(len(g.leftward.count_states))
                 joints.append(len(g.leftward.joint_states))
-        return g.n_vertices(), counts, joints, answers
+        return g.n_vertices(), joints, answers
 
     def drops(sizes):
         return sum(after < before for before, after in zip(sizes, sizes[1:]))
 
-    n, counts, joints, got = run(1)
-    _n, _counts, _joints, want = run(preimage._STATES_PER_VERTEX)
-    assert max(counts) > n
-    assert drops(counts) > 1 and drops(joints) > 1
+    n, joints, got = run(1)
+    _n, _joints, want = run(preimage._STATES_PER_VERTEX)
+    assert max(joints) > n
+    assert drops(joints) > 1
     for a, b in zip(got, want, strict=True):
         assert a.classification.witness_paths == b.classification.witness_paths
         assert a == b
@@ -465,18 +453,18 @@ def test_tables_clear_at_a_cap_the_queries_reach():
 
 def test_witnesses_read_after_the_tables_are_cleared():
     """Witness paths left unread while 500 more classifications on the graph
-    clear its tables (the cap at 0 clears them before each) replay to the
+    clear its table (the cap at 0 clears it before each) replay to the
     full scan's paths, and the answers match it whole."""
     rng = random.Random(11)
     space = scaled_space(rng)
     g = labeled_graph_for(space)
     kept = [(x, preimages(space, x).classification) for x in (random_point(space, rng) for _ in range(20))]
     walk = g.leftward
-    stale = list(walk.count_states.values()) + list(walk.joint_states.values())
+    stale = list(walk.joint_states.values())
     with patch.object(preimage, "_STATES_PER_VERTEX", 0):
         for _ in range(500):
             preimages(space, random_point(space, rng))
-    live = [state for table in (walk.count_states, walk.joint_states) for state in table.values()]
+    live = list(walk.joint_states.values())
     assert not {id(state) for state in live} & {id(state) for state in stale}
     for x, got in kept:
         assert isinstance(vars(got)["_witness_paths"], preimage._Witnesses)
