@@ -21,7 +21,7 @@ from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
 from .orbits import periodic_points
 from .point import EpPoint, point_from_lift, random_point, shift
 from .preimage import canonical_lift
-from .space import ZipShiftSpace, _minimal_forbidden, full_space, sft_space, sofic_space
+from .space import ZipShiftSpace, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word, _Value
 
 
@@ -277,6 +277,24 @@ def _joiner(space: ZipShiftSpace, aprime_words: list[Word], a_words: list[Word])
         if all(len({sep.join(w) for w in words}) == len(words) for words in (aprime_words, a_words)):
             return sep
     raise InvalidWord("every separator names two blocks alike")
+
+
+def _minimal_forbidden(letters, admissible, top: int) -> set[Word]:
+    """The minimal forbidden words of a factorial language, up to length ``top``.
+
+    ``admissible(r)`` is the set of admissible r-words.  Every w + c of length
+    2..top is returned whose prefix w and suffix (w + c)[1:] are admissible
+    while w + c is not.
+    """
+    bad: set[Word] = set()
+    shorter = admissible(1)
+    for r in range(2, top + 1):
+        longer = admissible(r)
+        bad.update(
+            w + (c,) for w in shorter for c in letters if w + (c,) not in longer and w[1:] + (c,) in shorter
+        )
+        shorter = longer
+    return bad
 
 
 def _strided(space: ZipShiftSpace, N: int, s: int, sofic):

@@ -34,18 +34,21 @@ class LetterSteps:
     ``joint_states``, each with the steps taken from it: the branch chains
     of one classification at one depth, each a pair of the vertices it
     reaches and their capped path counts, with the facts the patterns read
-    off them.  The search clears the table before a classification once it
-    holds more than a fixed number of states per vertex.
+    off them.  Each chain is kept once per walk in ``chain_states``, so the
+    joint states that share a chain share one copy of it.  The search clears
+    both tables before a classification once it holds more than a fixed
+    number of joint states per vertex.
     ``ranked_sources`` is ``step`` with each list in the canonical lift's
     (label, id) order, built on the first lift along this walk, or None.
     """
 
-    __slots__ = ("step", "last_label", "joint_states", "ranked_sources")
+    __slots__ = ("step", "last_label", "joint_states", "chain_states", "ranked_sources")
 
     def __init__(self, step: list[dict]):
         self.step = step
         self.last_label = None
         self.joint_states: dict = {}
+        self.chain_states: dict = {}
         self.ranked_sources: list[dict] | None = None
 
 
@@ -204,7 +207,9 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
     so that parallel edges stay distinct.  A vertex is a walk of
     units whose labels, overlapped, spell ell letters.  It has an edge to
     every walk that drops its first unit and takes one more; the edge reads
-    that unit's last letter c and carries the A-letter tm((label + c)[:n]).
+    that unit's last letter c and carries the A-letter tm((label + c)[:n]),
+    looked up once per vertex when the label has n letters or more.  A
+    walk of one unit is numbered as that unit.
     Vertices come in lexicographic order of their units, which for
     finite-type spaces is alphabet order of their labels.  ``ell`` defaults
     to the space's ``_default_width`` and may not be below the least width;
@@ -229,14 +234,19 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
     walks: list[tuple[int, ...]] = [(u,) for u in range(len(labels_of))]
     for _ in range(ell - len(labels_of[0])):
         walks = [w + (t,) for w in walks for t in succ[w[-1]]]
-    index = {w: i for i, w in enumerate(walks)}
+    index = None if len(walks[0]) == 1 else {w: i for i, w in enumerate(walks)}
     labels = [labels_of[w[0]] + tuple(labels_of[u][-1] for u in w[1:]) for w in walks]
     n, tm = space.n, space.tm
     edges: list[tuple[int, int, str, str | None]] = []
     for i, w in enumerate(walks):
+        label = labels[i]
+        # Every edge out of a label of n letters or more carries its first
+        # window's image; a label of n - 1 letters needs the edge's letter.
+        a = tm(label[:n]) if ell >= n else None
         for t in succ[w[-1]]:
             c = labels_of[t][-1]
-            edges.append((i, index[w[1:] + (t,)], c, tm((labels[i] + (c,))[:n])))
+            dst = t if index is None else index[w[1:] + (t,)]
+            edges.append((i, dst, c, tm(label + (c,)) if a is None else a))
     g = LabeledGraph(labels, edges)
     if space.kind == "sofic":
         bound = min(2 * g.n_vertices(), 10)

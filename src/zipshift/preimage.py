@@ -46,9 +46,10 @@ the right tail alone.
 The joint states are interned on the leftward walk
 (``LetterSteps.joint_states``), each with its steps, the subset construction
 of the backward graph built as it is read: a step taken once on a graph is
-read by every later search on it.  The table is cleared before a
-classification once it holds more than ``_STATES_PER_VERTEX`` states per
-graph vertex.
+read by every later search on it.  A stepped chain is interned on the same
+walk (``LetterSteps.chain_states``), so joint states that share a chain hold
+one copy of it.  Both tables are cleared before a classification once the
+walk holds more than ``_STATES_PER_VERTEX`` joint states per graph vertex.
 """
 from __future__ import annotations
 
@@ -310,7 +311,7 @@ class _Joint:
     path counts summed and capped at 2; and ``shared``, whether every path of
     the alive chains ends at one vertex.  ``next[a]`` holds the joint state
     one depth on along letter a once taken, each chain stepped by
-    ``_chain_step``.
+    ``_chain_step`` and interned on the walk (``LetterSteps.chain_states``).
     """
 
     __slots__ = ("chains", "alive", "total", "shared", "next")
@@ -327,7 +328,9 @@ class _Joint:
         """The joint state one depth on along letter a."""
         nxt = self.next.get(a)
         if nxt is None:
-            nxt = self.next[a] = _joint(walk, tuple(_chain_step(walk.step, chain, a) for chain in self.chains))
+            interned = walk.chain_states
+            chains = (_chain_step(walk.step, chain, a) for chain in self.chains)
+            nxt = self.next[a] = _joint(walk, tuple(interned.setdefault(chain, chain) for chain in chains))
         return nxt
 
 
@@ -439,6 +442,7 @@ def _classify(
     walk = g.leftward
     if len(walk.joint_states) > _STATES_PER_VERTEX * g.n_vertices():
         walk.joint_states.clear()
+        walk.chain_states.clear()
     joint = _joint(walk, tuple(_start(branch) for branch in cands.values()))
     sofic = space.kind == "sofic"
     # The position-0 start chains as one more joint state, stepped alongside:

@@ -24,10 +24,12 @@ Every A-word and every seam block is the image of some A'-word, so both are
 decided by reading them through the labeled window graph of least width
 (a higher edge graph of the A'-graph) with the subset construction, never
 by listing A'-words.  An A-word is admissible when reading it along the
-edges' A-labels from all vertices leaves a non-empty vertex set; a seam block (a ; u) when some vertex of the set
-reached by a carries u's first letters and can read the rest of u along
-the edges' A'-labels.  The same walk lists the A-side and mixed languages
-in alphabet order and derives the minimal forbidden A-words.
+edges' A-labels from all vertices leaves a non-empty vertex set; a seam
+block (a ; u) when some vertex of the set reached by a carries u's first
+letters and can read the rest of u along the edges' A'-labels.  The same
+walk lists the A-side and mixed languages in alphabet order, and derives
+the minimal forbidden A-words on pairs of its states without listing a
+word that leads to none.
 
 Full and finite-type spaces keep their live blocks, in vertex order, as
 the A'-graph's vertex labels (``_blocks``): the window graphs, the matrices
@@ -58,24 +60,6 @@ def _prune_superwords(words: set[Word]) -> set[Word]:
         for w in words
         if not any(w[i : i + k] in words for k in range(1, len(w)) for i in range(len(w) - k + 1))
     }
-
-
-def _minimal_forbidden(letters, admissible, top: int) -> set[Word]:
-    """The minimal forbidden words of a factorial language, up to length ``top``.
-
-    ``admissible(r)`` is the set of admissible r-words.  Every w + c of length
-    2..top is returned whose prefix w and suffix (w + c)[1:] are admissible
-    while w + c is not.
-    """
-    bad: set[Word] = set()
-    shorter = admissible(1)
-    for r in range(2, top + 1):
-        longer = admissible(r)
-        bad.update(
-            w + (c,) for w in shorter for c in letters if w + (c,) not in longer and w[1:] + (c,) in shorter
-        )
-        shorter = longer
-    return bad
 
 
 def _live_vertices(succ: list[list[int]], pred: list[list[int]]) -> bytearray:
@@ -187,15 +171,72 @@ class _SubsetWalk:
         holds one pending branch per letter and depth.
         """
         stack = [((), 0)]
+        moves, sets = self._moves, self.sets
         while stack:
             w, s = stack.pop()
             if len(w) == k:
                 yield w, s
                 continue
+            known = moves[s]
             for c in reversed(self._letters):
-                t = self.move(s, c)
-                if self.sets[t]:
+                t = known.get(c)
+                if t is None:
+                    t = self.move(s, c)
+                if sets[t]:
                     stack.append((w + (c,), t))
+
+    def minimal_forbidden(self, top: int) -> set[Word]:
+        """The minimal forbidden words of the walk's language of lengths
+        2 .. ``top``: every w + c whose state is empty while the states of
+        w and (w + c)[1:] are not.
+
+        A word w is read as the pair (state of w, state of w[1:]), so w + c
+        is minimal forbidden exactly when the first moves to the empty state
+        along c and the second does not.  The pairs are found level by level
+        for lengths 1 .. top - 1, each pair's moves once, and the pairs that
+        lead to such a word are marked from the deepest level up.  Words are
+        listed depth first through marked pairs only: none at all when
+        nothing is forbidden.
+        """
+        letters, sets = self._letters, self.sets
+        found: dict[tuple[int, int], tuple[list[str], list[tuple[str, tuple[int, int]]]]] = {}
+
+        def out(pair: tuple[int, int]):
+            """The letters that end a minimal forbidden word at ``pair``,
+            and the moves to the pairs of its admissible one-letter
+            extensions."""
+            got = found.get(pair)
+            if got is None:
+                s, r = pair
+                ends, on = [], []
+                for c in letters:
+                    t, u = self.move(s, c), self.move(r, c)
+                    if sets[t]:
+                        on.append((c, (t, u)))
+                    elif sets[u]:
+                        ends.append(c)
+                got = found[pair] = ends, on
+            return got
+
+        firsts = [(c, (t, 0)) for c, t in ((c, self.move(0, c)) for c in letters) if sets[t]]
+        levels = [{pair for _c, pair in firsts}]
+        while len(levels) < top - 1:
+            levels.append({q for pair in levels[-1] for _c, q in out(pair)[1]})
+        marked: list[set[tuple[int, int]]] = []
+        below: set[tuple[int, int]] = set()
+        for level in reversed(levels):
+            below = {p for p in level if out(p)[0] or any(q in below for _c, q in out(p)[1])}
+            marked.append(below)
+        marked.reverse()
+        bad: set[Word] = set()
+        stack = [((c,), pair, 0) for c, pair in firsts if pair in marked[0]]
+        while stack:
+            w, pair, d = stack.pop()
+            ends, on = out(pair)
+            bad.update(w + (c,) for c in ends)
+            if d + 1 < len(marked):
+                stack.extend((w + (c,), q, d + 1) for c, q in on if q in marked[d + 1])
+        return bad
 
 
 class MatrixSet(_Value):
@@ -519,19 +560,17 @@ class ZipShiftSpace:
     def derived_a_forbidden(self) -> frozenset[Word]:
         """Minimal inadmissible A-words up to the derivation cutoff.
 
-        Read off the A-side languages up to the cutoff: w + c is minimal
-        forbidden when w is admissible, w + c is not, and (w + c)[1:] is.
-        The cutoff ``step_k + n`` is a search bound: longer minimal forbidden
-        words go unreported even on fixtures (``a b a`` on ``ex21``, ``a c a``
-        on ``five``), and the A-side need not be of finite type.
+        Read off pairs of A-walk states (``_SubsetWalk.minimal_forbidden``):
+        w + c is minimal forbidden when w is admissible, w + c is not, and
+        (w + c)[1:] is; no A-word is listed that leads to none.  The cutoff
+        ``step_k + n`` is a search bound: longer minimal forbidden words go
+        unreported even on fixtures (``a b a`` on ``ex21``, ``a c a`` on
+        ``five``), and the A-side need not be of finite type.
         """
         if self.kind == "sofic":
             raise NotFiniteType("A-side forbidden derivation needs a finite-type space")
         if self._a_forb is None:
-            cutoff = max(2, self.step_k + self.n)
-            self._a_forb = frozenset(
-                _minimal_forbidden(self.alphabet_a.symbols, lambda r: set(self.language(r, "a")), cutoff)
-            )
+            self._a_forb = frozenset(self._a_walk().minimal_forbidden(max(2, self.step_k + self.n)))
         return self._a_forb
 
     def a_step(self) -> int:

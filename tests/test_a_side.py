@@ -361,19 +361,24 @@ def test_adjacency_matches_oracles(drawn):
             assert g.labels[dst] == w[1:] and a_letter == space.tm(w[: space.n])
 
 
-def test_first_question_lists_no_long_words(monkeypatch):
-    """A membership question on a fresh wide space reads the A-side off the
-    window graph: no A'-language longer than the graph's width is listed,
-    and what is listed is not kept, so listing it again walks again."""
-    forbidden = ["0 4 2 4", "3 2 4 1", "3 3 0 2", "4 1 2 1", "4 3 3 2", "5 4 1 2"]
+def wide_space(forbidden):
+    """A finite-type space with six A'-letters, n = 2 and the given
+    forbidden words, every window mapped onto a, b or c in turn."""
     letters = [str(i) for i in range(6)]
     pairs = list(itertools.product(letters, repeat=2))
-    space = sft_space(
+    return sft_space(
         Alphabet(["a", "b", "c"]),
         Alphabet(letters),
         TransitionMap(2, {w: "abc"[i % 3] for i, w in enumerate(pairs)}),
         {tuple(w.split()) for w in forbidden},
     )
+
+
+def test_first_question_lists_no_long_words(monkeypatch):
+    """A membership question on a fresh wide space reads the A-side off the
+    window graph: no A'-language longer than the graph's width is listed,
+    and what is listed is not kept, so listing it again walks again."""
+    space = wide_space(["0 4 2 4", "3 2 4 1", "3 3 0 2", "4 1 2 1", "4 3 3 2", "5 4 1 2"])
     walk = space._aprime_walk
     words, listed = walk.words, []
 
@@ -386,6 +391,27 @@ def test_first_question_lists_no_long_words(monkeypatch):
     assert is_admissible(space, random_point(space, random.Random(0)))
     ell0 = max(space.n - 1, space.step_k, 1)
     assert max(listed, default=0) <= max(space.n, ell0)
-    move, moves = walk.move, []
-    monkeypatch.setattr(walk, "move", lambda state, c: moves.append(c) or move(state, c))
-    assert list(words(ell0)) and moves
+    list(words(ell0))
+    reads = []
+
+    class CountedMoves(list):
+        def __getitem__(self, state):
+            reads.append(state)
+            return super().__getitem__(state)
+
+    walk._moves = CountedMoves(walk._moves)
+    assert list(words(ell0)) and reads
+
+
+def test_memory_lists_no_a_word(monkeypatch):
+    """The A-side step order of a fresh wide space, whose A-side forbids no
+    word up to the cutoff, is read off pairs of walk states: no A-word is
+    listed."""
+    space = wide_space(["0 4 2 4", "3 2 4 1", "3 3 0 2", "4 1 2 1", "4 3 3 2", "5 4 1 2"])
+    walk = space._a_walk()
+
+    def refuse(k):
+        raise AssertionError(f"listed the A-words of length {k}")
+
+    monkeypatch.setattr(walk, "words", refuse)
+    assert space.memory() == 3 and space.derived_a_forbidden() == frozenset()

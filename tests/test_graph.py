@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_a_side import spaces
@@ -196,6 +197,33 @@ def test_sofic_window_graph_is_a_higher_edge_graph(space):
         line = vertex_like(presentation_graph(space))
         assert g.labels == line.labels
         assert [e[:3] for e in g.edges] == [e[:3] for e in line.edges]
+
+
+def _full(letters, n):
+    """The full space on ``letters`` with window n, its n-words mapped onto
+    a and b in turn."""
+    words = itertools.product(letters, repeat=n)
+    tm = TransitionMap(n, {w: "ab"[i % 2] for i, w in enumerate(words)})
+    return full_space(Alphabet(["a", "b"]), Alphabet(letters), tm)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(spaces().filter(lambda space: space.kind != "sofic"))
+@example(_full(["0", "1"], 3))
+def test_finite_type_window_graph_edges_slide_and_carry_images(space):
+    """At the least width and one wider, every edge of a finite-type window
+    graph goes to its source's label slid one letter on and carries the
+    image of the first n letters.  Full draws with n = 2 have labels of
+    n - 1 letters at the least width; the n = 3 example has labels of n - 1
+    letters that are longer than the space's blocks."""
+    n = space.n
+    least = max(n - 1, space.step_k, 1)
+    for ell in (least, least + 1):
+        g = build_labeled_graph(space, ell)
+        for src, dst, first, a_letter in g.edges:
+            w = g.labels[src] + (first,)
+            assert g.labels[dst] == w[1:]
+            assert a_letter == space.tm(w[:n])
 
 
 def _loops(k):
