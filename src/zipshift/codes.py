@@ -11,6 +11,9 @@ re-checks the derived map against the actual image language.
 
 Every image of a point here -- under a code, a block presentation or a
 power -- is one sliding rule, turned into a point by ``EpPoint._sliding``.
+A block recoding is presented by a window graph and every power by the
+N-edge walks of the A'-graph; a finite-type recoding reads its minimal
+forbidden words off pairs of walk states on that graph.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from .errors import InvalidCode, InvalidWord, UnknownSymbol, ZipShiftError
 from .orbits import periodic_points
 from .point import EpPoint, point_from_lift, random_point, shift
 from .preimage import canonical_lift
-from .space import ZipShiftSpace, full_space, sft_space, sofic_space
+from .space import ZipShiftSpace, _SubsetWalk, full_space, sft_space, sofic_space
 from .symbols import Alphabet, TransitionMap, Word, _Value
 
 
@@ -279,59 +282,54 @@ def _joiner(space: ZipShiftSpace, aprime_words: list[Word], a_words: list[Word])
     raise InvalidWord("every separator names two blocks alike")
 
 
-def _minimal_forbidden(letters, admissible, top: int) -> set[Word]:
-    """The minimal forbidden words of a factorial language, up to length ``top``.
-
-    ``admissible(r)`` is the set of admissible r-words.  Every w + c of length
-    2..top is returned whose prefix w and suffix (w + c)[1:] are admissible
-    while w + c is not.
-    """
-    bad: set[Word] = set()
-    shorter = admissible(1)
-    for r in range(2, top + 1):
-        longer = admissible(r)
-        bad.update(
-            w + (c,) for w in shorter for c in letters if w + (c,) not in longer and w[1:] + (c,) in shorter
-        )
-        shorter = longer
-    return bad
-
-
-def _strided(space: ZipShiftSpace, N: int, s: int, sofic):
+def _strided(space: ZipShiftSpace, N: int, power: bool):
     """The recoding of the space by N-blocks that start s letters apart: the
-    block presentation at s = 1 and the N-th power at s = N.
+    block presentation (s = 1) or the N-th power (s = N).
 
     Returns (recoded space, forward map, A'-blocks, A-blocks), the blocks in
-    the order of the new alphabets; ``sofic(sep, alphabet_a, alphabet_aprime,
-    tm)`` presents the recoding of a sofic space.  The new transition map
-    reads the fewest blocks that cover an old window.  A finite-type space's
-    forbidden words have at most K = step_k + 1 letters, and r blocks cover
-    such a word at every offset once N + (r - 1)s >= K + s - 1; overlapping
-    blocks also constrain every pair, and aligned blocks of a space with no
-    forbidden words constrain nothing.  Left of the seam the forward map
-    reads transition images, at s = N only A-letters.
+    the order of the new alphabets.  The new transition map reads the fewest
+    blocks that cover an old window.  A block is presented by the window
+    graph of width max(N, default width), each edge labeled by the N letters
+    it starts with; a power by the N-edge walks of the A'-graph, whose
+    sofic vertices keep their names.  A finite-type recoding reads its
+    minimal forbidden words off pairs of walk states on that graph
+    (``_SubsetWalk.minimal_forbidden``): the old ones have at most
+    K = step_k + 1 letters, and r blocks cover such a word at every offset
+    once N + (r - 1)s >= K + s - 1; overlapping blocks also constrain every
+    pair.  Left of the seam the forward map reads transition images, at
+    s = N only A-letters.
     """
     n = space.n
+    s = N if power else 1
     aprime_words, a_words = space.language(N), space.language(N, "a")
     sep = _joiner(space, aprime_words, a_words)
     new_ap = Alphabet([sep.join(w) for w in aprime_words])
     new_a = Alphabet([sep.join(w) for w in a_words])
-
-    def blocks(u: Word, r: int) -> Word:
-        return tuple(sep.join(u[j * s : j * s + N]) for j in range(r))
-
     arity = 1 + -(-(n - 1) // s)
     tm = TransitionMap(arity, {
-        blocks(u, arity): sep.join(space.tm.phi_extend(u[: N + n - 1]))
+        tuple(sep.join(u[j * s : j * s + N]) for j in range(arity)): sep.join(space.tm.phi_extend(u[: N + n - 1]))
         for u in space.language(N + (arity - 1) * s)
     })
-    if space.kind == "sofic":
-        new_space = sofic(sep, new_a, new_ap, tm)
+    # Vertex names by number, and (source, target, letter) edges between
+    # numbers in the order a sofic recoding lists them.
+    if power:
+        vertices = space.presentation_vertices or range(len(space._step))
+        names = sorted(vertices)
+        ends = [(v, v, ()) for v in range(len(names))]
+        for _ in range(N):
+            ends = [(v, t, w + (c,)) for v, u, w in ends for c, ts in space._step[u].items() for t in ts]
+        arcs = sorted({(v, t, sep.join(w)) for v, t, w in ends})
     else:
-        top = max(2, 2 - (N - space.step_k) // s) if space.step_k or s < N else 0  # the least such r
-        forbidden = _minimal_forbidden(
-            new_ap.symbols, lambda r: {blocks(u, r) for u in space.language(N + (r - 1) * s)}, top
-        )
+        g = space._graph(max(N, space._default_width()))
+        vertices = names = [f"q{i}" for i in range(len(g.labels))]
+        arcs = [(v, t, sep.join(g.labels[v][:N])) for v, t, _c, _a in g.edges]
+    if space.kind == "sofic":
+        new_space = sofic_space(new_a, new_ap, tm, list(vertices), [(names[v], names[t], c) for v, t, c in arcs])
+    else:
+        step: list[dict[str, list[int]]] = [{} for _ in names]
+        for v, t, c in arcs:
+            step[v].setdefault(c, []).append(t)
+        forbidden = _SubsetWalk(step, new_ap.symbols).minimal_forbidden(max(2, 2 - (N - space.step_k) // s))
         new_space = sft_space(new_a, new_ap, tm, forbidden) if forbidden else full_space(new_a, new_ap, tm)
 
     def forward(x: EpPoint) -> EpPoint:
@@ -352,14 +350,12 @@ def higher_block(space: ZipShiftSpace, N: int):
     Returns (block space, forward map, inverse map).  Each letter of the
     block space names an admissible length-N word; consecutive letters
     overlap in N-1 positions, so the forward map is a conjugacy and the
-    inverse just reads off first coordinates.  A sofic space's blocks label
-    the edges of its window graph at width N.
+    inverse just reads off first coordinates.  The blocks label the edges of
+    the window graph at width max(N, default width).
     """
     if N < 1:
         raise InvalidWord(f"block length must be >= 1, got {N}")
-    block, forward, aprime_words, a_words = _strided(
-        space, N, 1, lambda sep, *rest: _image_space(space, N, lambda u: sep.join(u[:N]), *rest)
-    )
+    block, forward, aprime_words, a_words = _strided(space, N, False)
 
     def inverse(y: EpPoint) -> EpPoint:
         def first(i: int) -> str:
@@ -375,26 +371,9 @@ def higher_power(space: ZipShiftSpace, N: int):
     """The N-step power of the space: letters are aligned N-blocks and one
     step of the new shift is N steps of the old one.
 
-    Returns (power space, forward map).  A sofic space's power is presented
-    by the N-edge paths of its presentation.
+    Returns (power space, forward map), presented by the N-edge walks of the
+    A'-graph; a sofic power keeps the vertex names of the presentation.
     """
     if N < 1:
         raise InvalidWord(f"power must be >= 1, got {N}")
-
-    def paths(sep: str, new_a: Alphabet, new_ap: Alphabet, tm: TransitionMap) -> ZipShiftSpace:
-        frontier: list[tuple[str, str, Word]] = [
-            (v, v, ()) for v in space.presentation_vertices
-        ]
-        out: dict[str, list[tuple[str, str]]] = {v: [] for v in space.presentation_vertices}
-        for s, d, c in space.presentation_edges:
-            out[s].append((d, c))
-        for _ in range(N):
-            frontier = [
-                (v0, d, w + (c,)) for v0, v, w in frontier for d, c in out[v]
-            ]
-        edges = sorted(
-            {(v0, v1, sep.join(w)) for v0, v1, w in frontier}
-        )
-        return sofic_space(new_a, new_ap, tm, list(space.presentation_vertices), edges)
-
-    return _strided(space, N, N, paths)[:2]
+    return _strided(space, N, True)[:2]

@@ -187,16 +187,16 @@ class _SubsetWalk:
 
     def minimal_forbidden(self, top: int) -> set[Word]:
         """The minimal forbidden words of the walk's language of lengths
-        2 .. ``top``: every w + c whose state is empty while the states of
-        w and (w + c)[1:] are not.
+        2 .. ``top``, which must be at least 2 (a smaller ``top`` still
+        gives every one of length 2): every w + c whose state is empty
+        while the states of w and (w + c)[1:] are not.
 
-        A word w is read as the pair (state of w, state of w[1:]), so w + c
-        is minimal forbidden exactly when the first moves to the empty state
-        along c and the second does not.  The pairs are found level by level
-        for lengths 1 .. top - 1, each pair's moves once, and the pairs that
-        lead to such a word are marked from the deepest level up.  Words are
-        listed depth first through marked pairs only: none at all when
-        nothing is forbidden.
+        A word w is read as the pair (state of w, state of w[1:]), so w + c is
+        minimal forbidden exactly when the first moves to the empty state along
+        c and the second does not.  The pairs are found level by level for
+        lengths 1 .. top - 1, each pair's moves once, and the pairs that lead
+        to such a word are marked from the deepest level up.  Words are listed
+        depth first through marked pairs only: none when nothing is forbidden.
         """
         letters, sets = self._letters, self.sets
         found: dict[tuple[int, int], tuple[list[str], list[tuple[str, tuple[int, int]]]]] = {}

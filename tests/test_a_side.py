@@ -294,9 +294,13 @@ def test_periodic_points_match_live_walks(drawn):
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(spaces_with_oracles().filter(lambda drawn: drawn[0].kind != "sofic"))
+@example(space_with_oracle(["0", "1"], 1, {("0", "1", "1", "0")}))
 def test_block_and_power_constraints_match_enumeration(drawn):
-    """The block and power spaces' constraints, read off their languages,
-    against the tuple-by-tuple enumeration they replaced."""
+    """The block and power spaces' constraints, read off pairs of walk
+    states on their presentations, against the tuple-by-tuple enumeration
+    they replaced.  The drawn spaces forbid words of at most 3 letters; the
+    example's 4-letter word takes the block's forbidden words to 4, 3 and 2
+    letters at N = 1, 2 and 3."""
     space = drawn[0]
     for N in range(1, 4):
         assert higher_block(space, N)[0].forbidden == product_forbidden(space, N, power=False)

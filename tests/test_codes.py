@@ -250,7 +250,7 @@ EX21_PHI = {"12": "ab", "22": "bb", "23": "bb", "31": "ba", "32": "bb"}
 CODING1_PHI = {"00": "aa", "01": "ab", "10": "ba", "11": "bb"}
 EVEN_A = "aa ab ba bb bc cb cc"
 
-# (fixture, point, 2-block space, its image of the point, second power, its image)
+# (fixture, point, N-block space, its image of the point, N-th power, its image, N)
 RECODINGS = [
     (
         "ex21", "(b)* a ; 2 3 1 2 (3 2)*",
@@ -265,6 +265,7 @@ RECODINGS = [
             forbidden="12 12, 22 12, 23 31, 23 32, 31 12, 31 31, 31 32, 32 12",
         ),
         "(bb)* ba ; 23 12 (32)*",
+        2,
     ),
     (
         "even", "(c)* b ; 1 1 0 0 (1 1 0 0)*",
@@ -284,6 +285,7 @@ RECODINGS = [
             "sofic", vertices="P Q", edges="P P 00, P P 11, P Q 10, Q P 01, Q Q 00",
         ),
         "(cc)* cb ; (11 00)*",
+        2,
     ),
     (
         "coding1", "(a b)* b ; 0 0 1 (1)*",
@@ -294,18 +296,36 @@ RECODINGS = [
         "(ba ab)* bb ba ; 00 01 (11)*",
         recoded_spec("aa ab ba bb", "00 01 10 11", 1, CODING1_PHI, "full"),
         "(ba)* bb ; 00 (11)*",
+        2,
+    ),
+    (
+        "even", "(c)* b ; 1 1 0 0 (1 1 0 0)*",
+        recoded_spec(
+            "a b c", "0 1", 2, {"0 0": "c", "0 1": "b", "1 0": "b", "1 1": "a"},
+            "sofic", vertices="q0 q1 q2 q3 q4",
+            edges="q0 q0 1, q0 q1 1, q1 q2 1, q2 q3 0, q2 q4 0, q3 q0 0, q3 q1 0, q4 q2 0",
+        ),
+        "(c)* b ; (1 1 0 0)*",
+        recoded_spec(
+            "a b c", "0 1", 2, {"0 0": "c", "0 1": "b", "1 0": "b", "1 1": "a"},
+            "sofic", vertices="P Q", edges="P P 1, P Q 0, Q P 0",
+        ),
+        "(c)* b ; (1 1 0 0)*",
+        1,
     ),
 ]
 
 
-@pytest.mark.parametrize("name, point, block_spec, block_image, power_spec, power_image", RECODINGS)
-def test_block_and_power_recodings_by_value(request, name, point, block_spec, block_image, power_spec, power_image):
-    """The 2-block and second-power recodings, pinned whole: the spec and
+@pytest.mark.parametrize("name, point, block_spec, block_image, power_spec, power_image, N", RECODINGS)
+def test_block_and_power_recodings_by_value(request, name, point, block_spec, block_image, power_spec, power_image, N):
+    """The N-block and N-th power recodings, pinned whole: the spec and
     transition table of each, and its image of one point with a seam
-    transient."""
+    transient.  At N = 1 the two coincide as spaces but not as
+    presentations: a sofic power keeps the space's own vertices, while the
+    block is presented by its window graph."""
     space = request.getfixturevalue(name)
     x = parse_point(point)
-    (block, fwd, _inv), (power, pfwd) = higher_block(space, 2), higher_power(space, 2)
+    (block, fwd, _inv), (power, pfwd) = higher_block(space, N), higher_power(space, N)
     for recoded, spec in ((block, block_spec), (power, power_spec)):
         assert space_to_dict(recoded) == spec
         assert sorted(recoded.tm.table.items()) == sorted((tuple(k.split()), v) for k, v in spec["phi"].items())
