@@ -12,9 +12,10 @@ that fall onto such an orbit after finitely many steps.  Homoclinic orbits
 are enumerated by choosing a backward branch letter at each depth before
 the point's left tail has merged with the orbit; deeper letters are forced
 by the two-sided lift of the first orbit point sharing that tail that the
-branch can follow forever, one viability search per point tried.  Both read
-only the pre-image branch letters; the path-search classification runs in
-``preimages`` alone.
+branch can follow forever.  That fixes the branch's whole lift, and the
+query that decides cycle words decides whether the space spells it, one
+query per point tried.  Both read only the pre-image branch letters; the
+path-search classification runs in ``preimages`` alone.
 """
 from __future__ import annotations
 
@@ -22,11 +23,8 @@ import math
 from collections import Counter
 
 from .errors import InvalidWord, NotInSpace
-from .graph import LetterSteps
-from .point import EpPoint, shift, shift_k
-from .preimage import (
-    _Label, _branches, _position_zero_vertices, _preimage_point, labeled_graph_for, preimages_k,
-)
+from .point import EpPoint, point_from_lift, shift, shift_k
+from .preimage import _branches, _preimage_point, preimages_k
 from .space import ZipShiftSpace
 from .symbols import Word, _Value
 
@@ -56,7 +54,7 @@ def periodic_point(space: ZipShiftSpace, word: Word) -> PeriodicPoint:
     word = tuple(word)
     if not word:
         raise InvalidWord("period word must be non-empty")
-    if not space._is_cycle(word):
+    if not space._spells(word):
         raise InvalidWord(f"no closed walk spells a power of cycle {' '.join(word)}")
     return _cycle_point(space, word)
 
@@ -81,7 +79,7 @@ def periodic_points(space: ZipShiftSpace, m: int) -> set[PeriodicPoint]:
     if m < 1:
         raise InvalidWord(f"period must be >= 1, got {m}")
     words = space._aprime_walk.words(m)
-    return {_cycle_point(space, w) for w, state in words if space._is_cycle(w, state)}
+    return {_cycle_point(space, w) for w, state in words if space._spells(w, state=state)}
 
 
 def orbit_points(space: ZipShiftSpace, p: PeriodicPoint) -> tuple[EpPoint, ...]:
@@ -234,20 +232,16 @@ class HomoclinicOrbit(_Value):
 
     ``choices`` lists the branch letters picked at depths 1..n_back-1; all
     deeper letters follow the lift of the first orbit point the branch can
-    follow forever (``_forced_period``), so a choice word stands for that
-    phase too, and two orbits are the same exactly when their choice words
-    agree.  ``_period`` keeps that orbit point's right period once known,
-    left out of comparisons: ``homoclinic_orbits`` stores the one it found,
-    and an orbit built by hand finds it on its first entry past the choices.
+    follow forever, found again by each entry past the choices
+    (``_forced_period``), so a choice word stands for that phase too, and
+    two orbits are the same exactly when their choice words agree.
     """
 
-    _fields = ("datum", "choices")
     datum: HomoclinicDatum
     choices: Word
-    _period: Word | None
 
     def __init__(self, datum: HomoclinicDatum, choices: Word):
-        self.__dict__.update(datum=datum, choices=choices, _period=None)
+        self.__dict__.update(datum=datum, choices=choices)
 
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
         """The orbit entry at index i (index 0 is the datum's point)."""
@@ -257,12 +251,9 @@ class HomoclinicOrbit(_Value):
         for t in self.choices[:-i]:
             cur = _preimage_point(cur, t)
         if -i > len(self.choices):
-            w = self._period
+            w = _forced_period(space, self.datum)(cur)
             if w is None:
-                w = _forced_period(space, self.datum)(cur)
-                if w is None:
-                    raise NotInSpace("the branch follows the lift of no orbit point")
-                object.__setattr__(self, "_period", w)
+                raise NotInSpace("the branch follows the lift of no orbit point")
             for depth in range(len(self.choices) + 1, -i + 1):
                 cur = _preimage_point(cur, w[-depth % len(w)])
         return cur
@@ -275,18 +266,9 @@ def _forced_period(space: ZipShiftSpace, datum: HomoclinicDatum):
     s >= n_back), or None.  The points tried are those whose left side the
     datum's point takes on from depth n_back (mirrored merge below n_back).
 
-    Each try is one viability search on the backward graph along the branch
-    point's A-label, stepping only to vertices whose label starts with the
-    forced letter.  The product is finite, so an infinite run exists exactly
-    when every finite number of forced steps is a pre-image.
-    """
-    g = labeled_graph_for(space)
-    steps: list[dict[tuple[str, str], list[int]]] = [{} for _ in g.labels]
-    for v, by_letter in enumerate(g.sources_by_sofic):
-        for a, sources in by_letter.items():
-            for u in sources:
-                steps[v].setdefault((a, g.labels[u][0]), []).append(u)
-    walk = LetterSteps(steps)
+    That fixes the branch's lift: w's forced letters left of the seam, the
+    branch point's own letters from index 0 on.  w is taken when the space
+    spells that lift (``ZipShiftSpace._spells``) and its point is the leaf."""
     back = datum.point._mirrored()
     periods = [
         r.right_period
@@ -295,13 +277,11 @@ def _forced_period(space: ZipShiftSpace, datum: HomoclinicDatum):
     ]
 
     def period_for(leaf: EpPoint) -> Word | None:
-        starts = _position_zero_vertices(g, leaf)
-        t = len(leaf.left_transient)
+        rt, rp = leaf.right_transient, leaf.right_period
         for w in periods:
-            span = t + math.lcm(len(leaf.left_period), len(w))
-            pairs = tuple((leaf.letter(-1 - d), w[(-datum.n_back - d) % len(w)]) for d in range(span))
-            label = _Label(walk, pairs[:t], pairs[t:])
-            if any(label.viable(v, 0) for v in starts):
+            r = (1 - datum.n_back) % len(w)
+            left = w[r:] + w[:r]
+            if space._spells(left, rt, rp) and point_from_lift(space, EpPoint._of_symbols(left, (), rt, rp)) == leaf:
                 return w
         return None
 
@@ -322,13 +302,7 @@ def homoclinic_orbits(space: ZipShiftSpace, datum: HomoclinicDatum) -> tuple[Hom
         leaves = [
             (cs + (t,), _preimage_point(cur, t)) for cs, cur in leaves for t in _branches(space, cur)[0]
         ]
-    out = []
-    for choices, leaf in leaves:
-        w = period_for(leaf)
-        if w is not None:
-            orbit = HomoclinicOrbit(datum, choices)
-            object.__setattr__(orbit, "_period", w)
-            out.append(orbit)
+    out = [HomoclinicOrbit(datum, choices) for choices, leaf in leaves if period_for(leaf) is not None]
     return tuple(sorted(out, key=lambda o: space.alphabet_aprime.key(o.choices)))
 
 

@@ -164,6 +164,15 @@ class _SubsetWalk:
             state = self.move(state, c) if nxt is None else nxt
         return state
 
+    def repeat(self, word: Word, state: int) -> int:
+        """A state of the cycle that reading ``word`` again and again from ``state`` falls into (Brent)."""
+        mark, reads = state, 1
+        while (state := self.read(word, state)) != mark:
+            if not reads & (reads - 1):
+                mark = state
+            reads += 1
+        return state
+
     def words(self, k: int) -> Iterator[tuple[Word, int]]:
         """The spelled k-words with their states, in alphabet order.
 
@@ -442,19 +451,20 @@ class ZipShiftSpace:
                 raise UnknownSymbol(f"{c!r} is not an A' symbol")
         return self._aprime_walk.read(word)
 
-    def _is_cycle(self, word: Word, state: int | None = None) -> bool:
-        """Is ``word`` repeated forever an A'-sequence of the space?
+    def _spells(self, left: Word, middle: Word = (), right: Word | None = None, state: int | None = None) -> bool:
+        """Is ``left`` repeated toward minus infinity, then ``middle``, then
+        ``right`` (default ``left``) repeated forever an A'-sequence of the
+        space?  With the defaults: is ``left`` a cycle word?
 
-        Read it from the all-vertices state again and again until the state
-        repeats; ``state`` is the first reading when the caller holds it
-        already.  The states only shrink, so the repeat is a fixed set, and
-        it is non-empty exactly when some closed walk spells a power of
-        ``word``.
-        """
+        Each reading of ``left`` from its first (``state``, if held) starts
+        inside the last one's start, so the states shrink to a fixed set: the
+        ends of walks infinite to the left, which ``left`` reads to itself.
+        Then ``middle`` is read, and ``right`` until a state repeats; the empty
+        state reads to itself, so a non-empty repeat means a walk runs on forever."""
         walk = self._aprime_walk
-        prev, state = 0, self._aprime_state(word) if state is None else state
-        while state != prev:
-            prev, state = state, walk.read(word, state)
+        state = walk.repeat(left, self._aprime_state(left) if state is None else state)
+        if middle or right is not None:
+            state = walk.repeat(left if right is None else right, walk.read(middle, state))
         return bool(walk.sets[state])
 
     def language(self, k: int, side: str = "aprime"):

@@ -346,3 +346,14 @@ def test_block_names_stay_distinct_when_symbols_hold_the_joiner():
             x = random_point(space, rng)
             assert inv(fwd(x)) == x
             assert is_admissible(power, pfwd(x))
+
+
+@pytest.mark.parametrize("recode", [higher_block, higher_power], ids=["block", "power"])
+def test_block_names_refused_when_every_separator_joins_two_alike(recode):
+    """With A' = {a, a.a, :|/+_~#@}, "." names both a + a.a and a.a + a
+    "a.a.a", and the third symbol holds every fallback separator."""
+    letters = ["a", "a.a", ":|/+_~#@"]
+    space = full_space(Alphabet(["x"]), Alphabet(letters), TransitionMap(1, {(c,): "x" for c in letters}))
+    with pytest.raises(InvalidWord) as exc:
+        recode(space, 2)
+    assert str(exc.value) == "every separator names two blocks alike"

@@ -301,6 +301,8 @@ def test_stable_string_rejections(model1, model2):
         (lambda m: m.inverse((F(0), F(0)), 0), InvalidWord, "fold choice must be in 1..2, got 0"),
         # y = 1/2 lies between H_a = [0, 4/9] and H_b = [5/9, 1].
         (lambda m: m.inverse((F(0), F(1, 2)), 1), EscapedSquare, "iterate 0 left all branch rectangles"),
+        # x = 1/4 lies between strip 0 = [0, 2/9] and strip 1 = [5/18, 1/2].
+        (lambda m: m.apply((F(1, 4), F(0))), EscapedSquare, "iterate 0 left all branch rectangles"),
         (lambda m: code_point(m, (F(0), F(0)), 0), InvalidWord, "depth must be >= 1, got 0"),
         (lambda m: decode(m, ItineraryCode((), ())), InvalidWord, "a code needs at least the letter at index 0"),
         (lambda m: decode(m, ItineraryCode(("z",), ("0",))), BadLetter, "'z' is not a horizontal strip name"),
@@ -313,8 +315,8 @@ def test_stable_string_rejections(model1, model2):
         (lambda m: stable_string(m, ("0", "2")), BadLetter, "'2' is not a strip letter of this model"),
     ],
     ids=[
-        "strip-letter", "side", "fold-zero", "inverse-in-gap", "depth-zero", "decode-empty", "decode-side",
-        "conjugacy-depth", "empty-strip-word", "strip-tuple",
+        "strip-letter", "side", "fold-zero", "inverse-in-gap", "apply-in-gap", "depth-zero", "decode-empty",
+        "decode-side", "conjugacy-depth", "empty-strip-word", "strip-tuple",
     ],
 )
 def test_model_and_coding_refusals(model2, call, error, message):

@@ -94,10 +94,12 @@ def test_horseshoe_verify_leaves_spaces_machinery_unloaded():
         (["point", "preimages", "{ex21}", "(b)* ; (2 3)*", "--classify"], False),
         (["point", "metrics", "{ex21}", "(b)* ; (2 3)*", "(b)* ; (3 2)*"], True),
         (["periodic", "{ex21}", "-m", "4"], False),
+        (["homoclinic", "{ex21}", "--periodic", "(b)* ; (2 3)*", "--point", "(b)* ; 3 2 (2 3)*"], False),
+        (["preperiodic", "{ex21}", "(b)* ; (2)*", "--level", "2"], False),
         (["code", "check", "{code}", "--samples", "5"], False),
         (["horseshoe", "verify", "-n", "2", "--depth", "3", "--samples", "20"], True),
     ],
-    ids=["space", "point", "metrics", "periodic", "code", "horseshoe"],
+    ids=["space", "point", "metrics", "periodic", "homoclinic", "preperiodic", "code", "horseshoe"],
 )
 def test_commands_load_no_dataclass_machinery(tmp_path, argv, computes_with_fractions):
     """The modules a command loads beyond those of a bare interpreter hold

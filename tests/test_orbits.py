@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_a_side import spaces
 
 from zipshift import (
@@ -121,8 +122,24 @@ def test_periodic_points_keep_no_word_lists():
     words = space.language(7)
     assert held < sys.getsizeof(words) + sum(map(sys.getsizeof, words))
     got = {p.word for p in periodic_points(space, 7)}
-    assert got == {w for w in space.language(7) if space._is_cycle(w)}
+    assert got == {w for w in space.language(7) if space._spells(w)}
     assert len(got) > 10
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spaces(), st.data())
+def test_spells_matches_a_bounded_word(space, data):
+    """``left`` repeated to the left, ``middle``, then ``right`` repeated to
+    the right is spelled exactly when K copies of each around ``middle``
+    form an admissible word, for K one more than the A'-graph's vertex
+    count: a walk spelling K copies ends two copies at one vertex, so it
+    closes a loop that repeats forever."""
+    word = st.lists(st.sampled_from(space.alphabet_aprime.symbols), max_size=3).map(tuple)
+    left, right = data.draw(word.filter(bool)), data.draw(word.filter(bool))
+    middle = data.draw(word)
+    k = len(space._step) + 1
+    assert space._spells(left, middle, right) == space.admissible_word(left * k + middle + right * k)
+    assert space._spells(left) == space.admissible_word(left * (2 * k))
 
 
 def test_orbit_points(ex21):
@@ -309,30 +326,16 @@ def test_homoclinic_forced_tail_that_dies(five):
         HomoclinicOrbit(datum, ()).point(five, -1)
 
 
-def test_forced_period_is_built_once_per_orbit(coding2, monkeypatch):
-    """Seven entries past the choices build the forced-period search once for
-    an orbit made by hand, and not at all for a listed orbit, which keeps the
-    period ``homoclinic_orbits`` found; both give the same entries."""
-    from zipshift import orbits
-
-    built = []
-    real = orbits._forced_period
-
-    def counted(space, datum):
-        built.append(datum)
-        return real(space, datum)
-
+def test_hand_built_orbit_gives_the_listed_entries(coding2):
+    """An orbit built by hand from a listed orbit's choice words equals it
+    and gives the same seven entries past the choices."""
     p = periodic_point(coding2, ("0", "1'"))
     datum = homoclinic_datum(coding2, p, parse_point("(a b)* b a ; 1 (0 1')*"))
     listed = homoclinic_orbits(coding2, datum)[0]
-    monkeypatch.setattr(orbits, "_forced_period", counted)
     by_hand = HomoclinicOrbit(datum, listed.choices)
     assert by_hand == listed and len(listed.choices) == 2
     entries = range(-3, -10, -1)
-    got = [by_hand.point(coding2, i) for i in entries]
-    assert len(built) == 1
-    assert [listed.point(coding2, i) for i in entries] == got
-    assert len(built) == 1
+    assert [listed.point(coding2, i) for i in entries] == [by_hand.point(coding2, i) for i in entries]
 
 
 def _takes_forced(space, leaf, depth, w, steps=40):

@@ -3,8 +3,8 @@
 Each type is equal exactly to a value of its own class with equal fields,
 hashes as the tuple of those fields, prints as ``Name(field=value, ...)``,
 refuses assignment and deletion, and comes back whole from pickle and copy.
-``LabelClassification.exact`` and ``HomoclinicOrbit._period`` are carried
-along but left out of equality, hash and repr.
+``LabelClassification.exact`` is carried along but left out of equality,
+hash and repr.
 """
 
 from __future__ import annotations
@@ -248,11 +248,9 @@ def test_defaults(values):
     )
     assert _fields(TailFlag(False)) == (False, None, None)
     assert _fields(CommutationReport(True)) == (True, None)
-    datum = values["HomoclinicDatum"][0]
-    assert HomoclinicOrbit(datum, ())._period is None
 
 
-def test_exact_and_period_are_left_out(values):
+def test_exact_is_left_out(values):
     c = values["LabelClassification"][0]
     assert c.exact is True
     loose = LabelClassification(*_fields(c), exact=False)
@@ -261,9 +259,7 @@ def test_exact_and_period_are_left_out(values):
     assert "exact" not in repr(c)
 
     orbit = values["HomoclinicOrbit"][0]
-    assert orbit._period == ("3", "2")
     fresh = HomoclinicOrbit(orbit.datum, orbit.choices)
-    assert fresh._period is None
     assert fresh == orbit and hash(fresh) == hash(orbit) and repr(fresh) == repr(orbit)
     with pytest.raises(TypeError):
         HomoclinicOrbit(orbit.datum, orbit.choices, ("3", "2"))
