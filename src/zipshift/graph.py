@@ -230,7 +230,7 @@ def build_labeled_graph(space: ZipShiftSpace, ell: int | None = None) -> Labeled
         succ = [leaving[dst] for _s, dst, _c in units]
     else:
         labels_of = space._blocks
-        succ = [[t for targets in out.values() for t in targets] for out in space._step]
+        succ = space._succ
     walks: list[tuple[int, ...]] = [(u,) for u in range(len(labels_of))]
     for _ in range(ell - len(labels_of[0])):
         walks = [w + (t,) for w in walks for t in succ[w[-1]]]

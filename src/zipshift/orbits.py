@@ -244,11 +244,17 @@ class HomoclinicOrbit(_Value):
         self.__dict__.update(datum=datum, choices=choices)
 
     def point(self, space: ZipShiftSpace, i: int) -> EpPoint:
-        """The orbit entry at index i (index 0 is the datum's point)."""
+        """The orbit entry at index i (index 0 is the datum's point).
+
+        Raises NotInSpace when a choice letter on the way is not a pre-image
+        branch letter of the entry before it.
+        """
         if i >= 0:
             return shift_k(space, self.datum.point, i)
         cur = self.datum.point
-        for t in self.choices[:-i]:
+        for depth, t in enumerate(self.choices[:-i], 1):
+            if t not in _branches(space, cur)[0]:
+                raise NotInSpace(f"choice {t!r} at depth {depth} is not a pre-image branch letter")
             cur = _preimage_point(cur, t)
         if -i > len(self.choices):
             w = _forced_period(space, self.datum)(cur)

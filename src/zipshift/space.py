@@ -9,8 +9,10 @@ A-side and mixed languages are derived, never user-supplied.
 Both ways of giving the A'-side are edge-labeled graphs, and every space
 builds one at construction, trimmed to the vertices on bi-infinite walks:
 ``step[v][c]`` lists the vertices one edge on from v along edges that emit
-c, ``back`` is its reverse.  Full and finite-type spaces take the admissible
-max(step_k, 1)-blocks as vertices, in alphabet order, with an edge
+c, and ``succ[v]`` joins those lists in letter order, one entry per edge.
+Both are built once, at construction; the reverse of ``step`` is built
+only by the first random lift.  Full and finite-type spaces take the
+admissible max(step_k, 1)-blocks as vertices, in alphabet order, with an edge
 u -> u[1:] + (c,) when u + (c,) has no forbidden factor; that edge emits
 u[0], so a walk emits the first letter of every block it leaves.  Sofic
 spaces take the presentation vertices, numbered in sorted-name order, and
@@ -93,18 +95,16 @@ def _live_vertices(succ: list[list[int]], pred: list[list[int]]) -> bytearray:
     return alive
 
 
-def _trimmed(step: list[dict[str, list[int]]]):
+def _trimmed(step: list[dict[str, list[int]]], succ: list[list[int]]):
     """The live vertices of a letter-indexed graph, and its live part
-    renumbered in vertex order as ``(live, step, back)``.
+    renumbered in vertex order as ``(live, step, succ)``.
 
-    No letter may map to an empty list.  When every vertex is live the input
-    ``step`` is returned as it is and only ``back`` is built; otherwise each
-    live vertex keeps its letters and targets in their order, less the dead
-    targets.  ``back`` lists each edge at its target, letters in the order
-    first met and sources in vertex order, so edge and letter order are
-    those of an edge-by-edge rebuild.
+    ``succ[v]`` is ``step[v]``'s target lists joined in letter order, and no
+    letter may map to an empty list.  When every vertex is live both inputs
+    are returned as they are; otherwise each live vertex keeps its letters
+    and targets in their order, less the dead targets, and ``succ`` is joined
+    again from the renumbered ``step``.
     """
-    succ = [[t for targets in out.values() for t in targets] for out in step]
     pred: list[list[int]] = [[] for _ in step]
     for v, targets in enumerate(succ):
         for t in targets:
@@ -115,12 +115,25 @@ def _trimmed(step: list[dict[str, list[int]]]):
         new_id = {v: i for i, v in enumerate(live)}
         kept = ({c: [new_id[t] for t in targets if alive[t]] for c, targets in step[v].items()} for v in live)
         step = [{c: targets for c, targets in out.items() if targets} for out in kept]
-    back: list[dict[str, list[int]]] = [{} for _ in live]
+        succ = _joined(step)
+    return live, step, succ
+
+
+def _reversed(step: list[dict[str, list[int]]]) -> list[dict[str, list[int]]]:
+    """The reverse of a letter-indexed graph: each edge listed at its target,
+    letters in the order first met and sources in vertex order, one entry
+    per edge, as an edge-by-edge rebuild lists them."""
+    back: list[dict[str, list[int]]] = [{} for _ in step]
     for v, out in enumerate(step):
         for c, targets in out.items():
             for t in targets:
                 back[t].setdefault(c, []).append(v)
-    return live, step, back
+    return back
+
+
+def _joined(step: list[dict[str, list[int]]]) -> list[list[int]]:
+    """Each vertex's target lists joined in letter order: one entry per edge."""
+    return [[t for targets in out.values() for t in targets] for out in step]
 
 
 class _SubsetWalk:
@@ -308,6 +321,7 @@ class ZipShiftSpace:
         self.n = tm.n
         self._graphs: dict = {}  # labeled window graphs by width, see _graph
         self._walk: _SubsetWalk | None = None
+        self._back: list[dict[str, list[int]]] | None = None  # reverse of _step, see random_lift
         self._a_forb: frozenset[Word] | None = None
         self.forbidden: frozenset[Word] = frozenset()
         self.step_k = 0
@@ -322,13 +336,13 @@ class ZipShiftSpace:
         if kind == "sofic":
             if presentation is None:
                 raise InvalidWord("sofic spaces need a presentation graph")
-            step = self._presentation_step(presentation)
+            step, succ = self._presentation_step(presentation)
         else:
             forb = set(tuple(w) for w in (forbidden or set()))
             if kind == "sft" and not forb:
                 raise InvalidWord("finite-type spaces need forbidden words (use a full space otherwise)")
-            blocks, step = self._block_step(forb)
-        live, self._step, self._back = _trimmed(step)
+            blocks, step, succ = self._block_step(forb)
+        live, self._step, self._succ = _trimmed(step, succ)
         if not live:
             raise InvalidWord("the space has an empty language")
         # The A'-graph's vertex labels: its live blocks, for full and
@@ -371,15 +385,17 @@ class ZipShiftSpace:
 
     # -- construction ----------------------------------------------------
 
-    def _block_step(self, forbidden: set[Word]) -> tuple[list[Word], list[dict[str, list[int]]]]:
-        """The blocks and block graph of a full or finite-type space, before
-        trimming.
+    def _block_step(self, forbidden: set[Word]) -> tuple[list[Word], list[dict[str, list[int]]], list[list[int]]]:
+        """The blocks, block graph and successor lists of a full or
+        finite-type space, before trimming.
 
         The forbidden words are indexed by all but their last letter, so the
         letters that may follow a word u are found once, from u's suffixes
         one shorter than each forbidden length.  The same rule grows the
         blocks one letter at a time, in alphabet order, and lists each
-        block's edges in the order of the letter they add.
+        block's edges in the order of the letter they add.  A block's edges
+        all emit its first letter, so its successor list is the one target
+        list of its ``step`` entry, shared, not copied.
         """
         for w in forbidden:
             if not isinstance(w, tuple) or not all(isinstance(c, str) for c in w):
@@ -416,14 +432,17 @@ class ZipShiftSpace:
         for i, w in enumerate(blocks):
             index.setdefault(w[:-1], {})[w[-1]] = i
         step: list[dict[str, list[int]]] = []
+        succ: list[list[int]] = []
         for u in blocks:
             ends = index.get(u[1:], {})
             targets = [ends[c] for c in followers(u)]
             step.append({u[0]: targets} if targets else {})
-        return blocks, step
+            succ.append(targets)
+        return blocks, step, succ
 
-    def _presentation_step(self, presentation) -> list[dict[str, list[int]]]:
-        """The presentation graph of a sofic space, before trimming."""
+    def _presentation_step(self, presentation) -> tuple[list[dict[str, list[int]]], list[list[int]]]:
+        """The presentation graph of a sofic space and its successor lists,
+        before trimming."""
         vertices, edges = presentation
         if len(set(vertices)) != len(vertices):
             raise InvalidWord("presentation vertex names must be distinct")
@@ -435,7 +454,7 @@ class ZipShiftSpace:
             if label not in self.alphabet_aprime:
                 raise UnknownSymbol(f"edge label {label!r} is not an A' symbol")
             step[index[src]].setdefault(label, []).append(index[dst])
-        return step
+        return step, _joined(step)
 
     # -- A'-side language ------------------------------------------------
 
@@ -598,11 +617,10 @@ class ZipShiftSpace:
             raise NotFiniteType("matrix presentation needs a finite-type space")
         ap_words = self._blocks
         aprime_adj = []
-        for out in self._step:
+        for targets in self._succ:
             row = [0] * len(ap_words)
-            for targets in out.values():
-                for j in targets:
-                    row[j] = 1
+            for j in targets:
+                row[j] = 1
             aprime_adj.append(tuple(row))
         n_step = self.a_step()
         n_idx = max(n_step, 1)
@@ -639,7 +657,7 @@ class ZipShiftSpace:
             raise InvalidWord(f"period must be positive, got {m}")
         if self.kind == "sofic":
             raise NotFiniteType("periodic counting by trace needs a finite-type space")
-        succ = [[t for targets in out.values() for t in targets] for out in self._step]
+        succ = self._succ
         total = 0
         for start in range(len(succ)):
             walks = {start: 1}
@@ -689,10 +707,15 @@ class ZipShiftSpace:
         """A random admissible two-sided A'-sequence, eventually periodic both ways.
 
         From a random vertex, one walk forward on ``step`` gives indices 0, 1,
-        ... and one walk backward on ``back`` gives -1, -2, ...; each picks
+        ... and one walk backward on its reverse gives -1, -2, ...; each picks
         uniformly among its edges in (vertex id, letter) order and stops at
         the first repeated vertex once it has taken ``_WANDER`` steps.
+
+        The reverse (``_reversed``) is built on the first call and kept as
+        ``_back``: nothing else walks backward on the A'-graph.
         """
+        if self._back is None:
+            self._back = _reversed(self._step)
         start = rng.choice(range(len(self._step)))
 
         def tail(graph: list[dict[str, list[int]]]) -> tuple[Word, Word]:

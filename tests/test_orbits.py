@@ -338,6 +338,21 @@ def test_hand_built_orbit_gives_the_listed_entries(coding2):
     assert [listed.point(coding2, i) for i in entries] == [by_hand.point(coding2, i) for i in entries]
 
 
+def test_hand_built_orbit_refuses_a_choice_off_the_branches(ex21):
+    """On ex21 the point (b)* a ; (2)* has no orbit, and 2 is not a
+    pre-image branch letter of it: shifting (b)* ; (2)* gives that point
+    back, not x.  A hand-built orbit choosing 2 is refused at depth 1."""
+    p = periodic_point(ex21, ("2",))
+    datum = homoclinic_datum(ex21, p, parse_point("(b)* a ; (2)*"))
+    assert datum.n_back == 2 and homoclinic_orbits(ex21, datum) == ()
+    orbit = HomoclinicOrbit(datum, ("2",))
+    assert format_point(orbit.point(ex21, 0)) == "(b)* a ; (2)*"
+    with pytest.raises(NotInSpace, match="depth 1"):
+        orbit.point(ex21, -1)
+    with pytest.raises(NotInSpace, match="depth 1"):
+        orbit.point(ex21, -3)
+
+
 def _takes_forced(space, leaf, depth, w, steps=40):
     """Can leaf take ``steps`` letters of w's lift (w[-s mod len(w)] at
     depth s, from ``depth`` on) as pre-images, asked through ``preimages``?"""

@@ -17,14 +17,17 @@ from zipshift import (
     NotFiniteType,
     TransitionMap,
     UnknownSymbol,
+    canonical_lift,
     full_space,
     is_admissible,
     point_from_lift,
+    preimages,
+    random_point,
     sft_space,
     sofic_space,
 )
-from zipshift.cli import space_to_dict
-from zipshift.space import ZipShiftSpace, _prune_superwords, _trimmed
+from zipshift.cli import space_from_dict, space_to_dict
+from zipshift.space import ZipShiftSpace, _prune_superwords, _reversed, _trimmed
 
 
 def words(space, k, side="aprime"):
@@ -412,6 +415,11 @@ def ordered(graph: list[dict]) -> list[list]:
     return [list(out.items()) for out in graph]
 
 
+def joined(graph: list[dict]) -> list[list[int]]:
+    """Each vertex's targets in letter order, one entry per edge."""
+    return [[t for _c, targets in out.items() for t in targets] for out in graph]
+
+
 @st.composite
 def letter_graphs(draw):
     """Letter-indexed graphs as the constructors build them: one list entry
@@ -429,14 +437,20 @@ def letter_graphs(draw):
 
 @given(letter_graphs())
 def test_trimmed_keeps_vertex_edge_and_letter_order(step):
-    """``_trimmed`` against a rebuild of the live part edge by edge."""
+    """``_trimmed`` against a rebuild of the live part edge by edge: its
+    successor lists are the rebuild joined, and the reverse a random lift
+    builds is the rebuild's.  With nothing dead the input comes back."""
     edges = [(v, t) for v, out in enumerate(step) for targets in out.values() for t in targets]
     want_live = live_part(len(step), edges)
     want_step, want_back = rebuilt(step, want_live)
-    live, got_step, got_back = _trimmed(step)
+    succ = joined(step)
+    live, got_step, got_succ = _trimmed(step, succ)
     assert live == want_live
     assert ordered(got_step) == ordered(want_step)
-    assert ordered(got_back) == ordered(want_back)
+    assert got_succ == joined(want_step)
+    assert ordered(_reversed(got_step)) == ordered(want_back)
+    if len(live) == len(step):
+        assert got_step is step and got_succ is succ
 
 
 def brute_block_graph(letters, forbidden):
@@ -479,11 +493,13 @@ def periodic_words(letters, forbidden, m: int) -> int:
 )
 @example(("01", [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]))
 @example(("01", [("0", "0"), ("1", "0", "0"), ("1", "1", "1", "0")]))
+@example(("012", [("0", "1"), ("1", "1"), ("2", "1")]))
 def test_block_graph_matches_brute_force(drawn):
     """Full and finite-type A'-graphs: vertices, edges, letter order and kept
     block words equal the graph built from the definition, trimmed by
-    repeated deletion; the empty language is refused; periodic counts equal
-    the periodic words, which no trimming can change."""
+    repeated deletion, and so do the successor lists, joined; the empty
+    language is refused; periodic counts equal the periodic words, which no
+    trimming can change."""
     letters, drawn_words = drawn
     forbidden = set(drawn_words)
     blocks, step, back = brute_block_graph(letters, forbidden)
@@ -497,6 +513,30 @@ def test_block_graph_matches_brute_force(drawn):
     assert space.forbidden == pairwise_prune(forbidden)
     assert list(space._blocks) == blocks
     assert ordered(space._step) == ordered(step)
+    assert space._succ == joined(step)
+    space.random_lift(random.Random(0))
     assert ordered(space._back) == ordered(back)
     for m in range(1, 6):
         assert space.count_periodic(m) == periodic_words(letters, forbidden, m)
+
+
+@pytest.mark.parametrize("name", ["even", "ex21", "five", "coding2"])
+def test_only_a_random_lift_builds_the_reverse_index(name, request):
+    """Construction and the membership queries (admissibility, pre-images,
+    canonical lift) leave the reverse of the A'-graph unbuilt; the first
+    random lift builds it, one entry per edge, and later lifts reuse it.
+    The successor lists are the A'-graph joined."""
+    fixture = request.getfixturevalue(name)
+    space = space_from_dict(space_to_dict(fixture))
+    assert space._succ == joined(space._step)
+    assert space._back is None
+    x = random_point(fixture, random.Random(3))
+    assert is_admissible(space, x)
+    assert preimages(space, x).points
+    canonical_lift(space, x)
+    assert space._back is None
+    space.random_lift(random.Random(0))
+    back = space._back
+    assert sum(len(ts) for out in back for ts in out.values()) == sum(map(len, space._succ))
+    random_point(space, random.Random(1))
+    assert space._back is back
